@@ -3,7 +3,8 @@
 Exit status: 0 on success, 1 when an expected property fails (a violated
 check, a reference pair that does not reproduce, a sweep aborted by a
 guarantee inconsistency), 2 on usage errors, 3 on numeric domain errors
-such as negative weights or parameters outside the family's domain.
+such as negative weights, parameters outside the family's domain or a power
+sum that overflows.
 """
 from __future__ import annotations
 
@@ -14,10 +15,8 @@ import sys
 
 from . import lattice
 from .entropy import (
-    DegenerateParamsError,
     EntropyParams,
     IndexOutOfRangeError,
-    ZeroWeightNegativeAlphaError,
     renyi,
     shannon,
     sharma_mittal,
@@ -34,7 +33,6 @@ from .search import (
     verify_paper_counterexamples,
 )
 from .simplex import (
-    DistributionError,
     ProbabilityDistribution,
     VectorParseError,
     compare,
@@ -197,10 +195,11 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         print(json.dumps([r.to_json_dict() for r in records], indent=2))
     else:
         for r in records:
+            c = r.check
             print(
-                f"{r.source}: {r.kind.value} violated at alpha=2 beta=3, "
-                f"lhs {_fmt(r.lhs, args.digits)}, rhs {_fmt(r.rhs, args.digits)}, "
-                f"margin {_fmt(r.margin, args.digits)}"
+                f"{r.source}: {c.kind.value} violated at alpha=2 beta=3, "
+                f"lhs {_fmt(c.lhs, args.digits)}, rhs {_fmt(c.rhs, args.digits)}, "
+                f"margin {_fmt(c.margin, args.digits)}"
             )
         print("both reference counterexamples reproduce")
     return EXIT_OK
@@ -255,13 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuaranteeViolationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (
-        DistributionError,
-        DegenerateParamsError,
-        ZeroWeightNegativeAlphaError,
-        IndexOutOfRangeError,
-        ValueError,
-    ) as err:
+    except (IndexOutOfRangeError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

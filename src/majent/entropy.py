@@ -278,9 +278,7 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
         return _tsallis_value(p.weights, params.alpha)
     if ak is ParamKind.LIMIT_ONE:
         return phi_beta(shannon(p), params.beta)
-    power = _pow_sum(p.weights, params.alpha)
-    exponent = (1.0 - params.beta) / (1.0 - params.alpha)
-    return math.expm1(exponent * math.log(power)) / (1.0 - params.beta)
+    return h_alpha_beta(_pow_sum(p.weights, params.alpha), params)
 
 
 def sharma_mittal_partial(

@@ -1,72 +1,25 @@
 """Meet and join of distributions under majorization.
 
-Both operations act on Lorenz curves.  The meet's curve is the pointwise
-minimum of the operands' curves; the minimum of two concave curves is still
-concave, so its first differences already form a sorted distribution and no
-repair is needed.  The join starts from the pointwise maximum, which can
-fail concavity: its first differences (the pre-join vector) may violate the
-non-increasing order.  :func:`flatten` repairs that by repeatedly averaging
-maximal violating blocks, which is the same thing as replacing the curve by
-its least concave majorant.  The repaired vector is the least upper bound.
+Both operations act on Lorenz curves, which :func:`~majent.simplex.paired_curves`
+builds on a common dimension.  The meet's curve is the pointwise minimum of
+the operands' curves; the minimum of two concave curves is still concave, so
+its first differences already form a sorted distribution and no repair is
+needed.  The join starts from the pointwise maximum, which can fail
+concavity: its first differences, the plain list :func:`pre_join` returns,
+may violate the non-increasing order.  :func:`flatten` repairs that by
+repeatedly averaging maximal violating blocks, which is the same thing as
+replacing the curve by its least concave majorant.  The repaired vector is
+the least upper bound.
 
 When both operands carry exact rational weights the whole pipeline runs in
-exact arithmetic and only converts to float at the boundary.
+exact arithmetic (the pre-join list holds Fractions) and only converts to
+float at the boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .simplex import (
-    SUM_TOL,
-    ProbabilityDistribution,
-    SumOutOfToleranceError,
-    Weight,
-    make_distribution,
-    pad,
-)
-
-
-@dataclass(frozen=True)
-class PreJoinVector:
-    """First differences of the pointwise-max curve, possibly out of order.
-
-    Entries are non-negative and sum to 1, but the non-increasing order can
-    be violated, so this is deliberately not a ProbabilityDistribution.
-    """
-
-    entries: tuple[float, ...]
-    exact: tuple[Fraction, ...] | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def values(self) -> Sequence[Weight]:
-        return self.exact if self.exact is not None else self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> float:
-        return self.entries[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.entries)
-
-
-def _paired_curves(
-    p: ProbabilityDistribution, q: ProbabilityDistribution
-) -> tuple[list[Weight], list[Weight], bool]:
-    """Prefix-sum curves on a common dimension; exact when both inputs are."""
-    n = max(p.dim, q.dim)
-    a, b = pad(p, n), pad(q, n)
-    use_exact = a.exact is not None and b.exact is not None
-    if use_exact:
-        return list(accumulate(a.exact)), list(accumulate(b.exact)), True
-    return list(accumulate(a.weights)), list(accumulate(b.weights)), False
+from .simplex import ProbabilityDistribution, Weight, make_distribution, paired_curves
 
 
 def _differences(curve: Sequence[Weight]) -> list[Weight]:
@@ -86,46 +39,45 @@ def meet(
     The result is majorized by both operands, and any r majorized by both is
     majorized by the result.
     """
-    pa, pb, _ = _paired_curves(p, q)
+    pa, pb, _ = paired_curves(p, q)
     low = [min(x, y) for x, y in zip(pa, pb)]
     return make_distribution(_differences(low))
 
 
-def pre_join(
-    p: ProbabilityDistribution, q: ProbabilityDistribution
-) -> PreJoinVector:
-    """Differences of the pointwise-max curve, before order repair."""
-    pa, pb, use_exact = _paired_curves(p, q)
-    high = [max(x, y) for x, y in zip(pa, pb)]
-    diffs = _differences(high)
-    if use_exact:
-        return PreJoinVector(tuple(float(d) for d in diffs), tuple(diffs))
-    return PreJoinVector(tuple(diffs))
+def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Weight]:
+    """Differences of the pointwise-max curve, before order repair.
+
+    Entries are non-negative and sum to 1, but the non-increasing order can
+    be violated, so this is deliberately a plain list and not a
+    ProbabilityDistribution.  Entries are Fractions when both operands are
+    exact, floats otherwise.
+    """
+    pa, pb, _ = paired_curves(p, q)
+    return _differences([max(x, y) for x, y in zip(pa, pb)])
 
 
-def _flatten_core(values: Sequence[Weight]) -> tuple[list[Weight], int]:
-    """Average maximal violating blocks until the vector is non-increasing.
+def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
+    """Repair a pre-join vector into a sorted distribution.
 
     Scans left to right for the first ascent, grows the surrounding block as
     long as a boundary entry would break the order against the running block
     average (growth can propagate leftward), replaces the block by its
     average and restarts.  Adjacent equal entries are not violations.
-    Returns the repaired vector and the number of averaging passes, which is
-    at most ``len(values)``.
+
+    The repaired Lorenz curve is the least concave majorant of the input's
+    curve, so among sorted vectors whose curve dominates the input's this is
+    the minimal one in the majorization order.  Values that do not sum to 1
+    are rejected by :func:`~majent.simplex.make_distribution`.
     """
     vals = list(values)
     n = len(vals)
-    passes = 0
     while True:
-        first_ascent = None
-        for k in range(n - 1):
-            if vals[k] < vals[k + 1]:
-                first_ascent = k
+        for a in range(n - 1):
+            if vals[a] < vals[a + 1]:
                 break
-        if first_ascent is None:
-            return vals, passes
-        passes += 1
-        a, b = first_ascent, first_ascent + 1
+        else:
+            return make_distribution(vals)
+        b = a + 1
         while True:
             avg = sum(vals[a : b + 1]) / (b - a + 1)
             if a > 0 and vals[a - 1] < avg:
@@ -136,20 +88,6 @@ def _flatten_core(values: Sequence[Weight]) -> tuple[list[Weight], int]:
                 continue
             break
         vals[a : b + 1] = [avg] * (b - a + 1)
-
-
-def flatten(w: PreJoinVector) -> ProbabilityDistribution:
-    """Repair a pre-join vector into a sorted distribution.
-
-    The repaired Lorenz curve is the least concave majorant of the input's
-    curve, so among sorted vectors whose curve dominates the input's this is
-    the minimal one in the majorization order.
-    """
-    total = float(sum(w.values()))
-    if abs(total - 1.0) > SUM_TOL:
-        raise SumOutOfToleranceError(total)
-    repaired, _ = _flatten_core(w.values())
-    return make_distribution(repaired)
 
 
 def join(

@@ -1,6 +1,8 @@
 """Inequality checks between entropies of pairs and their lattice bounds.
 
-Every check evaluates one inequality, oriented so that a positive margin
+One table-driven function, :func:`run_check`, evaluates all five kinds: the
+table says per kind whether the join is needed and which way the
+inequality points.  Every check is oriented so that a positive margin
 means it holds with room to spare.  A violation is only reported when the
 margin drops below ``-CHECK_TOL``; margins inside the window count as a
 tight hold, so rounding noise cannot masquerade as a counterexample.  The
@@ -58,7 +60,7 @@ class PropertyCheckRecord:
         return "holds"
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind.value,
             "params": self.params.to_json_dict(),
             "p": self.p.weights_json(),
@@ -72,127 +74,18 @@ class PropertyCheckRecord:
             "verdict": self.verdict_label,
             "tolerance": self.tolerance,
         }
-        return out
 
 
-def _record(kind, p, q, params, lhs, rhs, margin, tolerance, meet_d, join_d=None):
-    return PropertyCheckRecord(
-        kind=kind,
-        p=p,
-        q=q,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin >= -tolerance,
-        tolerance=tolerance,
-        meet=meet_d,
-        join=join_d,
-    )
-
-
-def check_subadditivity(
-    p: ProbabilityDistribution,
-    q: ProbabilityDistribution,
-    params: EntropyParams,
-    *,
-    tolerance: float = CHECK_TOL,
-) -> PropertyCheckRecord:
-    """S(p meet q) <= S(p) + S(q)."""
-    m = lattice.meet(p, q)
-    lhs = sharma_mittal(m, params)
-    rhs = sharma_mittal(p, params) + sharma_mittal(q, params)
-    return _record(
-        PropertyKind.SUBADDITIVE, p, q, params, lhs, rhs, rhs - lhs, tolerance, m
-    )
-
-
-def check_superadditivity(
-    p: ProbabilityDistribution,
-    q: ProbabilityDistribution,
-    params: EntropyParams,
-    *,
-    tolerance: float = CHECK_TOL,
-) -> PropertyCheckRecord:
-    """S(p meet q) >= S(p) + S(q) (the negative-order regime)."""
-    m = lattice.meet(p, q)
-    lhs = sharma_mittal(m, params)
-    rhs = sharma_mittal(p, params) + sharma_mittal(q, params)
-    return _record(
-        PropertyKind.SUPERADDITIVE, p, q, params, lhs, rhs, lhs - rhs, tolerance, m
-    )
-
-
-def check_generalized(
-    p: ProbabilityDistribution,
-    q: ProbabilityDistribution,
-    params: EntropyParams,
-    *,
-    tolerance: float = CHECK_TOL,
-) -> PropertyCheckRecord:
-    """S(p meet q) vs S(p) + S(q) + (1-beta) S(p) S(q).
-
-    The comparison direction follows the sign of alpha: at or above zero the
-    meet entropy must not exceed the pseudo-additive combination, below zero
-    it must not fall short of it.
-    """
-    m = lattice.meet(p, q)
-    lhs = sharma_mittal(m, params)
-    sp = sharma_mittal(p, params)
-    sq = sharma_mittal(q, params)
-    rhs = sp + sq + (1.0 - params.beta) * sp * sq
-    margin = rhs - lhs if params.alpha >= 0.0 else lhs - rhs
-    return _record(
-        PropertyKind.GENERALIZED_SUB_SUPER, p, q, params, lhs, rhs, margin, tolerance, m
-    )
-
-
-def _modular_sides(p, q, params):
-    m = lattice.meet(p, q)
-    j = lattice.join(p, q)
-    lhs = sharma_mittal(p, params) + sharma_mittal(q, params)
-    rhs = sharma_mittal(m, params) + sharma_mittal(j, params)
-    return m, j, lhs, rhs
-
-
-def check_supermodularity(
-    p: ProbabilityDistribution,
-    q: ProbabilityDistribution,
-    params: EntropyParams,
-    *,
-    tolerance: float = CHECK_TOL,
-) -> PropertyCheckRecord:
-    """S(p) + S(q) <= S(p meet q) + S(p join q).
-
-    The dual submodularity margin is the negation of this record's margin;
-    :func:`check_submodularity` reports it directly.
-    """
-    m, j, lhs, rhs = _modular_sides(p, q, params)
-    return _record(
-        PropertyKind.SUPERMODULAR, p, q, params, lhs, rhs, rhs - lhs, tolerance, m, j
-    )
-
-
-def check_submodularity(
-    p: ProbabilityDistribution,
-    q: ProbabilityDistribution,
-    params: EntropyParams,
-    *,
-    tolerance: float = CHECK_TOL,
-) -> PropertyCheckRecord:
-    """S(p) + S(q) >= S(p meet q) + S(p join q)."""
-    m, j, lhs, rhs = _modular_sides(p, q, params)
-    return _record(
-        PropertyKind.SUBMODULAR, p, q, params, lhs, rhs, lhs - rhs, tolerance, m, j
-    )
-
-
+#: kind -> (needs the join, orientation).  Orientation +1 asserts
+#: lhs <= rhs (margin rhs - lhs), -1 asserts lhs >= rhs (margin lhs - rhs)
+#: and 0 follows the sign of alpha: the generalized bound caps the meet
+#: entropy at alpha >= 0 and floors it below zero.
 _CHECKS = {
-    PropertyKind.SUBADDITIVE: check_subadditivity,
-    PropertyKind.SUPERADDITIVE: check_superadditivity,
-    PropertyKind.GENERALIZED_SUB_SUPER: check_generalized,
-    PropertyKind.SUPERMODULAR: check_supermodularity,
-    PropertyKind.SUBMODULAR: check_submodularity,
+    PropertyKind.SUBADDITIVE: (False, 1),
+    PropertyKind.SUPERADDITIVE: (False, -1),
+    PropertyKind.GENERALIZED_SUB_SUPER: (False, 0),
+    PropertyKind.SUPERMODULAR: (True, 1),
+    PropertyKind.SUBMODULAR: (True, -1),
 }
 
 
@@ -204,5 +97,40 @@ def run_check(
     *,
     tolerance: float = CHECK_TOL,
 ) -> PropertyCheckRecord:
-    """Dispatch to the check for ``kind``."""
-    return _CHECKS[kind](p, q, params, tolerance=tolerance)
+    """Evaluate the inequality ``kind`` on the pair (p, q) at ``params``.
+
+    The modular kinds compare S(p) + S(q) (lhs) with S(p meet q) +
+    S(p join q) (rhs); the others compare S(p meet q) (lhs) with
+    S(p) + S(q), plus the cross term (1 - beta) S(p) S(q) for the
+    generalized kind (rhs).
+    """
+    needs_join, orientation = _CHECKS[kind]
+    m = lattice.meet(p, q)
+    j = None
+    if needs_join:
+        j = lattice.join(p, q)
+        lhs = sharma_mittal(p, params) + sharma_mittal(q, params)
+        rhs = sharma_mittal(m, params) + sharma_mittal(j, params)
+    else:
+        lhs = sharma_mittal(m, params)
+        sp = sharma_mittal(p, params)
+        sq = sharma_mittal(q, params)
+        if orientation == 0:
+            rhs = sp + sq + (1.0 - params.beta) * sp * sq
+            orientation = 1 if params.alpha >= 0.0 else -1
+        else:
+            rhs = sp + sq
+    margin = rhs - lhs if orientation > 0 else lhs - rhs
+    return PropertyCheckRecord(
+        kind=kind,
+        p=p,
+        q=q,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        holds=margin >= -tolerance,
+        tolerance=tolerance,
+        meet=m,
+        join=j,
+    )

@@ -149,7 +149,7 @@ def sample_simplex(n: int, stream: np.random.Generator) -> ProbabilityDistributi
 
 @dataclass(frozen=True)
 class CounterexampleRecord:
-    """A violating pair with enough provenance to replay it exactly.
+    """A violating check with enough provenance to replay it exactly.
 
     ``source`` is ``"random"`` for sampled pairs (then seed, cell and trial
     identify the stream) or the name of a built-in reference pair.
@@ -157,62 +157,23 @@ class CounterexampleRecord:
     margin bit for bit.
     """
 
-    kind: PropertyKind
-    params: EntropyParams
-    p: ProbabilityDistribution
-    q: ProbabilityDistribution
-    meet: ProbabilityDistribution
-    join: ProbabilityDistribution | None
-    lhs: float
-    rhs: float
-    margin: float
+    check: PropertyCheckRecord
     seed: int | None
     cell_index: int | None
     trial_index: int | None
     source: str
 
-    @classmethod
-    def from_check(
-        cls,
-        check: PropertyCheckRecord,
-        *,
-        seed: int | None,
-        cell_index: int | None,
-        trial_index: int | None,
-        source: str,
-    ) -> "CounterexampleRecord":
-        return cls(
-            kind=check.kind,
-            params=check.params,
-            p=check.p,
-            q=check.q,
-            meet=check.meet,
-            join=check.join,
-            lhs=check.lhs,
-            rhs=check.rhs,
-            margin=check.margin,
-            seed=seed,
-            cell_index=cell_index,
-            trial_index=trial_index,
-            source=source,
-        )
-
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "params": self.params.to_json_dict(),
-            "p": self.p.weights_json(),
-            "q": self.q.weights_json(),
-            "meet": self.meet.weights_json(),
-            "join": self.join.weights_json() if self.join is not None else None,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "seed": self.seed,
-            "cell_index": self.cell_index,
-            "trial_index": self.trial_index,
-            "source": self.source,
-        }
+        # A counterexample is a violation by definition, so the verdict
+        # fields give way to the provenance, in the schemas' key order.
+        out = self.check.to_json_dict()
+        for key in ("holds", "verdict", "tolerance"):
+            del out[key]
+        out["seed"] = self.seed
+        out["cell_index"] = self.cell_index
+        out["trial_index"] = self.trial_index
+        out["source"] = self.source
+        return out
 
 
 def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:
@@ -232,13 +193,6 @@ def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CellResult:
-    worst_margin: float
-    counterexample: CounterexampleRecord | None
-    trials: int
-
-
 def _run_cell(
     kind: PropertyKind,
     params: EntropyParams,
@@ -247,8 +201,8 @@ def _run_cell(
     seed: int,
     cell_index: int,
     tolerance: float,
-) -> CellResult:
-    """Run one (params, property) cell.
+) -> tuple[float, CounterexampleRecord | None]:
+    """Run one (params, property) cell: (worst margin, first counterexample).
 
     Trials 0 and 1 are the reference pairs whenever the order is
     non-negative (they contain a zero weight, so negative orders skip the
@@ -272,10 +226,8 @@ def _run_cell(
         if check.margin < worst:
             worst = check.margin
         if found is None and check.margin < -tolerance:
-            found = CounterexampleRecord.from_check(
-                check, seed=seed, cell_index=cell_index, trial_index=t, source=source
-            )
-    return CellResult(worst, found, trials)
+            found = CounterexampleRecord(check, seed, cell_index, t, source)
+    return worst, found
 
 
 def find_counterexample(
@@ -295,8 +247,7 @@ def find_counterexample(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    result = _run_cell(kind, params, (n,), trials, seed, 0, tolerance)
-    return result.counterexample
+    return _run_cell(kind, params, (n,), trials, seed, 0, tolerance)[1]
 
 
 def verify_paper_counterexamples(
@@ -340,11 +291,7 @@ def verify_paper_counterexamples(
             problems.append(f"expected a violation of {ref.violates.value}, margin {check.margin!r}")
         if problems:
             raise ReproductionError(f"{ref.name}: " + "; ".join(problems))
-        records.append(
-            CounterexampleRecord.from_check(
-                check, seed=None, cell_index=None, trial_index=None, source=ref.name
-            )
-        )
+        records.append(CounterexampleRecord(check, None, None, None, ref.name))
     return records[0], records[1]
 
 
@@ -477,7 +424,7 @@ def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepRe
         for beta in config.beta_grid:
             params = EntropyParams.make(alpha, beta)
             for kind in config.properties:
-                result = _run_cell(
+                worst, found = _run_cell(
                     kind,
                     params,
                     config.dims,
@@ -487,13 +434,13 @@ def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepRe
                     tolerance,
                 )
                 guaranteed = theorem_guaranteed(kind, alpha, beta)
-                if result.counterexample is not None:
+                if found is not None:
                     if guaranteed:
                         raise GuaranteeViolationError(
                             f"violation in guaranteed region: {kind.value} at "
                             f"alpha={alpha}, beta={beta}, trial "
-                            f"{result.counterexample.trial_index}, margin "
-                            f"{result.counterexample.margin!r}; this is a bug"
+                            f"{found.trial_index}, margin "
+                            f"{found.check.margin!r}; this is a bug"
                         )
                     verdict = Verdict.VIOLATION_FOUND
                 elif guaranteed:
@@ -507,10 +454,10 @@ def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepRe
                         kind=kind,
                         verdict=verdict,
                         guaranteed=guaranteed,
-                        worst_margin=result.worst_margin,
-                        trials=result.trials,
+                        worst_margin=worst,
+                        trials=config.trials_per_cell,
                         seed=config.seed,
-                        counterexample=result.counterexample,
+                        counterexample=found,
                     )
                 )
                 cell_index += 1

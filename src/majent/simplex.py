@@ -201,11 +201,19 @@ def lorenz(p: ProbabilityDistribution) -> tuple[float, ...]:
     return tuple(accumulate(p.weights))
 
 
-def _common_dim(
+def paired_curves(
     p: ProbabilityDistribution, q: ProbabilityDistribution
-) -> tuple[ProbabilityDistribution, ProbabilityDistribution]:
+) -> tuple[list[Weight], list[Weight], bool]:
+    """Lorenz curves of ``p`` and ``q`` zero-padded to a common dimension.
+
+    The flag is true when both curves are exact, which they are exactly when
+    both operands carry exact weights.
+    """
     n = max(p.dim, q.dim)
-    return pad(p, n), pad(q, n)
+    a, b = pad(p, n), pad(q, n)
+    if a.exact is not None and b.exact is not None:
+        return list(accumulate(a.exact)), list(accumulate(b.exact)), True
+    return list(accumulate(a.weights)), list(accumulate(b.weights)), False
 
 
 def compare(
@@ -219,15 +227,8 @@ def compare(
     use the ``CMP_TOL`` tie window; when both operands are exact the
     comparison is exact as well.
     """
-    a, b = _common_dim(p, q)
-    if a.exact is not None and b.exact is not None:
-        pa: Sequence[Weight] = list(accumulate(a.exact))
-        pb: Sequence[Weight] = list(accumulate(b.exact))
-        tol: Weight = 0
-    else:
-        pa = list(accumulate(a.weights))
-        pb = list(accumulate(b.weights))
-        tol = CMP_TOL
+    pa, pb, exact = paired_curves(p, q)
+    tol: Weight = 0 if exact else CMP_TOL
     p_below = all(x <= y + tol for x, y in zip(pa, pb))
     q_below = all(y <= x + tol for x, y in zip(pa, pb))
     if p_below and q_below:

@@ -255,6 +255,15 @@ class TestErrorMapping:
         code, _, err = run(["entropy", "--dist", "0.5,0.5", "--alpha", "inf", "--beta", "2"])
         assert code == EXIT_DOMAIN
 
+    def test_overflowing_power_sum_is_domain_error(self):
+        # 0.001 ** -300 is beyond the float range.
+        code, _, err = run(
+            ["check", "--property", "submodular", "--p", "0.999,0.001",
+             "--q", "0.6,0.4", "--alpha", "-300", "--beta", "2"]
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: ")
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run([])

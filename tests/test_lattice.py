@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from majent.lattice import PreJoinVector, flatten, join, meet, pre_join
+from majent.lattice import flatten, join, meet, pre_join
 from majent.simplex import (
     MajorizationOrder,
     SumOutOfToleranceError,
@@ -60,42 +60,33 @@ class TestPreJoinAndFlatten:
         p = make_distribution([0.5, 0.15, 0.15, 0.1, 0.1])
         q = make_distribution([0.3, 0.3, 0.3, 0.1, 0.0])
         raw = pre_join(p, q)
-        assert raw.entries == pytest.approx((0.5, 0.15, 0.25, 0.1, 0.0), abs=1e-12)
-        assert raw.entries[1] < raw.entries[2]
+        assert raw == pytest.approx([0.5, 0.15, 0.25, 0.1, 0.0], abs=1e-12)
+        assert raw[1] < raw[2]
 
     def test_flatten_averages_the_block(self):
-        repaired = flatten(PreJoinVector((0.5, 0.15, 0.25, 0.1, 0.0)))
+        repaired = flatten([0.5, 0.15, 0.25, 0.1, 0.0])
         assert repaired.weights == pytest.approx((0.5, 0.2, 0.2, 0.1, 0.0), abs=1e-12)
 
     def test_flatten_whole_vector(self):
-        assert flatten(PreJoinVector((0.2, 0.8))).weights == (0.5, 0.5)
+        assert flatten([0.2, 0.8]).weights == (0.5, 0.5)
 
     def test_flatten_propagates_left(self):
         # Averaging (0.2, 0.45) gives 0.325, which overtakes the 0.25 on its
         # left; the block must absorb it and settle at 0.3.
-        repaired = flatten(PreJoinVector((0.25, 0.2, 0.45, 0.1)))
+        repaired = flatten([0.25, 0.2, 0.45, 0.1])
         assert repaired.weights == pytest.approx((0.3, 0.3, 0.3, 0.1), abs=1e-15)
 
     def test_flatten_keeps_sorted_input(self):
-        d = flatten(PreJoinVector((0.6, 0.3, 0.1)))
+        d = flatten([0.6, 0.3, 0.1])
         assert d.weights == (0.6, 0.3, 0.1)
 
     def test_flatten_rejects_bad_mass(self):
         with pytest.raises(SumOutOfToleranceError):
-            flatten(PreJoinVector((0.5, 0.2)))
+            flatten([0.5, 0.2])
 
     def test_exact_flatten(self):
-        raw = PreJoinVector(
-            (0.2, 0.8), (Fraction(1, 5), Fraction(4, 5))
-        )
+        raw = [Fraction(1, 5), Fraction(4, 5)]
         assert flatten(raw).exact == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_container_protocol(self):
-        raw = PreJoinVector((0.5, 0.5))
-        assert len(raw) == 2 and raw.dim == 2
-        assert raw[0] == 0.5
-        assert list(raw) == [0.5, 0.5]
-        assert raw.values() == (0.5, 0.5)
 
 
 class TestJoin:

@@ -11,11 +11,6 @@ from majent.lattice import join, meet
 from majent.properties import (
     CHECK_TOL,
     PropertyKind,
-    check_generalized,
-    check_subadditivity,
-    check_submodularity,
-    check_superadditivity,
-    check_supermodularity,
     run_check,
 )
 from majent.search import sample_simplex, trial_stream
@@ -30,7 +25,7 @@ AT_2_3 = EntropyParams.make(2.0, 3.0)
 
 class TestReferenceValues:
     def test_first_pair_breaks_supermodularity(self):
-        rec = check_supermodularity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3)
         assert rec.lhs == pytest.approx(0.8704, abs=1e-12)
         assert rec.rhs == pytest.approx(0.8700, abs=1e-12)
         assert rec.margin == pytest.approx(-0.0004, abs=1e-12)
@@ -40,14 +35,14 @@ class TestReferenceValues:
         assert rec.join.weights == pytest.approx((0.5, 0.3, 0.2, 0.0), abs=1e-12)
 
     def test_second_pair_breaks_submodularity(self):
-        rec = check_submodularity(P2, Q2, AT_2_3)
+        rec = run_check(PropertyKind.SUBMODULAR, P2, Q2, AT_2_3)
         assert rec.lhs == pytest.approx(0.8826875, abs=1e-12)
         assert rec.rhs == pytest.approx(0.8883875, abs=1e-12)
         assert rec.margin == pytest.approx(-0.0057, abs=1e-12)
         assert not rec.holds
 
     def test_first_pair_still_subadditive(self):
-        rec = check_subadditivity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUBADDITIVE, P1, Q1, AT_2_3)
         assert rec.lhs == pytest.approx(0.4422, abs=1e-12)
         assert rec.rhs == pytest.approx(0.8704, abs=1e-12)
         assert rec.holds and rec.verdict_label == "holds"
@@ -55,7 +50,7 @@ class TestReferenceValues:
     def test_first_pair_generalized_bound(self):
         # rhs = 0.8704 - 2 * 0.4352^2 = 0.49160192, comfortably above the
         # meet entropy 0.4422.
-        rec = check_generalized(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.GENERALIZED_SUB_SUPER, P1, Q1, AT_2_3)
         assert rec.rhs == pytest.approx(0.49160192, abs=1e-12)
         assert rec.margin == pytest.approx(0.04940192, abs=1e-12)
         assert rec.holds
@@ -63,11 +58,11 @@ class TestReferenceValues:
 
 class TestOrientations:
     def test_subadditivity_margin_direction(self):
-        rec = check_subadditivity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUBADDITIVE, P1, Q1, AT_2_3)
         assert rec.margin == rec.rhs - rec.lhs
 
     def test_superadditivity_margin_direction(self):
-        rec = check_superadditivity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUPERADDITIVE, P1, Q1, AT_2_3)
         assert rec.margin == rec.lhs - rec.rhs
 
     def test_superadditive_self_pair_margin_is_minus_entropy(self):
@@ -76,7 +71,7 @@ class TestOrientations:
         # satisfy this inequality; the margin documents the orientation.
         fair = make_distribution([0.5, 0.5])
         params = EntropyParams.make(-1.0, 0.0)
-        rec = check_superadditivity(fair, fair, params)
+        rec = run_check(PropertyKind.SUPERADDITIVE, fair, fair, params)
         s = sharma_mittal(fair, params)
         assert rec.margin == pytest.approx(-s, abs=1e-12)
         assert s == pytest.approx(1.0, abs=1e-12)
@@ -84,43 +79,47 @@ class TestOrientations:
 
     def test_generalized_direction_flips_with_order_sign(self):
         fair = make_distribution([0.5, 0.5])
-        neg = check_generalized(fair, fair, EntropyParams.make(-1.0, 0.0))
+        neg = run_check(
+            PropertyKind.GENERALIZED_SUB_SUPER, fair, fair, EntropyParams.make(-1.0, 0.0)
+        )
         # lhs = S(p) = 1, rhs = 2 S(p) + S(p)^2 = 3; with the reversed
         # orientation for negative orders the margin is lhs - rhs = -2.
         assert neg.lhs == pytest.approx(1.0, abs=1e-12)
         assert neg.rhs == pytest.approx(3.0, abs=1e-12)
         assert neg.margin == pytest.approx(-2.0, abs=1e-12)
-        pos = check_generalized(fair, fair, EntropyParams.make(2.0, 0.0))
+        pos = run_check(
+            PropertyKind.GENERALIZED_SUB_SUPER, fair, fair, EntropyParams.make(2.0, 0.0)
+        )
         assert pos.margin == pos.rhs - pos.lhs
 
     def test_modular_margins_are_exact_negations(self):
-        a = check_supermodularity(P2, Q2, AT_2_3)
-        b = check_submodularity(P2, Q2, AT_2_3)
+        a = run_check(PropertyKind.SUPERMODULAR, P2, Q2, AT_2_3)
+        b = run_check(PropertyKind.SUBMODULAR, P2, Q2, AT_2_3)
         assert a.margin == -b.margin
         assert a.lhs == b.lhs and a.rhs == b.rhs
 
 
 class TestToleranceDiscipline:
     def test_wide_tolerance_turns_violation_into_tight_hold(self):
-        rec = check_supermodularity(P1, Q1, AT_2_3, tolerance=0.1)
+        rec = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3, tolerance=0.1)
         assert rec.holds
         assert rec.verdict_label == "holds (tight)"
         assert rec.tolerance == 0.1
 
     def test_default_tolerance_exposed(self):
-        rec = check_supermodularity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3)
         assert rec.tolerance == CHECK_TOL
 
     def test_verdict_labels(self):
-        violated = check_supermodularity(P1, Q1, AT_2_3)
-        holds = check_subadditivity(P1, Q1, AT_2_3)
+        violated = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3)
+        holds = run_check(PropertyKind.SUBADDITIVE, P1, Q1, AT_2_3)
         assert violated.verdict_label == "violated"
         assert holds.verdict_label == "holds"
 
 
 class TestRecords:
     def test_lhs_rhs_recompute_bit_for_bit(self):
-        rec = check_supermodularity(P1, Q1, AT_2_3)
+        rec = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3)
         lhs = sharma_mittal(rec.p, rec.params) + sharma_mittal(rec.q, rec.params)
         rhs = sharma_mittal(meet(rec.p, rec.q), rec.params) + sharma_mittal(
             join(rec.p, rec.q), rec.params
@@ -129,12 +128,12 @@ class TestRecords:
         assert rhs == rec.rhs
 
     def test_join_only_on_modular_checks(self):
-        assert check_subadditivity(P1, Q1, AT_2_3).join is None
-        assert check_generalized(P1, Q1, AT_2_3).join is None
-        assert check_supermodularity(P1, Q1, AT_2_3).join is not None
+        assert run_check(PropertyKind.SUBADDITIVE, P1, Q1, AT_2_3).join is None
+        assert run_check(PropertyKind.GENERALIZED_SUB_SUPER, P1, Q1, AT_2_3).join is None
+        assert run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3).join is not None
 
     def test_json_shape(self):
-        data = check_supermodularity(P1, Q1, AT_2_3).to_json_dict()
+        data = run_check(PropertyKind.SUPERMODULAR, P1, Q1, AT_2_3).to_json_dict()
         assert data["kind"] == "supermodular"
         assert data["holds"] is False
         assert data["verdict"] == "violated"
@@ -157,7 +156,7 @@ class TestRecords:
 
     def test_zero_weight_negative_order_propagates(self):
         with pytest.raises(ZeroWeightNegativeAlphaError):
-            check_subadditivity(P1, Q1, EntropyParams.make(-1.0, 0.5))
+            run_check(PropertyKind.SUBADDITIVE, P1, Q1, EntropyParams.make(-1.0, 0.5))
 
 
 class TestRandomPairConsistency:
@@ -167,10 +166,10 @@ class TestRandomPairConsistency:
             stream = trial_stream(17, 0, trial)
             p = sample_simplex(4, stream)
             q = sample_simplex(4, stream)
-            sub = check_subadditivity(p, q, params)
-            gen = check_generalized(p, q, params)
-            sup = check_supermodularity(p, q, params)
-            dual = check_submodularity(p, q, params)
+            sub = run_check(PropertyKind.SUBADDITIVE, p, q, params)
+            gen = run_check(PropertyKind.GENERALIZED_SUB_SUPER, p, q, params)
+            sup = run_check(PropertyKind.SUPERMODULAR, p, q, params)
+            dual = run_check(PropertyKind.SUBMODULAR, p, q, params)
             sp = sharma_mittal(p, params)
             sq = sharma_mittal(q, params)
             assert sub.rhs == sp + sq

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -28,6 +29,8 @@ from majent.search import (
     verify_paper_counterexamples,
 )
 import majent.search
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 # One fixed draw, recorded from the stream's first run and frozen.  If this
 # ever changes, every published report seed is silently worthless, so the
@@ -138,12 +141,12 @@ class TestFindCounterexample:
         stream = trial_stream(rec.seed, rec.cell_index, rec.trial_index)
         p = sample_simplex(3, stream)
         q = sample_simplex(3, stream)
-        assert p.weights == rec.p.weights
-        assert q.weights == rec.q.weights
-        check = run_check(rec.kind, rec.p, rec.q, rec.params)
-        assert check.lhs == rec.lhs
-        assert check.rhs == rec.rhs
-        assert check.margin == rec.margin
+        assert p.weights == rec.check.p.weights
+        assert q.weights == rec.check.q.weights
+        check = run_check(rec.check.kind, rec.check.p, rec.check.q, rec.check.params)
+        assert check.lhs == rec.check.lhs
+        assert check.rhs == rec.check.rhs
+        assert check.margin == rec.check.margin
 
     def test_negative_order_region_violates_superadditivity(self):
         # The guarantee table marks alpha < 0, beta <= 1 as proven for
@@ -154,7 +157,7 @@ class TestFindCounterexample:
         rec = find_counterexample(PropertyKind.SUPERADDITIVE, params, 3, 50)
         assert rec is not None
         assert rec.trial_index == 0
-        assert rec.margin < -1.0  # an order-one breach, not float noise
+        assert rec.check.margin < -1.0  # an order-one breach, not float noise
 
     def test_json_payload_shape(self):
         rec = find_counterexample(
@@ -167,15 +170,23 @@ class TestFindCounterexample:
         }
         assert data["kind"] == "supermodular"
         assert data["source"] == "reference-pair-1"
+        # Reports are compared byte for byte, so the key order is pinned to
+        # the order the schemas list the fields in.
+        for schema, record in (
+            ("sweep-report.schema.json", rec),
+            ("verify-records.schema.json", verify_paper_counterexamples()[0]),
+        ):
+            defs = json.loads((DOCS / schema).read_text())["$defs"]
+            assert list(record.to_json_dict()) == defs["counterexample"]["required"]
 
 
 class TestReferenceVerification:
     def test_both_records_reproduce(self):
         first, second = verify_paper_counterexamples()
-        assert first.kind is PropertyKind.SUPERMODULAR
-        assert second.kind is PropertyKind.SUBMODULAR
-        assert first.margin == pytest.approx(-0.0004, abs=1e-12)
-        assert second.margin == pytest.approx(-0.0057, abs=1e-12)
+        assert first.check.kind is PropertyKind.SUPERMODULAR
+        assert second.check.kind is PropertyKind.SUBMODULAR
+        assert first.check.margin == pytest.approx(-0.0004, abs=1e-12)
+        assert second.check.margin == pytest.approx(-0.0057, abs=1e-12)
         assert first.source == "reference-pair-1"
         assert second.source == "reference-pair-2"
         assert first.seed is None and first.trial_index is None
