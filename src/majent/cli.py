@@ -154,8 +154,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _render_check_text(record, digits: int) -> str:
     lines = [
         f"property: {record.kind.value}",
-        f"alpha: {_fmt(record.params.alpha, digits)} ({record.params.alpha_kind.value})",
-        f"beta: {_fmt(record.params.beta, digits)} ({record.params.beta_kind.value})",
+        f"alpha: {_fmt(record.params.alpha, digits)} ({record.params.alpha_kind})",
+        f"beta: {_fmt(record.params.beta, digits)} ({record.params.beta_kind})",
         f"p: {_fmt_vector(record.p, digits)}",
         f"q: {_fmt_vector(record.q, digits)}",
         f"meet: {_fmt_vector(record.meet, digits)}",

@@ -4,16 +4,18 @@ The family evaluated here is
 
     S_{alpha,beta}(p) = ((sum_i p_i^alpha)^((1-beta)/(1-alpha)) - 1) / (1-beta)
 
-which specializes to Tsallis entropy as beta -> alpha, to ln(2) times Renyi
+which specializes to Tsallis entropy at beta = alpha, to ln(2) times Renyi
 entropy as beta -> 1, and to ln(2) times Shannon entropy as both approach 1.
 Shannon and Renyi values are reported in bits (log base 2); the family value
 itself is the natural-units quantity above.
 
-Limit branches are selected only through explicit parameter kinds on
-:class:`EntropyParams`, never through epsilon windows around 1: a caller who
-wants the beta -> 1 limit must say so, and a finite beta of exactly 1 cannot
-be constructed.  All evaluations near a removable singularity go through
-``expm1`` so that the limits are approached smoothly in float arithmetic.
+The limit branches are read off the parameter values by exact equality
+with 1: alpha = 1 or beta = 1 takes the closed-form limit, and every other
+finite value (0.999999 included) is evaluated directly, with no epsilon
+window around 1.  The Tsallis edge beta = alpha needs no branch of its own,
+because the general formula is the Tsallis form there.  All evaluations
+near a removable singularity go through ``expm1`` so that the limits are
+approached smoothly in float arithmetic.
 
 Conventions: 0^alpha = 0 for alpha >= 0 inside power sums (so the alpha = 0
 sum counts the support), and a zero weight combined with alpha < 0 is a hard
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .simplex import ProbabilityDistribution, tensor_product
 
@@ -31,8 +32,8 @@ LN2 = math.log(2.0)
 
 
 class DegenerateParamsError(ValueError):
-    """Parameter combination outside the family's domain (alpha or beta 1
-    without the matching limit kind, or an unsupported infinite order)."""
+    """Parameters outside the family's domain: a non-finite alpha or beta,
+    or a limit value (exactly 1) given to a closed form that excludes it."""
 
 
 class ZeroWeightNegativeAlphaError(ValueError):
@@ -43,109 +44,47 @@ class IndexOutOfRangeError(IndexError):
     """Coordinate index outside the distribution's dimension."""
 
 
-class ParamKind(Enum):
-    """How a parameter slot is to be read.
-
-    FINITE is the plain numeric case.  LIMIT_ONE marks the limit toward 1
-    (valid for both slots), LIMIT_ALPHA marks beta -> alpha (beta slot only)
-    and INFINITE marks the min-entropy order (alpha slot only, Renyi use).
-    """
-
-    FINITE = "finite"
-    LIMIT_ONE = "limit-1"
-    LIMIT_ALPHA = "limit-alpha"
-    INFINITE = "infinite"
+def _kind(value: float) -> str:
+    return "limit-1" if value == 1.0 else "finite"
 
 
 @dataclass(frozen=True)
 class EntropyParams:
-    """Validated (alpha, beta) pair with explicit limit kinds.
+    """A validated (alpha, beta) pair of finite floats.
 
-    The numeric fields always hold the effective values: 1.0 under
-    LIMIT_ONE, the alpha value under LIMIT_ALPHA.  Prefer the factories
-    (:meth:`make`, :meth:`renyi_limit`, :meth:`tsallis_limit`) over calling
-    the constructor with kinds spelled out.
+    A value of exactly 1 selects the limit toward 1 in :func:`sharma_mittal`
+    and any other value is evaluated as it stands; ``alpha_kind`` and
+    ``beta_kind`` name that reading (``"limit-1"`` or ``"finite"``).
     """
 
     alpha: float
     beta: float
-    alpha_kind: ParamKind = ParamKind.FINITE
-    beta_kind: ParamKind = ParamKind.FINITE
 
     def __post_init__(self) -> None:
-        a, b = self.alpha, self.beta
-        ak, bk = self.alpha_kind, self.beta_kind
-        if ak is ParamKind.FINITE:
-            if not math.isfinite(a):
-                raise DegenerateParamsError(f"non-finite alpha {a!r} needs an explicit kind")
-            if a == 1.0:
-                raise DegenerateParamsError(
-                    "alpha = 1 is a removable singularity; use the LIMIT_ONE kind"
-                )
-        elif ak is ParamKind.LIMIT_ONE:
-            if a != 1.0:
-                raise DegenerateParamsError("LIMIT_ONE alpha must store the value 1.0")
-        elif ak is ParamKind.INFINITE:
-            if not math.isinf(a) or a < 0:
-                raise DegenerateParamsError("INFINITE alpha must store +inf")
-        else:
-            raise DegenerateParamsError("LIMIT_ALPHA is not valid for the alpha slot")
-        if bk is ParamKind.FINITE:
-            if not math.isfinite(b):
-                raise DegenerateParamsError(f"non-finite beta {b!r} is not supported")
-            if b == 1.0:
-                raise DegenerateParamsError(
-                    "beta = 1 is a removable singularity; use the LIMIT_ONE kind"
-                )
-        elif bk is ParamKind.LIMIT_ONE:
-            if b != 1.0:
-                raise DegenerateParamsError("LIMIT_ONE beta must store the value 1.0")
-        elif bk is ParamKind.LIMIT_ALPHA:
-            if ak is not ParamKind.FINITE:
-                raise DegenerateParamsError("beta -> alpha needs a finite alpha != 1")
-            if b != a:
-                raise DegenerateParamsError("LIMIT_ALPHA beta must store the alpha value")
-        else:
-            raise DegenerateParamsError("INFINITE is not valid for the beta slot")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DegenerateParamsError(
+                f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})"
+            )
 
     @classmethod
     def make(cls, alpha: float, beta: float) -> "EntropyParams":
-        """Build params from plain numbers.
+        """Build params from plain numbers, converted to float."""
+        return cls(float(alpha), float(beta))
 
-        Exactly 1 routes to the matching limit kind (this is exact equality,
-        not a window: 0.999999 stays finite and is evaluated directly).
-        """
-        alpha = float(alpha)
-        beta = float(beta)
-        ak = (
-            ParamKind.LIMIT_ONE
-            if alpha == 1.0
-            else ParamKind.INFINITE
-            if math.isinf(alpha) and alpha > 0
-            else ParamKind.FINITE
-        )
-        bk = ParamKind.LIMIT_ONE if beta == 1.0 else ParamKind.FINITE
-        return cls(alpha, beta, ak, bk)
+    @property
+    def alpha_kind(self) -> str:
+        return _kind(self.alpha)
 
-    @classmethod
-    def renyi_limit(cls, alpha: float) -> "EntropyParams":
-        """The beta -> 1 edge of the family at the given alpha."""
-        alpha = float(alpha)
-        ak = ParamKind.LIMIT_ONE if alpha == 1.0 else ParamKind.FINITE
-        return cls(alpha, 1.0, ak, ParamKind.LIMIT_ONE)
-
-    @classmethod
-    def tsallis_limit(cls, alpha: float) -> "EntropyParams":
-        """The beta -> alpha edge of the family at the given alpha != 1."""
-        alpha = float(alpha)
-        return cls(alpha, alpha, ParamKind.FINITE, ParamKind.LIMIT_ALPHA)
+    @property
+    def beta_kind(self) -> str:
+        return _kind(self.beta)
 
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "beta": self.beta,
-            "alpha_kind": self.alpha_kind.value,
-            "beta_kind": self.beta_kind.value,
+            "alpha_kind": self.alpha_kind,
+            "beta_kind": self.beta_kind,
         }
 
 
@@ -199,10 +138,6 @@ def renyi(p: ProbabilityDistribution, alpha: float) -> float:
     return math.log2(_pow_sum(p.weights, alpha)) / (1.0 - alpha)
 
 
-def _tsallis_value(weights: tuple[float, ...], alpha: float) -> float:
-    return (1.0 - _pow_sum(weights, alpha)) / (alpha - 1.0)
-
-
 def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
     """Tsallis entropy of order ``alpha > 0`` (natural units).
 
@@ -215,7 +150,7 @@ def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
         raise ValueError(f"Tsallis order must be > 0, got {alpha!r}")
     if alpha == 1.0:
         return LN2 * shannon(p)
-    return _tsallis_value(p.weights, alpha)
+    return (1.0 - _pow_sum(p.weights, alpha)) / (alpha - 1.0)
 
 
 def phi_beta(x: float, beta: float) -> float:
@@ -236,14 +171,11 @@ def phi_beta(x: float, beta: float) -> float:
 def h_alpha_beta(x: float, params: EntropyParams) -> float:
     """The map (x^((1-beta)/(1-alpha)) - 1) / (1-beta) applied to a power sum.
 
-    Requires both parameters finite (away from 1); the limit kinds have
-    their own closed forms in :func:`sharma_mittal`.
+    Requires alpha and beta both different from 1; those limits have their
+    own closed forms in :func:`sharma_mittal`.
     """
-    if (
-        params.alpha_kind is not ParamKind.FINITE
-        or params.beta_kind is not ParamKind.FINITE
-    ):
-        raise DegenerateParamsError("h_alpha_beta needs finite alpha and beta away from 1")
+    if params.alpha == 1.0 or params.beta == 1.0:
+        raise DegenerateParamsError("h_alpha_beta needs alpha and beta away from 1")
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"h_alpha_beta needs x > 0, got {x!r}")
@@ -252,33 +184,25 @@ def h_alpha_beta(x: float, params: EntropyParams) -> float:
 
 
 def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
-    """Evaluate the family at ``params``, dispatching on the limit kinds.
+    """Evaluate the family at ``params``, choosing the branch by exact value.
 
     Branches:
 
-    * both finite: ``h_alpha_beta(g_alpha(p))``
-    * beta -> 1:   ln(2) times the Renyi entropy of order alpha (any finite
-      alpha != 1 including negative orders, which need full support)
-    * beta -> alpha: the Tsallis form (1 - g_alpha) / (alpha - 1)
-    * alpha -> 1, finite beta: ``phi_beta`` of the Shannon entropy
-    * both -> 1:  ln(2) times Shannon
+    * alpha = 1: ``phi_beta`` of the Shannon entropy, which is ln(2) times
+      Shannon at beta = 1
+    * beta = 1: ln(2) times the Renyi entropy of order alpha (any alpha != 1
+      including negative orders, which need full support)
+    * otherwise: ``h_alpha_beta(g_alpha(p))``, which at beta = alpha is the
+      Tsallis form (1 - g_alpha) / (alpha - 1) up to rounding
 
-    Negative alpha with a zero weight raises; alpha = +inf is not part of
-    this family's dispatch.
+    Negative alpha with a zero weight raises.
     """
-    ak, bk = params.alpha_kind, params.beta_kind
-    if ak is ParamKind.INFINITE:
-        raise DegenerateParamsError("alpha = +inf is Renyi-only, not a family member here")
-    if bk is ParamKind.LIMIT_ONE:
-        if ak is ParamKind.LIMIT_ONE:
-            return LN2 * shannon(p)
-        power = _pow_sum(p.weights, params.alpha)
-        return math.log(power) / (1.0 - params.alpha)
-    if bk is ParamKind.LIMIT_ALPHA:
-        return _tsallis_value(p.weights, params.alpha)
-    if ak is ParamKind.LIMIT_ONE:
+    if params.alpha == 1.0:
         return phi_beta(shannon(p), params.beta)
-    return h_alpha_beta(_pow_sum(p.weights, params.alpha), params)
+    power = _pow_sum(p.weights, params.alpha)
+    if params.beta == 1.0:
+        return math.log(power) / (1.0 - params.alpha)
+    return h_alpha_beta(power, params)
 
 
 def sharma_mittal_partial(
@@ -287,15 +211,12 @@ def sharma_mittal_partial(
     """Closed-form partial derivative of the family value at coordinate ``i``.
 
     dS/dp_i = alpha/(1-alpha) * A^((alpha-beta)/(1-alpha)) * p_i^(alpha-1)
-    with A the power sum.  Defined for finite alpha outside {0, 1}; for
+    with A the power sum.  Defined for alpha outside {0, 1}; for
     alpha < 1 the coordinate must carry positive weight.  The index refers
     to the sorted weights.
     """
-    ak = params.alpha_kind
-    if ak is not ParamKind.FINITE or params.alpha == 0.0:
-        raise DegenerateParamsError(
-            "the closed-form partial needs finite alpha outside {0, 1}"
-        )
+    if params.alpha == 0.0 or params.alpha == 1.0:
+        raise DegenerateParamsError("the closed-form partial needs alpha outside {0, 1}")
     if not 0 <= i < p.dim:
         raise IndexOutOfRangeError(f"index {i} outside dimension {p.dim}")
     alpha, beta = params.alpha, params.beta
@@ -319,9 +240,8 @@ def pseudo_additivity_residual(
     """S(p (x) q) - S(p) - S(q) - (1-beta) S(p) S(q).
 
     Identically zero in exact arithmetic for every parameter choice; the
-    float residual measures evaluation error.  Under the beta -> 1 kind the
-    cross term vanishes (plain additivity), under beta -> alpha the factor
-    is 1 - alpha.
+    float residual measures evaluation error.  At beta = 1 the cross term
+    vanishes (plain additivity); at beta = alpha its factor is 1 - alpha.
     """
     sp = sharma_mittal(p, params)
     sq = sharma_mittal(q, params)

@@ -53,7 +53,7 @@ class PropertyCheckRecord:
 
     @property
     def verdict_label(self) -> str:
-        if self.margin < -self.tolerance:
+        if not self.holds:
             return "violated"
         if self.margin < self.tolerance:
             return "holds (tight)"

@@ -138,13 +138,13 @@ def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Gene
 def sample_simplex(n: int, stream: np.random.Generator) -> ProbabilityDistribution:
     """One draw from the flat (uniform) distribution on the n-simplex.
 
-    Normalized unit exponentials, sorted non-increasingly.
+    Normalized unit exponentials; ``make_distribution`` sorts them
+    non-increasingly.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     draws = stream.standard_exponential(n)
-    weights = sorted((draws / draws.sum()).tolist(), reverse=True)
-    return make_distribution(weights)
+    return make_distribution((draws / draws.sum()).tolist())
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,6 @@ def _run_cell(
     trials: int,
     seed: int,
     cell_index: int,
-    tolerance: float,
 ) -> tuple[float, CounterexampleRecord | None]:
     """Run one (params, property) cell: (worst margin, first counterexample).
 
@@ -214,7 +213,7 @@ def _run_cell(
     injection); the rest are fresh samples with the dimension cycling
     through ``dims``.
     """
-    inject = params.alpha >= 0.0 and not math.isinf(params.alpha)
+    inject = params.alpha >= 0.0
     worst = math.inf
     found: CounterexampleRecord | None = None
     for t in range(trials):
@@ -227,10 +226,10 @@ def _run_cell(
             p = sample_simplex(n, stream)
             q = sample_simplex(n, stream)
             source = "random"
-        check = run_check(kind, p, q, params, tolerance=tolerance)
+        check = run_check(kind, p, q, params)
         if check.margin < worst:
             worst = check.margin
-        if found is None and check.margin < -tolerance:
+        if found is None and check.margin < -CHECK_TOL:
             found = CounterexampleRecord(check, seed, cell_index, t, source)
     return worst, found
 
@@ -241,8 +240,6 @@ def find_counterexample(
     n: int,
     trials: int,
     seed: int = DEFAULT_SEED,
-    *,
-    tolerance: float = CHECK_TOL,
 ) -> CounterexampleRecord | None:
     """Search ``trials`` random n-dimensional pairs for a violation.
 
@@ -252,7 +249,7 @@ def find_counterexample(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    return _run_cell(kind, params, (n,), trials, seed, 0, tolerance)[1]
+    return _run_cell(kind, params, (n,), trials, seed, 0)[1]
 
 
 def verify_paper_counterexamples(
@@ -415,7 +412,7 @@ class RegionSweepReport:
         return out.getvalue()
 
 
-def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepReport:
+def sweep(config: SweepConfig) -> RegionSweepReport:
     """Run every (alpha, beta, property) cell of the grid.
 
     Cells are enumerated in grid order with a stable cell index, and each
@@ -436,7 +433,6 @@ def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepRe
                     config.trials_per_cell,
                     config.seed,
                     cell_index,
-                    tolerance,
                 )
                 guaranteed = theorem_guaranteed(kind, alpha, beta)
                 if found is not None:
@@ -445,7 +441,8 @@ def sweep(config: SweepConfig, *, tolerance: float = CHECK_TOL) -> RegionSweepRe
                             f"violation in guaranteed region: {kind.value} at "
                             f"alpha={alpha}, beta={beta}, trial "
                             f"{found.trial_index}, margin "
-                            f"{found.check.margin!r}; this is a bug"
+                            f"{found.check.margin!r}; either the implementation "
+                            "or the guarantee table is wrong"
                         )
                     verdict = Verdict.VIOLATION_FOUND
                 elif guaranteed:

@@ -282,7 +282,7 @@ def test_c8_composition_identities_and_limit_convergence():
 
     probe = make_distribution([0.4, 0.35, 0.25])
     for alpha in (0.5, 2.0, -1.0):
-        limit = sharma_mittal(probe, EntropyParams.renyi_limit(alpha))
+        limit = sharma_mittal(probe, EntropyParams.make(alpha, 1.0))
         for side in (1.0, -1.0):
             gaps = []
             for k in range(3, 9):

@@ -264,6 +264,20 @@ class TestErrorMapping:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: ")
 
+    def test_nan_margin_is_labelled_violated(self):
+        # 2 * 0.5 ** -1023 overflows to inf inside the power sum, so
+        # lhs = rhs = inf and the margin is nan, which must not "hold".
+        argv = ["check", "--property", "subadditive", "--p", "0.5,0.5",
+                "--q", "0.5,0.5", "--alpha", "-1023", "--beta", "0.5"]
+        code, out, _ = run(argv)
+        assert code == EXIT_VIOLATION
+        assert "margin: nan\n" in out
+        assert out.endswith("verdict: violated\n")
+        code, out, _ = run(argv + ["--format", "json"])
+        assert code == EXIT_VIOLATION
+        data = json.loads(out)
+        assert (data["holds"], data["verdict"]) == (False, "violated")
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -274,3 +288,11 @@ class TestErrorMapping:
             run(["check", "--property", "shiny", "--p", "1", "--q", "1",
                  "--alpha", "2", "--beta", "3"])
         assert exc.value.code == EXIT_USAGE
+
+
+def test_public_names_resolve_once():
+    import majent
+
+    assert len(majent.__all__) == len(set(majent.__all__))
+    missing = [name for name in majent.__all__ if not hasattr(majent, name)]
+    assert missing == []

@@ -14,7 +14,6 @@ from majent.entropy import (
     DegenerateParamsError,
     EntropyParams,
     IndexOutOfRangeError,
-    ParamKind,
     ZeroWeightNegativeAlphaError,
     g_alpha,
     h_alpha_beta,
@@ -43,62 +42,33 @@ def raw_family_value(weights, alpha, beta):
 class TestEntropyParams:
     def test_make_finite(self):
         params = EntropyParams.make(2, 3)
-        assert params.alpha_kind is ParamKind.FINITE
-        assert params.beta_kind is ParamKind.FINITE
+        assert params.alpha_kind == "finite"
+        assert params.beta_kind == "finite"
         assert (params.alpha, params.beta) == (2.0, 3.0)
 
     def test_make_routes_exact_ones(self):
-        assert EntropyParams.make(1.0, 2.0).alpha_kind is ParamKind.LIMIT_ONE
-        assert EntropyParams.make(2.0, 1.0).beta_kind is ParamKind.LIMIT_ONE
+        assert EntropyParams.make(1.0, 2.0).alpha_kind == "limit-1"
+        assert EntropyParams.make(2.0, 1.0).beta_kind == "limit-1"
         both = EntropyParams.make(1, 1)
-        assert both.alpha_kind is ParamKind.LIMIT_ONE
-        assert both.beta_kind is ParamKind.LIMIT_ONE
+        assert both.alpha_kind == "limit-1"
+        assert both.beta_kind == "limit-1"
 
     def test_make_is_not_a_window(self):
         # 1 - 1e-9 is a legitimate finite order, not a sloppy 1.
         params = EntropyParams.make(1 - 1e-9, 2.0)
-        assert params.alpha_kind is ParamKind.FINITE
+        assert params.alpha_kind == "finite"
 
     def test_make_infinite_alpha(self):
-        assert EntropyParams.make(math.inf, 2.0).alpha_kind is ParamKind.INFINITE
-
-    def test_finite_one_rejected(self):
         with pytest.raises(DegenerateParamsError):
-            EntropyParams(1.0, 2.0)
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, 1.0)
-
-    def test_limit_kind_must_store_effective_value(self):
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, 2.0, ParamKind.LIMIT_ONE, ParamKind.FINITE)
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, 3.0, ParamKind.FINITE, ParamKind.LIMIT_ALPHA)
-
-    def test_limit_alpha_needs_finite_alpha(self):
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(1.0, 1.0, ParamKind.LIMIT_ONE, ParamKind.LIMIT_ALPHA)
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams.tsallis_limit(1.0)
-
-    def test_kind_slots_are_not_interchangeable(self):
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, 2.0, ParamKind.LIMIT_ALPHA, ParamKind.FINITE)
-        with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, math.inf, ParamKind.FINITE, ParamKind.INFINITE)
+            EntropyParams.make(math.inf, 2.0)
 
     def test_non_finite_finite_rejected(self):
         with pytest.raises(DegenerateParamsError):
-            EntropyParams(math.nan, 2.0)
+            EntropyParams.make(math.nan, 2.0)
         with pytest.raises(DegenerateParamsError):
-            EntropyParams(2.0, math.inf)
+            EntropyParams.make(2.0, math.inf)
         with pytest.raises(DegenerateParamsError):
-            EntropyParams(-math.inf, 2.0, ParamKind.INFINITE, ParamKind.FINITE)
-
-    def test_factories(self):
-        r = EntropyParams.renyi_limit(-1.0)
-        assert r.beta_kind is ParamKind.LIMIT_ONE and r.beta == 1.0
-        t = EntropyParams.tsallis_limit(2.0)
-        assert t.beta_kind is ParamKind.LIMIT_ALPHA and t.beta == 2.0
+            EntropyParams.make(-math.inf, 2.0)
 
     def test_json_dict(self):
         assert EntropyParams.make(2, 1).to_json_dict() == {
@@ -220,22 +190,22 @@ class TestFamilyDispatch:
         )
 
     def test_beta_one_is_scaled_renyi(self):
-        params = EntropyParams.renyi_limit(2.0)
+        params = EntropyParams.make(2.0, 1.0)
         assert sharma_mittal(P1, params) == pytest.approx(LN2 * renyi(P1, 2.0), rel=1e-14)
 
     def test_beta_one_extends_to_negative_orders(self):
         # ln(sum p^-1) / (1 - alpha) = ln(4) / 2 for the fair coin.
-        params = EntropyParams.renyi_limit(-1.0)
+        params = EntropyParams.make(-1.0, 1.0)
         assert sharma_mittal(make_distribution([0.5, 0.5]), params) == pytest.approx(
             math.log(2.0), abs=1e-15
         )
 
     def test_beta_alpha_is_tsallis(self):
-        params = EntropyParams.tsallis_limit(2.0)
+        params = EntropyParams.make(2.0, 2.0)
         assert sharma_mittal(P1, params) == tsallis(P1, 2.0)
 
     def test_beta_alpha_at_negative_order(self):
-        params = EntropyParams.tsallis_limit(-1.0)
+        params = EntropyParams.make(-1.0, -1.0)
         assert sharma_mittal(make_distribution([0.5, 0.5]), params) == pytest.approx(
             1.5, abs=1e-15
         )
@@ -260,7 +230,7 @@ class TestFamilyDispatch:
             sharma_mittal(Q1, EntropyParams.make(-1.0, 0.0))
 
     def test_smooth_approach_to_beta_one(self):
-        limit = sharma_mittal(P1, EntropyParams.renyi_limit(2.0))
+        limit = sharma_mittal(P1, EntropyParams.make(2.0, 1.0))
         near = sharma_mittal(P1, EntropyParams.make(2.0, 1.0 + 1e-6))
         assert near == pytest.approx(limit, abs=1e-5)
 
@@ -350,12 +320,12 @@ class TestPseudoAdditivity:
         )
 
     def test_plain_additivity_at_beta_one(self):
-        params = EntropyParams.renyi_limit(2.0)
+        params = EntropyParams.make(2.0, 1.0)
         r = pseudo_additivity_residual(P1, Q1, params)
         assert abs(r) <= 1e-12
 
     def test_cross_term_factor_uses_effective_beta(self):
-        params = EntropyParams.tsallis_limit(2.0)
+        params = EntropyParams.make(2.0, 2.0)
         p = make_distribution([0.7, 0.3])
         sp = sharma_mittal(p, params)
         spq = sharma_mittal(tensor_product(p, p), params)
