@@ -7,127 +7,7 @@ its Shannon, Renyi and Tsallis specializations (:mod:`majent.entropy`),
 oriented inequality checks between entropies of pairs and their lattice
 bounds (:mod:`majent.properties`) and deterministic randomized region
 sweeps with built-in reference counterexamples (:mod:`majent.search`).
+Every name is imported from the module that defines it.
 """
 
-from .entropy import (
-    DegenerateParamsError,
-    EntropyParams,
-    IndexOutOfRangeError,
-    ZeroWeightNegativeAlphaError,
-    g_alpha,
-    h_alpha_beta,
-    phi_beta,
-    pseudo_additivity_residual,
-    renyi,
-    shannon,
-    sharma_mittal,
-    sharma_mittal_partial,
-    tsallis,
-)
-from .lattice import flatten, join, meet, pre_join
-from .properties import (
-    CHECK_TOL,
-    PropertyCheckRecord,
-    PropertyKind,
-    run_check,
-)
-from .search import (
-    DEFAULT_SEED,
-    STREAM_ALGORITHM,
-    CounterexampleRecord,
-    GuaranteeViolationError,
-    RegionSweepReport,
-    ReproductionError,
-    SweepConfig,
-    SweepConfigError,
-    Verdict,
-    find_counterexample,
-    parse_sweep_config,
-    sample_simplex,
-    sweep,
-    theorem_guaranteed,
-    trial_stream,
-    verify_paper_counterexamples,
-)
-from .simplex import (
-    CMP_TOL,
-    SUM_TOL,
-    DistributionError,
-    EmptyInputError,
-    MajorizationOrder,
-    NegativeWeightError,
-    ProbabilityDistribution,
-    SumOutOfToleranceError,
-    TargetDimTooSmallError,
-    VectorParseError,
-    compare,
-    lorenz,
-    make_distribution,
-    pad,
-    parse_distribution,
-    parse_weights,
-    tensor_product,
-    uniform,
-    weights_from_json,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CMP_TOL",
-    "CHECK_TOL",
-    "DEFAULT_SEED",
-    "STREAM_ALGORITHM",
-    "SUM_TOL",
-    "CounterexampleRecord",
-    "DegenerateParamsError",
-    "DistributionError",
-    "EmptyInputError",
-    "EntropyParams",
-    "GuaranteeViolationError",
-    "IndexOutOfRangeError",
-    "MajorizationOrder",
-    "NegativeWeightError",
-    "ProbabilityDistribution",
-    "PropertyCheckRecord",
-    "PropertyKind",
-    "RegionSweepReport",
-    "ReproductionError",
-    "SumOutOfToleranceError",
-    "SweepConfig",
-    "SweepConfigError",
-    "TargetDimTooSmallError",
-    "VectorParseError",
-    "Verdict",
-    "ZeroWeightNegativeAlphaError",
-    "compare",
-    "find_counterexample",
-    "flatten",
-    "g_alpha",
-    "h_alpha_beta",
-    "join",
-    "lorenz",
-    "make_distribution",
-    "meet",
-    "pad",
-    "parse_distribution",
-    "parse_sweep_config",
-    "parse_weights",
-    "phi_beta",
-    "pre_join",
-    "pseudo_additivity_residual",
-    "renyi",
-    "run_check",
-    "sample_simplex",
-    "shannon",
-    "sharma_mittal",
-    "sharma_mittal_partial",
-    "sweep",
-    "tensor_product",
-    "theorem_guaranteed",
-    "trial_stream",
-    "tsallis",
-    "uniform",
-    "verify_paper_counterexamples",
-    "weights_from_json",
-]

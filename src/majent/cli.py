@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import lattice
-from .entropy import (
-    EntropyParams,
-    IndexOutOfRangeError,
-    renyi,
-    shannon,
-    sharma_mittal,
-    tsallis,
-)
+from .entropy import EntropyParams, renyi, shannon, sharma_mittal, tsallis
 from .properties import CHECK_TOL, PropertyKind, run_check
 from .search import (
     DEFAULT_SEED,
@@ -43,8 +37,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_PROPERTY_NAMES = {k.value: k for k in PropertyKind}
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -95,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_vector_args(p_cmp)
 
     p_chk = sub.add_parser("check", help="check one inequality on one pair")
-    p_chk.add_argument("--property", required=True, choices=sorted(_PROPERTY_NAMES))
+    p_chk.add_argument("--property", required=True, choices=sorted(k.value for k in PropertyKind))
     _add_vector_args(p_chk)
     p_chk.add_argument("--alpha", type=float, required=True)
     p_chk.add_argument("--beta", type=float, required=True)
@@ -171,12 +163,14 @@ def _render_check_text(record, digits: int) -> str:
     return "\n".join(lines)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        parser.error(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     p = parse_distribution(args.p)
     q = parse_distribution(args.q)
     params = EntropyParams.make(args.alpha, args.beta)
     record = run_check(
-        _PROPERTY_NAMES[args.property], p, q, params, tolerance=args.tolerance
+        PropertyKind(args.property), p, q, params, tolerance=args.tolerance
     )
     if args.format == "json":
         print(json.dumps(record.to_json_dict(), indent=2))
@@ -234,6 +228,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.digits < 0:
+        parser.error(f"--digits must be >= 0, got {args.digits}")
     try:
         if args.command == "entropy":
             return _cmd_entropy(args, parser)
@@ -242,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "check":
-            return _cmd_check(args)
+            return _cmd_check(args, parser)
         if args.command == "verify-paper":
             return _cmd_verify_paper(args)
         if args.command == "sweep":
@@ -254,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuaranteeViolationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (IndexOutOfRangeError, ValueError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

@@ -88,14 +88,17 @@ class EntropyParams:
         }
 
 
-def _pow_sum(weights: tuple[float, ...], alpha: float) -> float:
-    """sum_i w_i^alpha over the support, smallest weights first.
+def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
+    """The power sum sum_i p_i^alpha over the support, smallest weights first.
 
-    Zero weights contribute nothing for alpha >= 0 (in particular the
-    alpha = 0 sum is the support size) and are rejected for alpha < 0.
+    This is the argument fed to ``h_alpha_beta`` and equals
+    (1 - alpha) T_alpha(p) + 1 where T is the Tsallis entropy.  Zero weights
+    contribute nothing for alpha >= 0 (in particular the alpha = 0 sum is
+    the support size) and are rejected for alpha < 0.
     """
+    alpha = float(alpha)
     total = 0.0
-    for w in reversed(weights):
+    for w in reversed(p.weights):
         if w > 0.0:
             total += w**alpha
         elif alpha < 0.0:
@@ -103,14 +106,6 @@ def _pow_sum(weights: tuple[float, ...], alpha: float) -> float:
                 f"zero weight is outside the domain for alpha = {alpha!r}"
             )
     return total
-
-
-def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
-    """The power sum sum_i p_i^alpha; the argument fed to ``h_alpha_beta``.
-
-    Equals (1 - alpha) T_alpha(p) + 1 where T is the Tsallis entropy.
-    """
-    return _pow_sum(p.weights, float(alpha))
 
 
 def shannon(p: ProbabilityDistribution) -> float:
@@ -135,7 +130,7 @@ def renyi(p: ProbabilityDistribution, alpha: float) -> float:
         return shannon(p)
     if math.isinf(alpha):
         return -math.log2(p.weights[0])
-    return math.log2(_pow_sum(p.weights, alpha)) / (1.0 - alpha)
+    return math.log2(g_alpha(p, alpha)) / (1.0 - alpha)
 
 
 def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
@@ -150,7 +145,7 @@ def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
         raise ValueError(f"Tsallis order must be > 0, got {alpha!r}")
     if alpha == 1.0:
         return LN2 * shannon(p)
-    return (1.0 - _pow_sum(p.weights, alpha)) / (alpha - 1.0)
+    return (1.0 - g_alpha(p, alpha)) / (alpha - 1.0)
 
 
 def phi_beta(x: float, beta: float) -> float:
@@ -199,7 +194,7 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
     """
     if params.alpha == 1.0:
         return phi_beta(shannon(p), params.beta)
-    power = _pow_sum(p.weights, params.alpha)
+    power = g_alpha(p, params.alpha)
     if params.beta == 1.0:
         return math.log(power) / (1.0 - params.alpha)
     return h_alpha_beta(power, params)
@@ -229,7 +224,7 @@ def sharma_mittal_partial(
         if alpha < 1.0:
             raise ValueError("partial derivative diverges at a zero weight for alpha < 1")
         return 0.0
-    power = _pow_sum(p.weights, alpha)
+    power = g_alpha(p, alpha)
     scale = power ** ((alpha - beta) / (1.0 - alpha))
     return (alpha / (1.0 - alpha)) * scale * pi ** (alpha - 1.0)
 

@@ -297,13 +297,22 @@ def verify_paper_counterexamples(
     return records[0], records[1]
 
 
+def _check_ascending(name: str, values: tuple) -> None:
+    if not values:
+        raise SweepConfigError(f"{name} must not be empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise SweepConfigError(f"{name} must be strictly ascending: {values}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid description for :func:`sweep`.
 
     Grids are finite ascending sequences; dims are the pair dimensions the
-    trials cycle through.  Properties are stored in a canonical order so
-    that equal configs always produce identical reports.
+    trials cycle through, given as integral numbers and stored as ``int``.
+    Properties are stored in a canonical order so that equal configs always
+    produce identical reports.  This is the one place where a config is
+    validated; :func:`parse_sweep_config` only converts text.
     """
 
     alpha_grid: tuple[float, ...]
@@ -320,19 +329,15 @@ class SweepConfig:
     )
 
     def __post_init__(self) -> None:
-        for name, grid in (("alpha_grid", self.alpha_grid), ("beta_grid", self.beta_grid)):
-            if not grid:
-                raise SweepConfigError(f"{name} must not be empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise SweepConfigError(f"{name} must be strictly ascending: {grid}")
+        for name in ("alpha_grid", "beta_grid"):
+            grid = getattr(self, name)
+            _check_ascending(name, grid)
             if any(not math.isfinite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
-        if not self.dims:
-            raise SweepConfigError("dims must not be empty")
-        if any(int(d) != d or d < 2 for d in self.dims):
+        if any(not math.isfinite(d) or int(d) != d or d < 2 for d in self.dims):
             raise SweepConfigError(f"dims must be integers >= 2: {self.dims}")
-        if len(set(self.dims)) != len(self.dims) or tuple(sorted(self.dims)) != tuple(self.dims):
-            raise SweepConfigError(f"dims must be strictly ascending: {self.dims}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        _check_ascending("dims", self.dims)
         if self.trials_per_cell < 1:
             raise SweepConfigError("trials_per_cell must be >= 1")
         if not self.properties:
@@ -466,48 +471,65 @@ def sweep(config: SweepConfig) -> RegionSweepReport:
     return RegionSweepReport(STREAM_ALGORITHM, config.seed, config, tuple(cells))
 
 
-def _parse_grid(text: str, *, as_int: bool = False) -> tuple:
+def _parse_grid(text: str) -> tuple[float, ...]:
     """A grid literal: ``start:step:end`` (end inclusive) or a comma list."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise SweepConfigError(f"grid ranges need start:step:end, got {text!r}")
+    if ":" not in text:
         try:
-            start, step, end = (float(x) for x in parts)
-        except ValueError as err:
-            raise SweepConfigError(f"bad grid range {text!r}") from err
-        if step <= 0:
-            raise SweepConfigError(f"grid step must be positive in {text!r}")
-        if end < start - 1e-9:
-            raise SweepConfigError(f"grid end before start in {text!r}")
-        count = int(round((end - start) / step)) + 1
-        values = [start + i * step for i in range(count)]
-        values = [v for v in values if v <= end + 1e-9]
-    else:
-        try:
-            values = [float(x) for x in text.split(",") if x.strip()]
+            return tuple(float(x) for x in text.split(",") if x.strip())
         except ValueError as err:
             raise SweepConfigError(f"bad grid list {text!r}") from err
-        if not values:
-            raise SweepConfigError(f"empty grid {text!r}")
-    if as_int:
-        ints = []
-        for v in values:
-            if int(v) != v:
-                raise SweepConfigError(f"expected integers, got {v!r}")
-            ints.append(int(v))
-        return tuple(ints)
-    return tuple(values)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise SweepConfigError(f"grid ranges need start:step:end, got {text!r}")
+    try:
+        start, step, end = (float(x) for x in parts)
+    except ValueError as err:
+        raise SweepConfigError(f"bad grid range {text!r}") from err
+    if not step > 0:
+        raise SweepConfigError(f"grid step must be positive in {text!r}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        return (start, end)  # not enumerable; SweepConfig rejects it
+    count = int(round((end - start) / step)) + 1
+    values = (start + i * step for i in range(count))
+    return tuple(v for v in values if v <= end + 1e-9)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as err:
+        raise SweepConfigError(f"expected an integer, got {text!r}") from err
+
+
+def _parse_properties(text: str) -> tuple[PropertyKind, ...]:
+    names = [x.strip() for x in text.split(",") if x.strip()]
+    choices = sorted(k.value for k in PropertyKind)
+    for name in names:
+        if name not in choices:
+            raise SweepConfigError(f"unknown property {name!r}; choose from {choices}")
+    return tuple(map(PropertyKind, names))
+
+
+#: How each config key's text becomes a SweepConfig field value.
+_FIELD_PARSERS = {
+    "alpha_grid": _parse_grid,
+    "beta_grid": _parse_grid,
+    "dims": _parse_grid,
+    "trials_per_cell": _parse_int,
+    "seed": _parse_int,
+    "properties": _parse_properties,
+}
 
 
 def parse_sweep_config(text: str, *, default_seed: int | None = None) -> SweepConfig:
     """Parse the flat key-value sweep format.
 
     One ``key = value`` pair per line, ``#`` comments allowed.  Keys mirror
-    the SweepConfig fields; grids accept ``start:step:end`` or comma lists,
-    properties are a comma list of kind names.  A seed in the file wins over
-    ``default_seed``, which wins over the built-in default.
+    the SweepConfig fields; grids and dims accept ``start:step:end`` or
+    comma lists, properties are a comma list of kind names.  A seed in the
+    file wins over ``default_seed``, which wins over the built-in default.
+    Values are only converted here; :class:`SweepConfig` validates them.
     """
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -518,44 +540,19 @@ def parse_sweep_config(text: str, *, default_seed: int | None = None) -> SweepCo
             raise SweepConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in data:
             raise SweepConfigError(f"line {lineno}: duplicate key {key!r}")
-        data[key] = value
+        data[key] = value.strip()
 
-    known = {"alpha_grid", "beta_grid", "dims", "trials_per_cell", "seed", "properties"}
-    unknown = set(data) - known
+    unknown = data.keys() - _FIELD_PARSERS.keys()
     if unknown:
         raise SweepConfigError(f"unknown keys: {sorted(unknown)}")
     for required in ("alpha_grid", "beta_grid"):
         if required not in data:
             raise SweepConfigError(f"missing required key {required!r}")
-
-    kwargs: dict = {
-        "alpha_grid": _parse_grid(data["alpha_grid"]),
-        "beta_grid": _parse_grid(data["beta_grid"]),
+    kwargs = {
+        key: parse(data[key]) for key, parse in _FIELD_PARSERS.items() if key in data
     }
-    if "dims" in data:
-        kwargs["dims"] = _parse_grid(data["dims"], as_int=True)
-    if "trials_per_cell" in data:
-        try:
-            kwargs["trials_per_cell"] = int(data["trials_per_cell"])
-        except ValueError as err:
-            raise SweepConfigError("trials_per_cell must be an integer") from err
-    if "seed" in data:
-        try:
-            kwargs["seed"] = int(data["seed"])
-        except ValueError as err:
-            raise SweepConfigError("seed must be an integer") from err
-    elif default_seed is not None:
-        kwargs["seed"] = int(default_seed)
-    if "properties" in data:
-        names = [x.strip() for x in data["properties"].split(",") if x.strip()]
-        by_value = {k.value: k for k in PropertyKind}
-        try:
-            kwargs["properties"] = tuple(by_value[n] for n in names)
-        except KeyError as err:
-            raise SweepConfigError(
-                f"unknown property {err.args[0]!r}; choose from {sorted(by_value)}"
-            ) from err
+    if default_seed is not None:
+        kwargs.setdefault("seed", int(default_seed))
     return SweepConfig(**kwargs)

@@ -146,28 +146,18 @@ def make_distribution(
         if not w >= 0:  # also catches NaN
             raise NegativeWeightError(f"weight {w!r} at position {i} is not >= 0")
 
-    if all(isinstance(w, numbers.Rational) for w in ws):
-        exact = sorted((Fraction(w) for w in ws), reverse=True)
-        total = sum(exact)
-        if normalize:
-            if total == 0:
-                raise SumOutOfToleranceError(0.0)
-            exact = [w / total for w in exact]
-        elif abs(float(total) - 1.0) > SUM_TOL:
-            raise SumOutOfToleranceError(float(total))
-        return ProbabilityDistribution(
-            tuple(float(w) for w in exact), tuple(exact)
-        )
-
-    floats = sorted((float(w) for w in ws), reverse=True)
-    total = sum(floats)
+    exact = all(isinstance(w, numbers.Rational) for w in ws)
+    vals = sorted(map(Fraction if exact else float, ws), reverse=True)
+    total = sum(vals)
     if normalize:
         if total <= 0:
             raise SumOutOfToleranceError(total)
-        floats = [w / total for w in floats]
-    elif abs(total - 1.0) > SUM_TOL:
+        vals = [w / total for w in vals]
+    elif abs(float(total) - 1.0) > SUM_TOL:
         raise SumOutOfToleranceError(total)
-    return ProbabilityDistribution(tuple(floats))
+    if not exact:
+        return ProbabilityDistribution(tuple(vals))
+    return ProbabilityDistribution(tuple(map(float, vals)), tuple(vals))
 
 
 def uniform(n: int) -> ProbabilityDistribution:
@@ -275,11 +265,9 @@ def parse_weights(text: str, *, exact: bool = False) -> list[Weight]:
     return out
 
 
-def parse_distribution(
-    text: str, *, exact: bool = False, normalize: bool = False
-) -> ProbabilityDistribution:
+def parse_distribution(text: str, *, exact: bool = False) -> ProbabilityDistribution:
     """Parse text into a validated distribution.  See :func:`parse_weights`."""
-    return make_distribution(parse_weights(text, exact=exact), normalize=normalize)
+    return make_distribution(parse_weights(text, exact=exact))
 
 
 def weights_from_json(values: Sequence) -> list[Weight]:

@@ -222,6 +222,13 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_non_finite_dims_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = nan\n")
+        code, _, err = run(["sweep", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: dims must be integers >= 2")
+
     def test_guarantee_contradiction_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -283,16 +290,27 @@ class TestErrorMapping:
             run([])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tolerance", ["-5", "nan", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--property", "subadditive", "--p", "0.5,0.5",
+                 "--q", "0.6,0.4", "--alpha", "2", "--beta", "3",
+                 "--tolerance", tolerance])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_negative_digits_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["--digits", "-1", "entropy", "--dist", "0.5,0.5", "--family", "shannon"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_zero_digits_is_valid(self):
+        code, out, _ = run(["--digits", "0", "entropy", "--dist", "0.5,0.5",
+                            "--family", "shannon"])
+        assert (code, out) == (EXIT_OK, "1\n")
+
     def test_unknown_property_choice(self):
         with pytest.raises(SystemExit) as exc:
             run(["check", "--property", "shiny", "--p", "1", "--q", "1",
                  "--alpha", "2", "--beta", "3"])
         assert exc.value.code == EXIT_USAGE
 
-
-def test_public_names_resolve_once():
-    import majent
-
-    assert len(majent.__all__) == len(set(majent.__all__))
-    missing = [name for name in majent.__all__ if not hasattr(majent, name)]
-    assert missing == []

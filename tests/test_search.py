@@ -243,6 +243,14 @@ class TestSweepConfig:
         with pytest.raises(SweepConfigError):
             SweepConfig(**kwargs)
 
+    def test_integral_float_dims_are_stored_as_ints(self):
+        cfg = SweepConfig(
+            alpha_grid=(2.0,), beta_grid=(3.0,), dims=(2.0, 3.0), trials_per_cell=4
+        )
+        assert cfg.dims == (2, 3)
+        assert all(type(d) is int for d in cfg.dims)
+        assert len(sweep(cfg).cells) == len(cfg.properties)
+
     def test_properties_canonicalized(self):
         cfg = SweepConfig(
             alpha_grid=(0.0,),
@@ -295,6 +303,11 @@ class TestConfigParsing:
             "alpha_grid = one\nbeta_grid = 2\n",
             "alpha_grid = 0:0.5\nbeta_grid = 2\n",
             "alpha_grid = 0:-1:2\nbeta_grid = 2\n",
+            "alpha_grid = 2:1:0\nbeta_grid = 2\n",  # end before start
+            "alpha_grid = 0:nan:1\nbeta_grid = 2\n",
+            "alpha_grid = 0:1:inf\nbeta_grid = 2\n",
+            "alpha_grid = 1\nbeta_grid = 2\ndims = nan\n",
+            "alpha_grid = 1\nbeta_grid = 2\ndims = inf\n",
             "just some words\n",
         ],
     )
