@@ -218,8 +218,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = sweep(config)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as err:
+            print(f"cannot write report: {err}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     return EXIT_OK

@@ -1,0 +1,208 @@
+"""Batched evaluation of check cells: the engine behind sweeps and searches.
+
+A cell is one (kind, params) check run on ``trials`` pairs.  The engine
+takes the (cell, trial) rows of a list of cells in order, at most
+``BATCH_ROWS`` at a time, groups a batch by dimension into (k, n) arrays
+and sends them through the row kernels of ``lattice`` and ``entropy`` with
+one (alpha, beta) per row.  The margins go back into row order, so each
+cell's worst margin, first violation and first failure are those of a
+trial-by-trial loop over :func:`~majent.properties.run_check`, and the
+record of a violation, built from the batch, equals that loop's bit for
+bit.
+
+The draws come from one Philox bit generator per :func:`run_cells` call.
+Each trial resets its key to ``search.trial_key``, with counter 0 and an
+empty buffer, the state a fresh keyed stream starts in, so the draws are
+those of ``search.trial_stream`` and ``search.sample_simplex``.
+"""
+from __future__ import annotations
+
+import bisect
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .entropy import EntropyParams, family_rows
+from .lattice import bound_rows, row_distribution, sorted_rows
+from .properties import (
+    _CHECKS,
+    CHECK_TOL,
+    PropertyCheckRecord,
+    PropertyKind,
+    oriented_sides,
+    run_check,
+)
+from .search import REFERENCE_PAIRS, trial_key
+from .simplex import ProbabilityDistribution
+
+#: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
+#: few times this many rows of up to 2n floats, whatever the sweep's size.
+BATCH_ROWS = 1024
+
+
+def draw_pairs(
+    gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs that two ``sample_simplex(n, trial_stream(seed, c, t))``
+    calls draw for each (c, t), as two (k, n) arrays of sorted rows.
+
+    ``gen`` runs on a Philox bit generator.  Each trial sets its key, with
+    counter 0 and an empty buffer, and draws its 2n exponentials in one
+    call.
+    """
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = np.empty((len(cells), 2 * n))
+    for row, c, t in zip(draws, cells.tolist(), trials.tolist()):
+        state["state"]["key"] = trial_key(seed, c, t)
+        gen.bit_generator.state = state
+        gen.standard_exponential(out=row)
+    p, q = draws[:, :n], draws[:, n:]
+    return (
+        sorted_rows(p / p.sum(axis=1, keepdims=True)),
+        sorted_rows(q / q.sum(axis=1, keepdims=True)),
+    )
+
+
+class _Batch:
+    """Consecutive (cell, trial) rows, evaluated at once.
+
+    ``lhs``, ``rhs``, ``margin`` and ``failed`` are in row order;
+    :meth:`pair` rebuilds the pair of one row for a replay and
+    :meth:`check` the record :func:`~majent.properties.run_check` would
+    return for it.  Rows are evaluated in groups of one dimension that
+    all need the join or all do not.
+    """
+
+    def __init__(self, gen, grid, dims, seed, cell, trial):
+        self.trial = trial
+        k = len(cell)
+        kind_index, alpha, beta = (column[cell] for column in grid)
+        self.ref = (alpha >= 0.0) & (trial < len(REFERENCE_PAIRS))
+        self.dims = np.asarray(dims)[trial % len(dims)]
+        for t, ref in enumerate(REFERENCE_PAIRS):
+            self.dims[self.ref & (trial == t)] = ref.p.dim
+        self.joined = np.array([_CHECKS[kind][0] for kind in PropertyKind])[kind_index]
+        values = np.full((4, k), np.nan)  # S(p), S(q), S(meet), S(join)
+        self.failed = np.zeros(k, dtype=bool)
+        self.groups = {}
+        for n, joined in sorted(set(zip(self.dims.tolist(), self.joined.tolist()))):
+            at = np.flatnonzero((self.dims == n) & (self.joined == joined))
+            drawn = ~self.ref[at]
+            pairs = np.empty((2, len(at), n))
+            p, q = pairs
+            p[drawn], q[drawn] = draw_pairs(gen, seed, cell[at[drawn]], trial[at[drawn]], n)
+            for t, ref in enumerate(REFERENCE_PAIRS):
+                rows = ~drawn & (trial[at] == t)
+                if rows.any():
+                    p[rows], q[rows] = ref.p.weights, ref.q.weights
+            meets, joins = bound_rows(pairs, joined)
+            self.groups[n, joined] = (at, p, q, meets, joins)
+            sides = [p, q, meets] + ([joins] if joined else [])
+            vals, errors = family_rows(
+                np.concatenate(sides),
+                np.tile(alpha[at], len(sides)),
+                np.tile(beta[at], len(sides)),
+            )
+            values[: len(sides), at] = vals.reshape(len(sides), -1)
+            self.failed[at[[r % len(at) for r in errors]]] = True
+        self.lhs, self.rhs, self.margin = np.empty((3, k))
+        for i, kind in enumerate(PropertyKind):
+            rows = kind_index == i
+            if rows.any():
+                with np.errstate(all="ignore"):  # inf - inf is a nan margin
+                    sides = oriented_sides(kind, alpha[rows], beta[rows], *values[:, rows])
+                self.lhs[rows], self.rhs[rows], self.margin[rows] = sides
+
+    def _group(self, r: int):
+        """The group of row ``r`` and the row's index in it."""
+        group = self.groups[int(self.dims[r]), bool(self.joined[r])]
+        return group, int(np.searchsorted(group[0], r))
+
+    def pair(self, r: int) -> tuple[ProbabilityDistribution, ProbabilityDistribution, str]:
+        """(p, q, source) of row ``r``."""
+        if self.ref[r]:
+            ref = REFERENCE_PAIRS[self.trial[r]]
+            return ref.p, ref.q, ref.name
+        (_, p, q, _, _), i = self._group(r)
+        return row_distribution(p[i]), row_distribution(q[i]), "random"
+
+    def check(self, r: int, kind: PropertyKind, params: EntropyParams) -> PropertyCheckRecord:
+        """The record of row ``r``, built from the batch's own values."""
+        p, q, _ = self.pair(r)
+        (_, _, _, meets, joins), i = self._group(r)
+        margin = float(self.margin[r])
+        return PropertyCheckRecord(
+            kind=kind,
+            p=p,
+            q=q,
+            params=params,
+            lhs=float(self.lhs[r]),
+            rhs=float(self.rhs[r]),
+            margin=margin,
+            holds=margin >= -CHECK_TOL,
+            tolerance=CHECK_TOL,
+            meet=row_distribution(meets[i]),
+            join=None if joins is None else row_distribution(joins[i]),
+        )
+
+
+def run_cells(
+    cells: Sequence[tuple[PropertyKind, EntropyParams]],
+    dims: Sequence[int],
+    trials: int,
+    seed: int,
+) -> Iterator[tuple[float, tuple[int, PropertyCheckRecord, str] | None]]:
+    """Yield (worst margin, first violation) for each cell, in order.
+
+    Cell ``i`` runs the check ``cells[i]`` with cell index ``i``.  The
+    pairs of ``search.REFERENCE_PAIRS`` are its leading trials whenever the
+    order is non-negative (they may contain a zero weight, so negative
+    orders skip them); the rest are fresh samples with the dimension
+    cycling through ``dims``.  The first violation is (trial, check record, source), or
+    None.  A trial whose evaluation fails is replayed through
+    :func:`~majent.properties.run_check`, which raises its error; as in a
+    trial-by-trial loop, the first failing trial of a cell raises before
+    the cell is yielded.
+    """
+    gen = np.random.Generator(np.random.Philox())
+    kinds = list(PropertyKind)
+    grid = (
+        np.array([kinds.index(kind) for kind, _ in cells]),
+        np.array([params.alpha for _, params in cells]),
+        np.array([params.beta for _, params in cells]),
+    )
+    total = len(cells) * trials
+    worst, first = math.inf, None
+    for start in range(0, total, BATCH_ROWS):
+        cell, trial = np.divmod(np.arange(start, min(start + BATCH_ROWS, total)), trials)
+        batch = _Batch(gen, grid, dims, seed, cell, trial)
+        failed = np.flatnonzero(batch.failed)
+        ranked = np.where(np.isnan(batch.margin), math.inf, batch.margin)
+        hits = np.flatnonzero(batch.margin < -CHECK_TOL).tolist()
+        for c in range(int(cell[0]), int(cell[-1]) + 1):
+            lo = max(c * trials - start, 0)
+            hi = min((c + 1) * trials - start, len(cell))
+            kind, params = cells[c]
+            # Earlier cells raised on their own failures, so failed[0] >= lo.
+            if failed.size and failed[0] < hi:
+                p, q, _ = batch.pair(int(failed[0]))
+                run_check(kind, p, q, params)
+                raise RuntimeError("the batched and the single-pair evaluation disagree")
+            i = lo + int(ranked[lo:hi].argmin())
+            if batch.margin[i] < worst:
+                worst = float(batch.margin[i])
+            h = bisect.bisect_left(hits, lo)
+            if first is None and h < len(hits) and hits[h] < hi:
+                r = hits[h]
+                first = (int(trial[r]), batch.check(r, kind, params), batch.pair(r)[2])
+            if start + hi == (c + 1) * trials:
+                yield worst, first
+                worst, first = math.inf, None

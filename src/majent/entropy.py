@@ -20,11 +20,23 @@ approached smoothly in float arithmetic.
 Conventions: 0^alpha = 0 for alpha >= 0 inside power sums (so the alpha = 0
 sum counts the support), and a zero weight combined with alpha < 0 is a hard
 error rather than an infinity.
+
+Every float value comes from row kernels over a (k, n) array of sorted
+distributions: :func:`family_rows` evaluates each row at its own (alpha,
+beta) and returns the error each failing row raises, and the scalar
+functions here are the same kernels at k = 1, raising what a term-by-term
+evaluation in Python floats would raise.  Powers, logarithms and ``expm1``
+come from the C library, as in Python's float arithmetic, and sums run one
+term at a time, so a value has the same bits whatever k is and whatever
+vector unit the host has.
 """
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .simplex import ProbabilityDistribution, tensor_product
 
@@ -88,6 +100,144 @@ class EntropyParams:
         }
 
 
+# Branches of the family, numbered (alpha != 1) * 2 + (beta != 1): ln(2)
+# times Shannon, phi_beta of Shannon, ln(2) times Renyi, h_alpha_beta.
+_SHANNON, _PHI, _RENYI, _H = range(4)
+
+
+def _full(w: np.ndarray) -> bool:
+    """Whether no row of ``w`` holds a zero weight.  Rows are
+    non-increasing, so a zero weight ends its row."""
+    return 0.0 not in w[:, -1].tolist()
+
+
+def _sum_smallest_first(terms: np.ndarray) -> np.ndarray:
+    """Row sums added from the last column to the first, one term at a time,
+    so a sum is the same float whatever the number of rows."""
+    return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1]
+
+
+def _argument(w: np.ndarray, alpha, branch: int, full: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x, terms): the Shannon entropy in bits (alpha = 1) or the power sum
+    of each row of ``w``, and the terms summed.  Zero weights add nothing;
+    ``full`` says that there are none.
+
+    numpy's vector loops for ``log2`` and ``power`` round some results
+    differently from the C library, so the logarithms come from
+    :mod:`math` and the powers from ``np.float_power``, which calls the C
+    library's ``pow`` element by element, as Python's ``**`` does.
+    """
+    if branch <= _PHI:
+        # log2(1) = 0, so a zero weight's term is 0 * 0.
+        ones = w if full else np.where(w > 0.0, w, 1.0)
+        logs = np.array(list(map(math.log2, ones.ravel().tolist())))
+        terms = w * logs.reshape(w.shape)
+        return 0.0 - _sum_smallest_first(terms), terms
+    terms = np.float_power(w, alpha[:, None] if isinstance(alpha, np.ndarray) else alpha)
+    if not full:
+        terms[w == 0.0] = 0.0
+    return _sum_smallest_first(terms), terms
+
+
+def _power_errors(w, alphas: list, x, terms, full: bool) -> dict[int, Exception]:
+    """The errors of the power sums of the rows of ``w``, by row: a zero
+    weight at a negative order, else a term beyond the float range."""
+    errors: dict[int, Exception] = {}
+    if math.inf in x.tolist():
+        for i in np.flatnonzero(np.isinf(terms).any(axis=1)).tolist():
+            errors[i] = OverflowError(errno.ERANGE, "Numerical result out of range")
+    if not full:
+        for i, (a, last) in enumerate(zip(alphas, w[:, -1].tolist())):
+            if a < 0.0 and last == 0.0:
+                errors[i] = ZeroWeightNegativeAlphaError(
+                    f"zero weight is outside the domain for alpha = {float(a)!r}"
+                )
+    return errors
+
+
+def _shannon_outer(x: float, alpha: float, beta: float) -> float:
+    if not x >= 0.0:
+        raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
+    return LN2 * x
+
+
+def _phi_outer(x: float, alpha: float, beta: float) -> float:
+    if not x >= 0.0:
+        raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
+    return math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
+
+
+def _renyi_outer(x: float, alpha: float, beta: float) -> float:
+    return math.log(x) / (1.0 - alpha)
+
+
+def _h_outer(x: float, alpha: float, beta: float) -> float:
+    if not x > 0.0:
+        raise ValueError(f"h_alpha_beta needs x > 0, got {x!r}")
+    return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(x)) / (1.0 - beta)
+
+
+#: Per branch, the map from a row's argument to its family value, in Python
+#: floats, which raise where the C library signals an error.
+_OUTER = (_shannon_outer, _phi_outer, _renyi_outer, _h_outer)
+
+
+def _family(w: np.ndarray, alpha, beta, branch: int) -> tuple[np.ndarray, dict[int, Exception]]:
+    """:func:`family_rows` for rows that all take ``branch``.  Call under
+    ``np.errstate(all="ignore")``."""
+    full = _full(w)
+    x, terms = _argument(w, alpha, branch, full)
+    per_row = isinstance(alpha, np.ndarray)
+    alphas = alpha.tolist() if per_row else [alpha] * len(w)
+    betas = beta.tolist() if per_row else [beta] * len(w)
+    outer = _OUTER[branch]
+    values, errors = [], {}
+    for i, (xi, a, b) in enumerate(zip(x.tolist(), alphas, betas)):
+        try:
+            values.append(outer(xi, a, b))
+        except (ValueError, OverflowError) as err:
+            values.append(math.nan)
+            errors[i] = err
+    if branch >= _RENYI:
+        # A power sum's error comes before any error of the outer map.
+        power = _power_errors(w, alphas, x, terms, full)
+        for i in power:
+            values[i] = math.nan
+        errors.update(power)
+    return np.array(values), errors
+
+
+def family_rows(w: np.ndarray, alpha, beta) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The family value of each row of ``w``, and by row the error that the
+    evaluation of a failing row raises (its value is nan).
+
+    ``w`` is (k, n) with non-increasing rows.  ``alpha`` and ``beta`` are
+    two numbers, for every row, or two arrays with one value per row.  The
+    branches are those of :func:`sharma_mittal`, chosen per row, and a
+    row's error is the first one that evaluating it term by term, smallest
+    weight first, would meet.
+    """
+    branch = (alpha != 1.0) * 2 + (beta != 1.0)
+    with np.errstate(all="ignore"):
+        if not isinstance(branch, np.ndarray):
+            return _family(w, alpha, beta, branch)
+        values, errors = np.empty(len(w)), {}
+        for b in set(branch.tolist()):
+            rows = np.flatnonzero(branch == b)
+            values[rows], errs = _family(w[rows], alpha[rows], beta[rows], b)
+            errors.update((int(rows[i]), err) for i, err in errs.items())
+    return values, errors
+
+
+def _row(p: ProbabilityDistribution) -> np.ndarray:
+    return np.array([p.weights])
+
+
+def _raise_first(errors: dict[int, Exception]) -> None:
+    if errors:
+        raise errors[min(errors)]
+
+
 def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
     """The power sum sum_i p_i^alpha over the support, smallest weights first.
 
@@ -97,24 +247,18 @@ def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
     the support size) and are rejected for alpha < 0.
     """
     alpha = float(alpha)
-    total = 0.0
-    for w in reversed(p.weights):
-        if w > 0.0:
-            total += w**alpha
-        elif alpha < 0.0:
-            raise ZeroWeightNegativeAlphaError(
-                f"zero weight is outside the domain for alpha = {alpha!r}"
-            )
-    return total
+    w = _row(p)
+    full = _full(w)
+    with np.errstate(all="ignore"):
+        x, terms = _argument(w, alpha, _RENYI, full)
+    _raise_first(_power_errors(w, [alpha], x, terms, full))
+    return float(x[0])
 
 
 def shannon(p: ProbabilityDistribution) -> float:
     """Shannon entropy in bits."""
-    total = 0.0
-    for w in reversed(p.weights):
-        if w > 0.0:
-            total -= w * math.log2(w)
-    return total
+    w = _row(p)
+    return float(_argument(w, 1.0, _SHANNON, _full(w))[0][0])
 
 
 def renyi(p: ProbabilityDistribution, alpha: float) -> float:
@@ -152,30 +296,21 @@ def phi_beta(x: float, beta: float) -> float:
     """The strictly increasing map (2^((1-beta) x) - 1) / (1-beta).
 
     Composing it with the Renyi entropy of matching order gives the family
-    value; at beta = 1 it degenerates to ln(2) x.
+    value; at beta = 1 it degenerates to ln(2) x.  Defined for x >= 0.
     """
-    x = float(x)
-    beta = float(beta)
-    if not x >= 0.0:
-        raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
-    if beta == 1.0:
-        return LN2 * x
-    return math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
+    x, beta = float(x), float(beta)
+    return _OUTER[_SHANNON if beta == 1.0 else _PHI](x, 1.0, beta)
 
 
 def h_alpha_beta(x: float, params: EntropyParams) -> float:
     """The map (x^((1-beta)/(1-alpha)) - 1) / (1-beta) applied to a power sum.
 
     Requires alpha and beta both different from 1; those limits have their
-    own closed forms in :func:`sharma_mittal`.
+    own closed forms in :func:`sharma_mittal`.  Defined for x > 0.
     """
     if params.alpha == 1.0 or params.beta == 1.0:
         raise DegenerateParamsError("h_alpha_beta needs alpha and beta away from 1")
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"h_alpha_beta needs x > 0, got {x!r}")
-    exponent = (1.0 - params.beta) / (1.0 - params.alpha)
-    return math.expm1(exponent * math.log(x)) / (1.0 - params.beta)
+    return _h_outer(float(x), params.alpha, params.beta)
 
 
 def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
@@ -190,14 +325,12 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
     * otherwise: ``h_alpha_beta(g_alpha(p))``, which at beta = alpha is the
       Tsallis form (1 - g_alpha) / (alpha - 1) up to rounding
 
-    Negative alpha with a zero weight raises.
+    Negative alpha with a zero weight raises.  Rows of many distributions,
+    each at its own (alpha, beta), go through :func:`family_rows`.
     """
-    if params.alpha == 1.0:
-        return phi_beta(shannon(p), params.beta)
-    power = g_alpha(p, params.alpha)
-    if params.beta == 1.0:
-        return math.log(power) / (1.0 - params.alpha)
-    return h_alpha_beta(power, params)
+    values, errors = family_rows(_row(p), params.alpha, params.beta)
+    _raise_first(errors)
+    return float(values[0])
 
 
 def sharma_mittal_partial(

@@ -13,11 +13,19 @@ the least upper bound.
 
 When both operands carry exact rational weights the whole pipeline runs in
 exact arithmetic (the pre-join list holds Fractions) and only converts to
-float at the boundary.
+float at the boundary; that path is the oracle the float path is tested
+against.  The float path works on rows: :func:`bound_rows` takes k pairs
+of sorted distributions as a (2, k, n) array and returns the k meets, and
+if asked the k joins, from one pair of curves; :func:`bounds`, :func:`meet`
+and :func:`join` are the same kernel at k = 1.  Curves are running sums along each row, so
+every entry is summed in the same order as a scalar loop would, whatever
+k is.
 """
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .simplex import ProbabilityDistribution, Weight, make_distribution, paired_curves
 
@@ -31,17 +39,73 @@ def _differences(curve: Sequence[Weight]) -> list[Weight]:
     return out
 
 
+def sorted_rows(values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` sorted non-increasingly: ``values`` sorted in
+    place, seen in reverse."""
+    values.sort(axis=1)
+    return values[:, ::-1]
+
+
+def _row_differences(curves: np.ndarray) -> np.ndarray:
+    """First differences of each row, the first entry taken against 0."""
+    out = curves.copy()
+    out[:, 1:] -= curves[:, :-1]
+    return out
+
+
+def bound_rows(pairs: np.ndarray, join: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]`` of a
+    (2, k, n) array of sorted distributions, both from one pair of Lorenz
+    curves; joins is None unless ``join``.
+
+    Rounding can leave a meet's difference a hair above its left neighbour,
+    so the meets are sorted, as a scalar meet would sort them.  Only the
+    joins whose differences ascend somewhere go through :func:`flatten`;
+    the others are already sorted.
+    """
+    ca, cb = np.add.accumulate(pairs, axis=2)
+    meets = sorted_rows(_row_differences(np.minimum(ca, cb)))
+    if not join:
+        return meets, None
+    joins = _row_differences(np.maximum(ca, cb))
+    for i in np.flatnonzero((joins[:, :-1] < joins[:, 1:]).any(axis=1)).tolist():
+        joins[i] = flatten(joins[i].tolist()).weights
+    return meets, joins
+
+
+def row_distribution(row: np.ndarray) -> ProbabilityDistribution:
+    """The distribution whose weights are ``row``, sorted non-increasingly."""
+    return ProbabilityDistribution(tuple(row.tolist()))
+
+
+def bounds(
+    p: ProbabilityDistribution, q: ProbabilityDistribution, join: bool = True
+) -> tuple[ProbabilityDistribution, ProbabilityDistribution | None]:
+    """(meet, join) of ``p`` and ``q``, the join None unless ``join``.
+
+    Exact when both operands are; otherwise :func:`bound_rows` on the pair,
+    zero-padded to a common dimension.
+    """
+    if p.exact is not None and q.exact is not None:
+        pa, pb, _ = paired_curves(p, q)
+        m = make_distribution(_differences([min(x, y) for x, y in zip(pa, pb)]))
+        return m, flatten(pre_join(p, q)) if join else None
+    a, b = p.weights, q.weights
+    n = max(len(a), len(b))
+    pairs = np.array([[a + (0.0,) * (n - len(a))], [b + (0.0,) * (n - len(b))]])
+    meets, joins = bound_rows(pairs, join)
+    return row_distribution(meets[0]), row_distribution(joins[0]) if join else None
+
+
 def meet(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:
     """Greatest lower bound: differences of the pointwise-min curve.
 
     The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.
+    majorized by the result.  Exact when both operands are.
     """
-    pa, pb, _ = paired_curves(p, q)
-    low = [min(x, y) for x, y in zip(pa, pb)]
-    return make_distribution(_differences(low))
+    return bounds(p, q, join=False)[0]
 
 
 def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Weight]:
@@ -50,7 +114,8 @@ def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Wei
     Entries are non-negative and sum to 1, but the non-increasing order can
     be violated, so this is deliberately a plain list and not a
     ProbabilityDistribution.  Entries are Fractions when both operands are
-    exact, floats otherwise.
+    exact, floats otherwise.  This is the exact join's first step;
+    :func:`bound_rows` takes the same differences of float rows.
     """
     pa, pb, _ = paired_curves(p, q)
     return _differences([max(x, y) for x, y in zip(pa, pb)])
@@ -93,5 +158,6 @@ def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
 def join(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:
-    """Least upper bound: the repaired pointwise-max curve."""
-    return flatten(pre_join(p, q))
+    """Least upper bound: the repaired pointwise-max curve.  Exact when both
+    operands are."""
+    return bounds(p, q)[1]

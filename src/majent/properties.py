@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import lattice
-from .entropy import EntropyParams, sharma_mittal
+from .entropy import EntropyParams, family_rows
 from .simplex import ProbabilityDistribution
 
 #: Margin below which a check counts as violated.
@@ -89,6 +91,43 @@ _CHECKS = {
 }
 
 
+def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
+    """(lhs, rhs, margin) of check ``kind`` from the four family values.
+
+    Works elementwise on arrays of rows (``sj`` is unused by the meet-only
+    kinds) as well as on single floats.
+    """
+    needs_join, orientation = _CHECKS[kind]
+    if needs_join:
+        lhs, rhs = sp + sq, sm + sj
+    elif orientation == 0:
+        lhs, rhs = sm, sp + sq + (1.0 - beta) * sp * sq
+        return lhs, rhs, np.where(alpha >= 0.0, rhs - lhs, lhs - rhs)
+    else:
+        lhs, rhs = sm, sp + sq
+    return lhs, rhs, rhs - lhs if orientation > 0 else lhs - rhs
+
+
+def _family_values(dists, params: EntropyParams) -> list[float]:
+    """The family value of each of ``dists`` at ``params``, evaluated as the
+    rows of one array per dimension.  The error of the first distribution,
+    in sequence order, whose evaluation fails is raised."""
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(dists):
+        groups.setdefault(d.dim, []).append(i)
+    values = [0.0] * len(dists)
+    failed = {}
+    for at in groups.values():
+        rows = np.array([dists[i].weights for i in at])
+        vals, errors = family_rows(rows, params.alpha, params.beta)
+        for i, v in zip(at, vals.tolist()):
+            values[i] = v
+        failed.update((at[r], err) for r, err in errors.items())
+    if failed:
+        raise failed[min(failed)]
+    return values
+
+
 def run_check(
     kind: PropertyKind,
     p: ProbabilityDistribution,
@@ -102,25 +141,17 @@ def run_check(
     The modular kinds compare S(p) + S(q) (lhs) with S(p meet q) +
     S(p join q) (rhs); the others compare S(p meet q) (lhs) with
     S(p) + S(q), plus the cross term (1 - beta) S(p) S(q) for the
-    generalized kind (rhs).
+    generalized kind (rhs).  The family values are taken in that order, so
+    the first one that fails raises.
     """
-    needs_join, orientation = _CHECKS[kind]
-    m = lattice.meet(p, q)
-    j = None
-    if needs_join:
-        j = lattice.join(p, q)
-        lhs = sharma_mittal(p, params) + sharma_mittal(q, params)
-        rhs = sharma_mittal(m, params) + sharma_mittal(j, params)
+    m, j = lattice.bounds(p, q, join=_CHECKS[kind][0])
+    if j is not None:
+        sp, sq, sm, sj = _family_values((p, q, m, j), params)
     else:
-        lhs = sharma_mittal(m, params)
-        sp = sharma_mittal(p, params)
-        sq = sharma_mittal(q, params)
-        if orientation == 0:
-            rhs = sp + sq + (1.0 - params.beta) * sp * sq
-            orientation = 1 if params.alpha >= 0.0 else -1
-        else:
-            rhs = sp + sq
-    margin = rhs - lhs if orientation > 0 else lhs - rhs
+        sm, sp, sq = _family_values((m, p, q), params)
+        sj = None
+    lhs, rhs, margin = oriented_sides(kind, params.alpha, params.beta, sp, sq, sm, sj)
+    margin = float(margin)
     return PropertyCheckRecord(
         kind=kind,
         p=p,

@@ -12,6 +12,11 @@ first breaks supermodularity, the second breaks submodularity, and both are
 injected as the leading trials of every cell whose order parameter admits
 them (one pair carries a zero weight, so negative orders skip the
 injection).  Known violations are therefore found regardless of seed.
+
+Sweeps and searches run on the batched engine of :mod:`majent.engine`,
+which draws the same numbers as :func:`trial_stream` and finds the same
+worst margins, first counterexamples and first errors as a trial-by-trial
+loop over :func:`run_check`.
 """
 from __future__ import annotations
 
@@ -20,17 +25,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .entropy import EntropyParams, sharma_mittal
-from .properties import (
-    CHECK_TOL,
-    PropertyCheckRecord,
-    PropertyKind,
-    run_check,
-)
+from .properties import PropertyCheckRecord, PropertyKind, run_check
 from .simplex import ProbabilityDistribution, make_distribution
 
 #: Identifier of the random stream, for cross-language reproduction.
@@ -123,15 +123,15 @@ KNOWN_SUBMODULARITY_VIOLATION = _ref(
 REFERENCE_PAIRS = (KNOWN_SUPERMODULARITY_VIOLATION, KNOWN_SUBMODULARITY_VIOLATION)
 
 
+def trial_key(seed: int, cell_index: int, trial_index: int) -> list[int]:
+    """The two 64-bit words of one trial's Philox key: the seed, then the
+    cell and the trial index in the high and low 32 bits."""
+    return [seed & _MASK64, ((cell_index & _MASK32) << 32) | (trial_index & _MASK32)]
+
+
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
     """The counter-based stream for one trial, independent of all others."""
-    key = np.array(
-        [
-            seed & _MASK64,
-            ((cell_index & _MASK32) << 32) | (trial_index & _MASK32),
-        ],
-        dtype=np.uint64,
-    )
+    key = np.array(trial_key(seed, cell_index, trial_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -198,40 +198,25 @@ def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:
     return False
 
 
-def _run_cell(
-    kind: PropertyKind,
-    params: EntropyParams,
+def _cell_outcomes(
+    cells: Sequence[tuple[PropertyKind, EntropyParams]],
     dims: Sequence[int],
     trials: int,
     seed: int,
-    cell_index: int,
-) -> tuple[float, CounterexampleRecord | None]:
-    """Run one (params, property) cell: (worst margin, first counterexample).
+) -> Iterator[tuple[float, CounterexampleRecord | None]]:
+    """(worst margin, first counterexample) of each cell, in order; cell
+    ``i`` is ``cells[i]`` with cell index ``i``.  See
+    :func:`~majent.engine.run_cells`."""
+    # Imported here, so that one-shot commands without a sweep do not
+    # compile the engine.
+    from .engine import run_cells
 
-    Trials 0 and 1 are the reference pairs whenever the order is
-    non-negative (they contain a zero weight, so negative orders skip the
-    injection); the rest are fresh samples with the dimension cycling
-    through ``dims``.
-    """
-    inject = params.alpha >= 0.0
-    worst = math.inf
-    found: CounterexampleRecord | None = None
-    for t in range(trials):
-        if inject and t < len(REFERENCE_PAIRS):
-            ref = REFERENCE_PAIRS[t]
-            p, q, source = ref.p, ref.q, ref.name
+    for c, (worst, first) in enumerate(run_cells(cells, dims, trials, seed)):
+        if first is None:
+            yield worst, None
         else:
-            n = dims[t % len(dims)]
-            stream = trial_stream(seed, cell_index, t)
-            p = sample_simplex(n, stream)
-            q = sample_simplex(n, stream)
-            source = "random"
-        check = run_check(kind, p, q, params)
-        if check.margin < worst:
-            worst = check.margin
-        if found is None and check.margin < -CHECK_TOL:
-            found = CounterexampleRecord(check, seed, cell_index, t, source)
-    return worst, found
+            trial, check, source = first
+            yield worst, CounterexampleRecord(check, seed, c, trial, source)
 
 
 def find_counterexample(
@@ -249,7 +234,7 @@ def find_counterexample(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    return _run_cell(kind, params, (n,), trials, seed, 0)[1]
+    return next(_cell_outcomes([(kind, params)], (n,), trials, seed))[1]
 
 
 def verify_paper_counterexamples(
@@ -425,49 +410,48 @@ def sweep(config: SweepConfig) -> RegionSweepReport:
     deterministic no matter how the work would be scheduled.  A violation
     inside a guaranteed region aborts with :class:`GuaranteeViolationError`.
     """
+    grid = [
+        (alpha, beta, kind, EntropyParams.make(alpha, beta))
+        for alpha in config.alpha_grid
+        for beta in config.beta_grid
+        for kind in config.properties
+    ]
+    outcomes = _cell_outcomes(
+        [(kind, params) for _, _, kind, params in grid],
+        config.dims,
+        config.trials_per_cell,
+        config.seed,
+    )
     cells: list[CellReport] = []
-    cell_index = 0
-    for alpha in config.alpha_grid:
-        for beta in config.beta_grid:
-            params = EntropyParams.make(alpha, beta)
-            for kind in config.properties:
-                worst, found = _run_cell(
-                    kind,
-                    params,
-                    config.dims,
-                    config.trials_per_cell,
-                    config.seed,
-                    cell_index,
+    for (alpha, beta, kind, _), (worst, found) in zip(grid, outcomes):
+        guaranteed = theorem_guaranteed(kind, alpha, beta)
+        if found is not None:
+            if guaranteed:
+                raise GuaranteeViolationError(
+                    f"violation in guaranteed region: {kind.value} at "
+                    f"alpha={alpha}, beta={beta}, trial "
+                    f"{found.trial_index}, margin "
+                    f"{found.check.margin!r}; either the implementation "
+                    "or the guarantee table is wrong"
                 )
-                guaranteed = theorem_guaranteed(kind, alpha, beta)
-                if found is not None:
-                    if guaranteed:
-                        raise GuaranteeViolationError(
-                            f"violation in guaranteed region: {kind.value} at "
-                            f"alpha={alpha}, beta={beta}, trial "
-                            f"{found.trial_index}, margin "
-                            f"{found.check.margin!r}; either the implementation "
-                            "or the guarantee table is wrong"
-                        )
-                    verdict = Verdict.VIOLATION_FOUND
-                elif guaranteed:
-                    verdict = Verdict.THEOREM_GUARANTEED
-                else:
-                    verdict = Verdict.NO_VIOLATION_FOUND
-                cells.append(
-                    CellReport(
-                        alpha=float(alpha),
-                        beta=float(beta),
-                        kind=kind,
-                        verdict=verdict,
-                        guaranteed=guaranteed,
-                        worst_margin=worst,
-                        trials=config.trials_per_cell,
-                        seed=config.seed,
-                        counterexample=found,
-                    )
-                )
-                cell_index += 1
+            verdict = Verdict.VIOLATION_FOUND
+        elif guaranteed:
+            verdict = Verdict.THEOREM_GUARANTEED
+        else:
+            verdict = Verdict.NO_VIOLATION_FOUND
+        cells.append(
+            CellReport(
+                alpha=float(alpha),
+                beta=float(beta),
+                kind=kind,
+                verdict=verdict,
+                guaranteed=guaranteed,
+                worst_margin=worst,
+                trials=config.trials_per_cell,
+                seed=config.seed,
+                counterexample=found,
+            )
+        )
     return RegionSweepReport(STREAM_ALGORITHM, config.seed, config, tuple(cells))
 
 
@@ -475,8 +459,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     """A grid literal: ``start:step:end`` (end inclusive) or a comma list."""
     text = text.strip()
     if ":" not in text:
+        items = text.split(",") if text else []
+        if any(not x.strip() for x in items):
+            raise SweepConfigError(f"empty item in grid list {text!r}")
         try:
-            return tuple(float(x) for x in text.split(",") if x.strip())
+            return tuple(float(x) for x in items)
         except ValueError as err:
             raise SweepConfigError(f"bad grid list {text!r}") from err
     parts = text.split(":")

@@ -229,6 +229,35 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error: dims must be integers >= 2")
 
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        target = tmp_path / "missing" / "report.csv"
+        code, out, err = run(["sweep", "--config", str(cfg), "--out", str(target)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("cannot write report: ")
+
+    @pytest.mark.parametrize(
+        "grids,code,message",
+        [
+            # (-0.001, -834) breaks the superadditive guarantee on trial 0;
+            # (2, -834), the next cell, overflows expm1 on the injected
+            # reference pair.
+            ("alpha_grid = -0.001, 2\nbeta_grid = -834\n", EXIT_VIOLATION,
+             "error: violation in guaranteed region"),
+            # (-1100, 0) overflows a power on trial 0; (-1, 0), the next
+            # cell, breaks the guarantee.
+            ("alpha_grid = -1100, -1\nbeta_grid = 0\n", EXIT_DOMAIN,
+             "error: (34, 'Numerical result out of range')"),
+        ],
+    )
+    def test_first_event_in_cell_order_wins(self, tmp_path, grids, code, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(grids + "dims = 2\ntrials_per_cell = 50\nproperties = superadditive\n")
+        got, _, err = run(["sweep", "--config", str(cfg)])
+        assert (got, err.splitlines()[0][: len(message)]) == (code, message)
+
     def test_guarantee_contradiction_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(

@@ -7,6 +7,7 @@ rather than a tolerance fight.
 """
 import math
 
+import numpy as np
 import pytest
 
 from majent.entropy import (
@@ -15,6 +16,7 @@ from majent.entropy import (
     EntropyParams,
     IndexOutOfRangeError,
     ZeroWeightNegativeAlphaError,
+    family_rows,
     g_alpha,
     h_alpha_beta,
     phi_beta,
@@ -338,3 +340,56 @@ class TestPseudoAdditivity:
             for alpha, beta in ((0.5, 2.0), (2.0, 0.5), (1.0, 2.0), (3.0, 1.0)):
                 r = pseudo_additivity_residual(p, q, EntropyParams.make(alpha, beta))
                 assert abs(r) <= 1e-12
+
+
+def _term_by_term(p, alpha, beta):
+    """The family in Python floats, one term at a time, smallest weight first."""
+    if alpha == 1.0:
+        x = 0.0
+        for w in reversed(p.weights):
+            if w > 0.0:
+                x -= w * math.log2(w)
+        return LN2 * x if beta == 1.0 else math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
+    power = 0.0
+    for w in reversed(p.weights):
+        if w > 0.0:
+            power += w**alpha
+    if beta == 1.0:
+        return math.log(power) / (1.0 - alpha)
+    return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(power)) / (1.0 - beta)
+
+
+class TestRowKernelBits:
+    """The row kernel keeps the C library's rounding, whatever the host's
+    vector unit: every value equals a term-by-term evaluation bit for bit,
+    alone and as one row of a batch with mixed parameters."""
+
+    ALPHAS = (-2.5, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 7.3)
+    BETAS = (-1.0, 0.5, 1.0, 3.0)
+
+    def test_values_equal_a_term_by_term_evaluation(self):
+        for n in (2, 3, 8, 33, 64):
+            dists = [sample_simplex(n, trial_stream(11, n, t)) for t in range(40)]
+            rows, alphas, betas, expected = [], [], [], []
+            for p in dists:
+                for alpha in self.ALPHAS:
+                    for beta in self.BETAS:
+                        ref = _term_by_term(p, alpha, beta)
+                        assert sharma_mittal(p, EntropyParams.make(alpha, beta)) == ref
+                        rows.append(p.weights)
+                        alphas.append(alpha)
+                        betas.append(beta)
+                        expected.append(ref)
+            values, errors = family_rows(np.array(rows), np.array(alphas), np.array(betas))
+            assert errors == {}
+            assert values.tolist() == expected
+
+    def test_failing_rows_report_their_own_errors(self):
+        rows = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
+        values, errors = family_rows(rows, np.array([2.0, -1.0, 1.0, -1023.0]), np.array([3.0] * 4))
+        assert sorted(errors) == [1, 3]
+        assert isinstance(errors[1], ZeroWeightNegativeAlphaError)
+        assert isinstance(errors[3], OverflowError)
+        assert math.isnan(values[1]) and math.isnan(values[3])
+        assert values[0] == _term_by_term(make_distribution([0.5, 0.5, 0.0]), 2.0, 3.0)
+        assert values[2] == 0.0

@@ -13,7 +13,7 @@ from majent.properties import (
     PropertyKind,
     run_check,
 )
-from majent.search import sample_simplex, trial_stream
+from majent.search import find_counterexample, sample_simplex, trial_stream
 from majent.simplex import make_distribution
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
@@ -180,3 +180,19 @@ class TestRandomPairConsistency:
             # The generalized bound is never looser than plain subadditivity
             # when the cross term is negative (beta > 1).
             assert gen.rhs <= sub.rhs + 1e-14
+
+    @pytest.mark.parametrize("alpha, beta", [(2, 3), (-1, 2), (1, 3), (3, 1), (1, 1), (0, 2)])
+    def test_int_valued_params_match_float_params(self, alpha, beta):
+        ints, floats = EntropyParams(alpha, beta), EntropyParams.make(alpha, beta)
+        for trial in range(5):
+            stream = trial_stream(17, 1, trial)
+            p, q = sample_simplex(4, stream), sample_simplex(4, stream)
+            assert sharma_mittal(p, ints) == sharma_mittal(p, floats)
+            for kind in PropertyKind:
+                a, b = run_check(kind, p, q, ints), run_check(kind, p, q, floats)
+                assert (a.lhs, a.rhs, a.margin) == (b.lhs, b.rhs, b.margin)
+        a, b = (find_counterexample(PropertyKind.SUBMODULAR, prm, 3, 20, seed=5) for prm in (ints, floats))
+        assert (a and (a.trial_index, a.check.margin)) == (b and (b.trial_index, b.check.margin))
+        if alpha < 0:
+            with pytest.raises(ZeroWeightNegativeAlphaError, match="alpha = -1.0"):
+                run_check(PropertyKind.SUBADDITIVE, P1, Q1, ints)

@@ -5,16 +5,19 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from majent.engine import draw_pairs
 from majent.entropy import EntropyParams
-from majent.properties import PropertyKind, run_check
+from majent.properties import CHECK_TOL, PropertyKind, run_check
 from majent.search import (
     DEFAULT_SEED,
     KNOWN_SUBMODULARITY_VIOLATION,
     KNOWN_SUPERMODULARITY_VIOLATION,
     REFERENCE_PAIRS,
     STREAM_ALGORITHM,
+    CounterexampleRecord,
     GuaranteeViolationError,
     ReproductionError,
     SweepConfig,
@@ -28,6 +31,7 @@ from majent.search import (
     trial_stream,
     verify_paper_counterexamples,
 )
+import majent.engine
 import majent.search
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -308,6 +312,8 @@ class TestConfigParsing:
             "alpha_grid = 0:1:inf\nbeta_grid = 2\n",
             "alpha_grid = 1\nbeta_grid = 2\ndims = nan\n",
             "alpha_grid = 1\nbeta_grid = 2\ndims = inf\n",
+            "alpha_grid = 1,,2\nbeta_grid = 2\n",  # empty grid item
+            "alpha_grid = 1\nbeta_grid = 2\ndims = 2,3,\n",
             "just some words\n",
         ],
     )
@@ -399,3 +405,88 @@ class TestSweep:
         assert len(report.cells) == 2
         for cell in report.cells:
             assert cell.verdict in (Verdict.NO_VIOLATION_FOUND, Verdict.VIOLATION_FOUND)
+
+
+class TestBatchedEngine:
+    """The sweep engine against a trial-by-trial loop over the public API."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 32, 64])
+    def test_draws_match_trial_stream(self, n):
+        cells = np.array([0, 0, 5, 2**32 - 1, 17])
+        trials = np.array([0, 1, 3, 2**32 - 1, 12345])
+        gen = np.random.Generator(np.random.Philox())
+        p_rows, q_rows = draw_pairs(gen, DEFAULT_SEED, cells, trials, n)
+        for c, t, p_row, q_row in zip(cells.tolist(), trials.tolist(), p_rows, q_rows):
+            stream = trial_stream(DEFAULT_SEED, c, t)
+            assert tuple(p_row.tolist()) == sample_simplex(n, stream).weights
+            assert tuple(q_row.tolist()) == sample_simplex(n, stream).weights
+
+    @staticmethod
+    def plain_loop(config):
+        """(worst margin, first counterexample) per cell, one run_check per trial."""
+        out = []
+        cell_index = 0
+        for alpha in config.alpha_grid:
+            for beta in config.beta_grid:
+                params = EntropyParams.make(alpha, beta)
+                for kind in config.properties:
+                    worst, found = math.inf, None
+                    for t in range(config.trials_per_cell):
+                        if alpha >= 0.0 and t < len(REFERENCE_PAIRS):
+                            ref = REFERENCE_PAIRS[t]
+                            p, q, source = ref.p, ref.q, ref.name
+                        else:
+                            n = config.dims[t % len(config.dims)]
+                            stream = trial_stream(config.seed, cell_index, t)
+                            p = sample_simplex(n, stream)
+                            q = sample_simplex(n, stream)
+                            source = "random"
+                        check = run_check(kind, p, q, params)
+                        if check.margin < worst:
+                            worst = check.margin
+                        if found is None and check.margin < -CHECK_TOL:
+                            found = CounterexampleRecord(check, config.seed, cell_index, t, source)
+                    out.append((worst, found))
+                    cell_index += 1
+        return out
+
+    @pytest.mark.parametrize("batch_rows", [1024, 7])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # c3: the subadditive region, beta = 1 included
+            SweepConfig(
+                alpha_grid=(0.0, 0.5, 1.0, 2.0, 5.0), beta_grid=(1.0, 2.0, 5.0),
+                dims=tuple(range(2, 9)), trials_per_cell=30, seed=11,
+                properties=(PropertyKind.SUBADDITIVE,),
+            ),
+            # c4: supermodularity on and off its proven region
+            SweepConfig(
+                alpha_grid=(0.25, 0.5, 1.0, 2.0, 4.0), beta_grid=(-1.0, 0.0, 0.5, 2.0, 4.0),
+                dims=tuple(range(2, 9)), trials_per_cell=30, seed=12,
+                properties=(PropertyKind.SUPERMODULAR,),
+            ),
+            # sweep-mixed: every property, negative orders, alpha = 1, n up to 64
+            SweepConfig(
+                alpha_grid=(-1.0, 0.5, 1.0, 2.0), beta_grid=(1.5, 2.0, 3.0),
+                dims=(2, 4, 8, 16, 32, 64), trials_per_cell=14, seed=13,
+            ),
+            # three trials, two of them the reference pairs, from order 0 up
+            SweepConfig(
+                alpha_grid=(0.0, 1.0, 2.0), beta_grid=(1.0, 3.0), dims=(2,),
+                trials_per_cell=3, seed=14,
+            ),
+        ],
+        ids=["c3", "c4", "mixed", "references"],
+    )
+    def test_batches_equal_the_single_pair_loop(self, config, batch_rows, monkeypatch):
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
+        report = sweep(config)
+        for cell, (worst, found) in zip(report.cells, self.plain_loop(config)):
+            assert cell.worst_margin.hex() == worst.hex()
+            want = Verdict.VIOLATION_FOUND if found else (
+                Verdict.THEOREM_GUARANTEED if cell.guaranteed else Verdict.NO_VIOLATION_FOUND
+            )
+            assert cell.verdict is want
+            got = cell.counterexample.to_json_dict() if cell.counterexample else None
+            assert json.dumps(got) == json.dumps(found.to_json_dict() if found else None)
