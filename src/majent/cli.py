@@ -5,6 +5,13 @@ check, a reference pair that does not reproduce, a sweep aborted by a
 guarantee inconsistency), 2 on usage errors, 3 on numeric domain errors
 such as negative weights, parameters outside the family's domain or a power
 sum that overflows.
+
+Each command loads only the modules it runs.  ``compare``, ``meet --exact``
+and ``join --exact`` run on exact rationals and never import numpy, nor do
+``--help`` and usage errors found while parsing; ``meet`` and ``join`` on
+floats, ``entropy``, ``check``, ``verify-paper`` and ``sweep`` load numpy
+with the float kernels, and only ``verify-paper`` and ``sweep`` load
+:mod:`majent.search`.
 """
 from __future__ import annotations
 
@@ -15,17 +22,7 @@ import os
 import sys
 
 from . import lattice
-from .entropy import EntropyParams, renyi, shannon, sharma_mittal, tsallis
 from .properties import CHECK_TOL, PropertyKind, run_check
-from .search import (
-    DEFAULT_SEED,
-    GuaranteeViolationError,
-    ReproductionError,
-    SweepConfigError,
-    parse_sweep_config,
-    sweep,
-    verify_paper_counterexamples,
-)
 from .simplex import (
     ProbabilityDistribution,
     VectorParseError,
@@ -107,7 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(err: Exception, code: int) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return code
+
+
 def _cmd_entropy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .entropy import EntropyParams, renyi, shannon, sharma_mittal, tsallis
+
     d = parse_distribution(args.dist)
     family = args.family
     if family == "shannon":
@@ -164,6 +168,8 @@ def _render_check_text(record, digits: int) -> str:
 
 
 def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .entropy import EntropyParams
+
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         parser.error(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     p = parse_distribution(args.p)
@@ -180,6 +186,8 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    from .search import ReproductionError, verify_paper_counterexamples
+
     try:
         records = verify_paper_counterexamples()
     except ReproductionError as err:
@@ -200,6 +208,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .search import GuaranteeViolationError, SweepConfigError, parse_sweep_config, sweep
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -214,8 +224,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"MAJENT_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return EXIT_USAGE
-    config = parse_sweep_config(text, default_seed=default_seed)
-    report = sweep(config)
+    try:
+        report = sweep(parse_sweep_config(text, default_seed=default_seed))
+    except SweepConfigError as err:
+        return _error(err, EXIT_USAGE)
+    except GuaranteeViolationError as err:
+        return _error(err, EXIT_VIOLATION)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
         try:
@@ -248,15 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         parser.error(f"unknown command {args.command!r}")
-    except (VectorParseError, SweepConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except GuaranteeViolationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VIOLATION
+    except VectorParseError as err:
+        return _error(err, EXIT_USAGE)
     except (ValueError, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(err, EXIT_DOMAIN)
     return EXIT_OK
 
 

@@ -19,15 +19,17 @@ of sorted distributions as a (2, k, n) array and returns the k meets, and
 if asked the k joins, from one pair of curves; :func:`bounds`, :func:`meet`
 and :func:`join` are the same kernel at k = 1.  Curves are running sums along each row, so
 every entry is summed in the same order as a scalar loop would, whatever
-k is.
+k is.  Only the float path imports numpy, so the exact lattice and
+:func:`~majent.simplex.compare` run without it.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .simplex import ProbabilityDistribution, Weight, make_distribution, paired_curves
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _differences(curve: Sequence[Weight]) -> list[Weight]:
@@ -63,6 +65,8 @@ def bound_rows(pairs: np.ndarray, join: bool) -> tuple[np.ndarray, np.ndarray | 
     joins whose differences ascend somewhere go through :func:`flatten`;
     the others are already sorted.
     """
+    import numpy as np
+
     ca, cb = np.add.accumulate(pairs, axis=2)
     meets = sorted_rows(_row_differences(np.minimum(ca, cb)))
     if not join:
@@ -90,6 +94,8 @@ def bounds(
         pa, pb, _ = paired_curves(p, q)
         m = make_distribution(_differences([min(x, y) for x, y in zip(pa, pb)]))
         return m, flatten(pre_join(p, q)) if join else None
+    import numpy as np
+
     a, b = p.weights, q.weights
     n = max(len(a), len(b))
     pairs = np.array([[a + (0.0,) * (n - len(a))], [b + (0.0,) * (n - len(b))]])

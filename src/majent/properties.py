@@ -7,18 +7,21 @@ means it holds with room to spare.  A violation is only reported when the
 margin drops below ``-CHECK_TOL``; margins inside the window count as a
 tight hold, so rounding noise cannot masquerade as a counterexample.  The
 checks never refuse a parameter region: outside the guaranteed regions they
-simply report whatever the numbers say.
+simply report whatever the numbers say.  numpy and :mod:`majent.entropy`
+are imported where a check evaluates, so the kinds and the tolerance can be
+read without loading them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import lattice
-from .entropy import EntropyParams, family_rows
 from .simplex import ProbabilityDistribution
+
+if TYPE_CHECKING:
+    from .entropy import EntropyParams
 
 #: Margin below which a check counts as violated.
 CHECK_TOL = 1e-9
@@ -101,6 +104,8 @@ def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
     if needs_join:
         lhs, rhs = sp + sq, sm + sj
     elif orientation == 0:
+        import numpy as np
+
         lhs, rhs = sm, sp + sq + (1.0 - beta) * sp * sq
         return lhs, rhs, np.where(alpha >= 0.0, rhs - lhs, lhs - rhs)
     else:
@@ -112,6 +117,10 @@ def _family_values(dists, params: EntropyParams) -> list[float]:
     """The family value of each of ``dists`` at ``params``, evaluated as the
     rows of one array per dimension.  The error of the first distribution,
     in sequence order, whose evaluation fails is raised."""
+    import numpy as np
+
+    from .entropy import family_rows
+
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(dists):
         groups.setdefault(d.dim, []).append(i)

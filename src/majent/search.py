@@ -490,7 +490,9 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_properties(text: str) -> tuple[PropertyKind, ...]:
-    names = [x.strip() for x in text.split(",") if x.strip()]
+    names = [x.strip() for x in text.split(",")] if text.strip() else []
+    if "" in names:
+        raise SweepConfigError(f"empty item in properties list {text!r}")
     choices = sorted(k.value for k in PropertyKind)
     for name in names:
         if name not in choices:

@@ -2,6 +2,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,39 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs main() on the given arguments, then reports on a last stderr line
+#: whether numpy was imported.
+FRESH_MAIN = (
+    "import sys\n"
+    "from majent.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_fresh(argv):
+    """Invoke main() in a new interpreter, as the ``majent`` script does,
+    capturing (exit_code, stdout, stderr, whether numpy was imported).  The
+    test process has numpy loaded already, so only a new one can tell.
+    ``MAJENT_SEED`` is unset, so a sweep runs at the built-in seed."""
+    env = {k: v for k, v in os.environ.items() if k != "MAJENT_SEED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN, *argv],
+        env=dict(env, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    err, _, flag = proc.stderr.rpartition("numpy imported: ")
+    return proc.returncode, proc.stdout, err, flag == "True\n"
 
 
 class TestEntropyCommand:
@@ -343,3 +380,46 @@ class TestErrorMapping:
                  "--alpha", "2", "--beta", "3"])
         assert exc.value.code == EXIT_USAGE
 
+
+class TestImportOnUse:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["compare", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], EXIT_OK),
+            (["meet", "--exact", "--p", "1/2,1/2", "--q", "3/4,1/4"], EXIT_OK),
+            (["join", "--exact", "--p", "1/2,3/20,3/20,1/10,1/10",
+              "--q", "3/10,3/10,3/10,1/10,0"], EXIT_OK),
+            (["--help"], EXIT_OK),
+            ([], EXIT_USAGE),
+            (["compare", "--p", "0.5,x", "--q", "0.5,0.5"], EXIT_USAGE),
+        ],
+    )
+    def test_exact_and_parse_only_commands_do_not_import_numpy(self, argv, code):
+        got, _, _, numpy_imported = run_fresh(argv)
+        assert (got, numpy_imported) == (code, False)
+
+    def test_check_imports_numpy(self):
+        got, out, _, numpy_imported = run_fresh(
+            ["check", "--property", "subadditive", "--p", "0.5,0.5",
+             "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"]
+        )
+        assert (got, numpy_imported) == (EXIT_OK, True)
+        assert out.endswith("verdict: holds\n")
+
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [
+            ("alpha_grid = 2\n", EXIT_USAGE, "error: missing required key 'beta_grid'\n"),
+            ("alpha_grid = -1\nbeta_grid = 0\ndims = 3\n"
+             "trials_per_cell = 10\nproperties = superadditive\n",
+             EXIT_VIOLATION,
+             "error: violation in guaranteed region: superadditive at alpha=-1.0, "
+             "beta=0.0, trial 0, margin -2.615797225085659; either the "
+             "implementation or the guarantee table is wrong\n"),
+        ],
+    )
+    def test_sweep_errors_keep_their_line_and_exit_code(self, tmp_path, text, code, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)])
+        assert (got, out, err) == (code, "", message)

@@ -314,6 +314,9 @@ class TestConfigParsing:
             "alpha_grid = 1\nbeta_grid = 2\ndims = inf\n",
             "alpha_grid = 1,,2\nbeta_grid = 2\n",  # empty grid item
             "alpha_grid = 1\nbeta_grid = 2\ndims = 2,3,\n",
+            "alpha_grid = 1\nbeta_grid = 2\nproperties = subadditive,,supermodular\n",
+            "alpha_grid = 1\nbeta_grid = 2\nproperties = subadditive,\n",
+            "alpha_grid = 1\nbeta_grid = 2\nproperties = \n",
             "just some words\n",
         ],
     )
