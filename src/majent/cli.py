@@ -179,7 +179,7 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         PropertyKind(args.property), p, q, params, tolerance=args.tolerance
     )
     if args.format == "json":
-        print(json.dumps(record.to_json_dict(), indent=2))
+        print(json.dumps(record.to_json_dict(), indent=2, allow_nan=False))
     else:
         print(_render_check_text(record, args.digits))
     return EXIT_OK if record.holds else EXIT_VIOLATION
@@ -194,7 +194,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         print(f"reproduction failed: {err}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in records], indent=2))
+        print(json.dumps([r.to_json_dict() for r in records], indent=2, allow_nan=False))
     else:
         for r in records:
             c = r.check

@@ -2,13 +2,15 @@
 
 A cell is one (kind, params) check run on ``trials`` pairs.  The engine
 takes the (cell, trial) rows of a list of cells in order, at most
-``BATCH_ROWS`` at a time, groups a batch by dimension into (k, n) arrays
-and sends them through the row kernels of ``lattice`` and ``entropy`` with
-one (alpha, beta) per row.  The margins go back into row order, so each
-cell's worst margin, first violation and first failure are those of a
-trial-by-trial loop over :func:`~majent.properties.run_check`, and the
-record of a violation, built from the batch, equals that loop's bit for
-bit.
+``BATCH_ROWS`` at a time, groups a batch by width class (the dimension
+rounded up to ``CLASS_WIDTH``) into zero-padded (k, m) arrays and sends
+each class through the row kernels of ``lattice`` and ``entropy`` once,
+with one dimension and one (alpha, beta) per row.  The padding is exact:
+the kernels leave a row's bits as they are at its own length.  The
+margins go back into row order, so each cell's worst margin, first
+violation and first failure are those of a trial-by-trial loop over
+:func:`~majent.properties.run_check`, and the record of a violation,
+built from the batch, equals that loop's bit for bit.
 
 The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
@@ -40,6 +42,12 @@ from .simplex import ProbabilityDistribution
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
 BATCH_ROWS = 1024
 
+#: Rows are zero-padded to a multiple of this width, and a batch runs the
+#: kernels once per width class.  Eight float64 fill one 64-byte cache
+#: line, so a row wastes fewer than 8 entries, while the dimensions of a
+#: typical sweep share one or a few classes instead of one group each.
+CLASS_WIDTH = 8
+
 
 def draw_pairs(
     gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
@@ -49,7 +57,8 @@ def draw_pairs(
 
     ``gen`` runs on a Philox bit generator.  Each trial sets its key, with
     counter 0 and an empty buffer, and draws its 2n exponentials in one
-    call.
+    call.  The rows are normalized at their own length: numpy's pairwise
+    ``sum`` associates differently on a longer row.
     """
     state = {
         "bit_generator": "Philox",
@@ -59,11 +68,13 @@ def draw_pairs(
         "has_uint32": 0,
         "uinteger": 0,
     }
+    seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
+    bit_generator, standard_exponential = gen.bit_generator, gen.standard_exponential
     draws = np.empty((len(cells), 2 * n))
-    for row, c, t in zip(draws, cells.tolist(), trials.tolist()):
-        state["state"]["key"] = trial_key(seed, c, t)
-        gen.bit_generator.state = state
-        gen.standard_exponential(out=row)
+    for row, word in zip(draws, words.tolist()):
+        state["state"]["key"] = [seed_word, word]
+        bit_generator.state = state
+        standard_exponential(out=row)
     p, q = draws[:, :n], draws[:, n:]
     return (
         sorted_rows(p / p.sum(axis=1, keepdims=True)),
@@ -77,8 +88,9 @@ class _Batch:
     ``lhs``, ``rhs``, ``margin`` and ``failed`` are in row order;
     :meth:`pair` rebuilds the pair of one row for a replay and
     :meth:`check` the record :func:`~majent.properties.run_check` would
-    return for it.  Rows are evaluated in groups of one dimension that
-    all need the join or all do not.
+    return for it.  Rows are evaluated in width classes: a row of
+    dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and the
+    rows of a class, joined or not, go through the kernels as one array.
     """
 
     def __init__(self, gen, grid, dims, seed, cell, trial):
@@ -90,29 +102,34 @@ class _Batch:
         for t, ref in enumerate(REFERENCE_PAIRS):
             self.dims[self.ref & (trial == t)] = ref.p.dim
         self.joined = np.array([_CHECKS[kind][0] for kind in PropertyKind])[kind_index]
+        self.width = -(-self.dims // CLASS_WIDTH) * CLASS_WIDTH
         values = np.full((4, k), np.nan)  # S(p), S(q), S(meet), S(join)
         self.failed = np.zeros(k, dtype=bool)
-        self.groups = {}
-        for n, joined in sorted(set(zip(self.dims.tolist(), self.joined.tolist()))):
-            at = np.flatnonzero((self.dims == n) & (self.joined == joined))
-            drawn = ~self.ref[at]
-            pairs = np.empty((2, len(at), n))
+        self.classes = {}
+        # Each row's index in its class, and among the class's joined rows.
+        self.slot = np.empty((2, k), dtype=np.intp)
+        for width in sorted(set(self.width.tolist())):
+            at = np.flatnonzero(self.width == width)
+            n, joined = self.dims[at], self.joined[at]
+            pairs = np.zeros((2, len(at), width))
             p, q = pairs
-            p[drawn], q[drawn] = draw_pairs(gen, seed, cell[at[drawn]], trial[at[drawn]], n)
+            drawn = ~self.ref[at]
+            for d in sorted(set(n[drawn].tolist())):
+                rows = np.flatnonzero(drawn & (n == d))
+                p[rows, :d], q[rows, :d] = draw_pairs(gen, seed, cell[at[rows]], trial[at[rows]], d)
             for t, ref in enumerate(REFERENCE_PAIRS):
                 rows = ~drawn & (trial[at] == t)
-                if rows.any():
-                    p[rows], q[rows] = ref.p.weights, ref.q.weights
+                p[rows, : ref.p.dim], q[rows, : ref.q.dim] = ref.p.weights, ref.q.weights
             meets, joins = bound_rows(pairs, joined)
-            self.groups[n, joined] = (at, p, q, meets, joins)
-            sides = [p, q, meets] + ([joins] if joined else [])
+            self.classes[width] = (p, q, meets, joins)
+            self.slot[:, at] = np.arange(len(at)), np.cumsum(joined) - 1
+            owner = np.concatenate([at, at, at, at[joined]])
             vals, errors = family_rows(
-                np.concatenate(sides),
-                np.tile(alpha[at], len(sides)),
-                np.tile(beta[at], len(sides)),
+                np.concatenate([p, q, meets, joins]), alpha[owner], beta[owner], self.dims[owner]
             )
-            values[: len(sides), at] = vals.reshape(len(sides), -1)
-            self.failed[at[[r % len(at) for r in errors]]] = True
+            values[:3, at] = vals[: 3 * len(at)].reshape(3, -1)
+            values[3, at[joined]] = vals[3 * len(at) :]
+            self.failed[owner[list(errors)]] = True
         self.lhs, self.rhs, self.margin = np.empty((3, k))
         for i, kind in enumerate(PropertyKind):
             rows = kind_index == i
@@ -121,23 +138,24 @@ class _Batch:
                     sides = oriented_sides(kind, alpha[rows], beta[rows], *values[:, rows])
                 self.lhs[rows], self.rhs[rows], self.margin[rows] = sides
 
-    def _group(self, r: int):
-        """The group of row ``r`` and the row's index in it."""
-        group = self.groups[int(self.dims[r]), bool(self.joined[r])]
-        return group, int(np.searchsorted(group[0], r))
+    def _slot(self, r: int):
+        """Row ``r``'s class arrays (p, q, meets, joins), its index in them
+        and among the joins, and its dimension."""
+        i, j = self.slot[:, r].tolist()
+        return self.classes[int(self.width[r])], i, j, int(self.dims[r])
 
     def pair(self, r: int) -> tuple[ProbabilityDistribution, ProbabilityDistribution, str]:
         """(p, q, source) of row ``r``."""
         if self.ref[r]:
             ref = REFERENCE_PAIRS[self.trial[r]]
             return ref.p, ref.q, ref.name
-        (_, p, q, _, _), i = self._group(r)
-        return row_distribution(p[i]), row_distribution(q[i]), "random"
+        (p, q, _, _), i, _, n = self._slot(r)
+        return row_distribution(p[i, :n]), row_distribution(q[i, :n]), "random"
 
     def check(self, r: int, kind: PropertyKind, params: EntropyParams) -> PropertyCheckRecord:
         """The record of row ``r``, built from the batch's own values."""
         p, q, _ = self.pair(r)
-        (_, _, _, meets, joins), i = self._group(r)
+        (_, _, meets, joins), i, j, n = self._slot(r)
         margin = float(self.margin[r])
         return PropertyCheckRecord(
             kind=kind,
@@ -149,8 +167,8 @@ class _Batch:
             margin=margin,
             holds=margin >= -CHECK_TOL,
             tolerance=CHECK_TOL,
-            meet=row_distribution(meets[i]),
-            join=None if joins is None else row_distribution(joins[i]),
+            meet=row_distribution(meets[i, :n]),
+            join=row_distribution(joins[j, :n]) if self.joined[r] else None,
         )
 
 

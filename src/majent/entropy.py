@@ -21,14 +21,14 @@ Conventions: 0^alpha = 0 for alpha >= 0 inside power sums (so the alpha = 0
 sum counts the support), and a zero weight combined with alpha < 0 is a hard
 error rather than an infinity.
 
-Every float value comes from row kernels over a (k, n) array of sorted
-distributions: :func:`family_rows` evaluates each row at its own (alpha,
-beta) and returns the error each failing row raises, and the scalar
-functions here are the same kernels at k = 1, raising what a term-by-term
-evaluation in Python floats would raise.  Powers, logarithms and ``expm1``
-come from the C library, as in Python's float arithmetic, and sums run one
-term at a time, so a value has the same bits whatever k is and whatever
-vector unit the host has.
+Every float value comes from row kernels over a (k, m) array of sorted
+distributions, each zero-padded past its own length: :func:`family_rows`
+evaluates each row at its own (alpha, beta) and returns the error each
+failing row raises, and the scalar functions here are the same kernels at
+k = 1, raising what a term-by-term evaluation in Python floats would raise.
+Powers, logarithms and ``expm1`` come from the C library, as in Python's
+float arithmetic, and sums run one term at a time, so a value has the same
+bits whatever k, the padding and the host's vector unit are.
 """
 from __future__ import annotations
 
@@ -105,53 +105,53 @@ class EntropyParams:
 _SHANNON, _PHI, _RENYI, _H = range(4)
 
 
-def _full(w: np.ndarray) -> bool:
-    """Whether no row of ``w`` holds a zero weight.  Rows are
-    non-increasing, so a zero weight ends its row."""
-    return 0.0 not in w[:, -1].tolist()
-
-
 def _sum_smallest_first(terms: np.ndarray) -> np.ndarray:
     """Row sums added from the last column to the first, one term at a time,
     so a sum is the same float whatever the number of rows."""
     return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1]
 
 
-def _argument(w: np.ndarray, alpha, branch: int, full: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x, terms): the Shannon entropy in bits (alpha = 1) or the power sum
-    of each row of ``w``, and the terms summed.  Zero weights add nothing;
-    ``full`` says that there are none.
+def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
+    """(x, terms): per row of ``w``, the Shannon entropy in bits where
+    ``logged``, else the power sum at the row's ``alpha``, and the terms
+    summed.  No power or logarithm is taken of a zero weight, padding
+    included, so zero weights add nothing and call no C library function.
 
     numpy's vector loops for ``log2`` and ``power`` round some results
     differently from the C library, so the logarithms come from
     :mod:`math` and the powers from ``np.float_power``, which calls the C
     library's ``pow`` element by element, as Python's ``**`` does.
     """
-    if branch <= _PHI:
-        # log2(1) = 0, so a zero weight's term is 0 * 0.
-        ones = w if full else np.where(w > 0.0, w, 1.0)
-        logs = np.array(list(map(math.log2, ones.ravel().tolist())))
-        terms = w * logs.reshape(w.shape)
-        return 0.0 - _sum_smallest_first(terms), terms
-    terms = np.float_power(w, alpha[:, None] if isinstance(alpha, np.ndarray) else alpha)
-    if not full:
-        terms[w == 0.0] = 0.0
+    positive = w > 0.0
+    terms = np.zeros(w.shape)
+    flags = logged.tolist()
+    if True in flags:
+        at = positive
+        if False in flags:
+            at, positive = positive & logged[:, None], positive & ~logged[:, None]
+        g = w[at]
+        # -(g log2 g), negated exactly before the sum: the sum is then
+        # 0.0 minus the sum of the g log2 g, bit for bit.
+        terms[at] = (0.0 - np.array(list(map(math.log2, g.tolist())))) * g
+    if False in flags:
+        np.float_power(w, alpha[:, None], out=terms, where=positive)
     return _sum_smallest_first(terms), terms
 
 
-def _power_errors(w, alphas: list, x, terms, full: bool) -> dict[int, Exception]:
+def _power_errors(w, n, alpha: np.ndarray, x, terms) -> dict[int, Exception]:
     """The errors of the power sums of the rows of ``w``, by row: a zero
-    weight at a negative order, else a term beyond the float range."""
+    weight at a negative order, else a term beyond the float range.  Rows
+    are non-increasing, so a zero weight ends its row's ``n`` entries (all
+    of them without ``n``)."""
     errors: dict[int, Exception] = {}
-    if math.inf in x.tolist():
+    if np.isinf(x).any():
         for i in np.flatnonzero(np.isinf(terms).any(axis=1)).tolist():
             errors[i] = OverflowError(errno.ERANGE, "Numerical result out of range")
-    if not full:
-        for i, (a, last) in enumerate(zip(alphas, w[:, -1].tolist())):
-            if a < 0.0 and last == 0.0:
-                errors[i] = ZeroWeightNegativeAlphaError(
-                    f"zero weight is outside the domain for alpha = {float(a)!r}"
-                )
+    last = w[:, -1] if n is None else w[np.arange(len(w)), n - 1]
+    for i in np.flatnonzero((last == 0.0) & (alpha < 0.0)).tolist():
+        errors[i] = ZeroWeightNegativeAlphaError(
+            f"zero weight is outside the domain for alpha = {float(alpha[i])!r}"
+        )
     return errors
 
 
@@ -182,51 +182,41 @@ def _h_outer(x: float, alpha: float, beta: float) -> float:
 _OUTER = (_shannon_outer, _phi_outer, _renyi_outer, _h_outer)
 
 
-def _family(w: np.ndarray, alpha, beta, branch: int) -> tuple[np.ndarray, dict[int, Exception]]:
-    """:func:`family_rows` for rows that all take ``branch``.  Call under
-    ``np.errstate(all="ignore")``."""
-    full = _full(w)
-    x, terms = _argument(w, alpha, branch, full)
-    per_row = isinstance(alpha, np.ndarray)
-    alphas = alpha.tolist() if per_row else [alpha] * len(w)
-    betas = beta.tolist() if per_row else [beta] * len(w)
-    outer = _OUTER[branch]
-    values, errors = [], {}
-    for i, (xi, a, b) in enumerate(zip(x.tolist(), alphas, betas)):
-        try:
-            values.append(outer(xi, a, b))
-        except (ValueError, OverflowError) as err:
-            values.append(math.nan)
-            errors[i] = err
-    if branch >= _RENYI:
-        # A power sum's error comes before any error of the outer map.
-        power = _power_errors(w, alphas, x, terms, full)
-        for i in power:
-            values[i] = math.nan
-        errors.update(power)
-    return np.array(values), errors
-
-
-def family_rows(w: np.ndarray, alpha, beta) -> tuple[np.ndarray, dict[int, Exception]]:
+def family_rows(
+    w: np.ndarray, alpha, beta, n: np.ndarray | None = None
+) -> tuple[np.ndarray, dict[int, Exception]]:
     """The family value of each row of ``w``, and by row the error that the
     evaluation of a failing row raises (its value is nan).
 
-    ``w`` is (k, n) with non-increasing rows.  ``alpha`` and ``beta`` are
-    two numbers, for every row, or two arrays with one value per row.  The
-    branches are those of :func:`sharma_mittal`, chosen per row, and a
-    row's error is the first one that evaluating it term by term, smallest
-    weight first, would meet.
+    ``w`` is (k, m) and row i holds a non-increasing distribution in its
+    first ``n[i]`` entries, zero-padded past them; without ``n`` every row
+    is m long.  ``alpha`` and ``beta`` are two numbers, for every row, or
+    two arrays with one value per row.  The branches are those of
+    :func:`sharma_mittal`, chosen per row, and a row's error is the first
+    one that evaluating it term by term, smallest weight first, would meet.
+
+    The padding cannot move a bit: no power or logarithm is taken of it,
+    the smallest-first sums add its zero terms before any real term, and
+    the zero-weight rule reads each row's last real entry, which is what
+    ``n`` is for.
     """
-    branch = (alpha != 1.0) * 2 + (beta != 1.0)
+    if not isinstance(alpha, np.ndarray):
+        alpha, beta = np.array([float(alpha)] * len(w)), np.array([float(beta)] * len(w))
     with np.errstate(all="ignore"):
-        if not isinstance(branch, np.ndarray):
-            return _family(w, alpha, beta, branch)
-        values, errors = np.empty(len(w)), {}
-        for b in set(branch.tolist()):
-            rows = np.flatnonzero(branch == b)
-            values[rows], errs = _family(w[rows], alpha[rows], beta[rows], b)
-            errors.update((int(rows[i]), err) for i, err in errs.items())
-    return values, errors
+        x, terms = _argument(w, alpha, alpha == 1.0)
+    values, errors = [], {}
+    for i, (xi, a, b) in enumerate(zip(x.tolist(), alpha.tolist(), beta.tolist())):
+        try:
+            values.append(_OUTER[(a != 1.0) * 2 + (b != 1.0)](xi, a, b))
+        except (ValueError, OverflowError) as err:
+            values.append(math.nan)
+            errors[i] = err
+    # A power sum's error comes before any error of the outer map.
+    power = _power_errors(w, n, alpha, x, terms)
+    for i in power:
+        values[i] = math.nan
+    errors.update(power)
+    return np.array(values), errors
 
 
 def _row(p: ProbabilityDistribution) -> np.ndarray:
@@ -246,19 +236,17 @@ def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
     contribute nothing for alpha >= 0 (in particular the alpha = 0 sum is
     the support size) and are rejected for alpha < 0.
     """
-    alpha = float(alpha)
     w = _row(p)
-    full = _full(w)
+    alphas = np.array([float(alpha)])
     with np.errstate(all="ignore"):
-        x, terms = _argument(w, alpha, _RENYI, full)
-    _raise_first(_power_errors(w, [alpha], x, terms, full))
+        x, terms = _argument(w, alphas, np.array([False]))
+    _raise_first(_power_errors(w, None, alphas, x, terms))
     return float(x[0])
 
 
 def shannon(p: ProbabilityDistribution) -> float:
     """Shannon entropy in bits."""
-    w = _row(p)
-    return float(_argument(w, 1.0, _SHANNON, _full(w))[0][0])
+    return float(_argument(_row(p), np.array([1.0]), np.array([True]))[0][0])
 
 
 def renyi(p: ProbabilityDistribution, alpha: float) -> float:

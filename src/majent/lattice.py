@@ -15,12 +15,14 @@ When both operands carry exact rational weights the whole pipeline runs in
 exact arithmetic (the pre-join list holds Fractions) and only converts to
 float at the boundary; that path is the oracle the float path is tested
 against.  The float path works on rows: :func:`bound_rows` takes k pairs
-of sorted distributions as a (2, k, n) array and returns the k meets, and
-if asked the k joins, from one pair of curves; :func:`bounds`, :func:`meet`
-and :func:`join` are the same kernel at k = 1.  Curves are running sums along each row, so
-every entry is summed in the same order as a scalar loop would, whatever
-k is.  Only the float path imports numpy, so the exact lattice and
-:func:`~majent.simplex.compare` run without it.
+of sorted distributions, zero-padded to a common width, as a (2, k, m)
+array and returns the k meets, and the joins of the rows that ask for
+one, from one pair of curves; :func:`bounds`, :func:`meet` and
+:func:`join` are the same kernel at k = 1.  Curves are running sums along
+each row, so every entry is summed in the same order as a scalar loop
+would, whatever k and the padding are.  Only the float path imports
+numpy, so the exact lattice and :func:`~majent.simplex.compare` run
+without it.
 """
 from __future__ import annotations
 
@@ -55,10 +57,16 @@ def _row_differences(curves: np.ndarray) -> np.ndarray:
     return out
 
 
-def bound_rows(pairs: np.ndarray, join: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def bound_rows(pairs: np.ndarray, join: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]`` of a
-    (2, k, n) array of sorted distributions, both from one pair of Lorenz
-    curves; joins is None unless ``join``.
+    (2, k, m) array of sorted distributions, both from one pair of Lorenz
+    curves; ``joins`` holds the joins of the rows that the boolean mask
+    ``join`` selects, in row order.
+
+    A row may be zero-padded past its length, and its meet and join then
+    are too, exactly: past the length both curves stay at their last value,
+    so every difference there is 0, the sort keeps those zeros at the end
+    and :func:`flatten` never grows a block into them.
 
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
@@ -69,9 +77,9 @@ def bound_rows(pairs: np.ndarray, join: bool) -> tuple[np.ndarray, np.ndarray | 
 
     ca, cb = np.add.accumulate(pairs, axis=2)
     meets = sorted_rows(_row_differences(np.minimum(ca, cb)))
-    if not join:
-        return meets, None
-    joins = _row_differences(np.maximum(ca, cb))
+    if True not in join.tolist():
+        return meets, ca[:0]
+    joins = _row_differences(np.maximum(ca[join], cb[join]))
     for i in np.flatnonzero((joins[:, :-1] < joins[:, 1:]).any(axis=1)).tolist():
         joins[i] = flatten(joins[i].tolist()).weights
     return meets, joins
@@ -99,7 +107,7 @@ def bounds(
     a, b = p.weights, q.weights
     n = max(len(a), len(b))
     pairs = np.array([[a + (0.0,) * (n - len(a))], [b + (0.0,) * (n - len(b))]])
-    meets, joins = bound_rows(pairs, join)
+    meets, joins = bound_rows(pairs, np.array([join]))
     return row_distribution(meets[0]), row_distribution(joins[0]) if join else None
 
 

@@ -13,6 +13,7 @@ read without loading them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -25,6 +26,12 @@ if TYPE_CHECKING:
 
 #: Margin below which a check counts as violated.
 CHECK_TOL = 1e-9
+
+
+def json_float(value: float) -> float | None:
+    """``value`` for a JSON payload: None when it is nan or infinite, which
+    JSON cannot spell."""
+    return value if math.isfinite(value) else None
 
 
 class PropertyKind(Enum):
@@ -72,9 +79,9 @@ class PropertyCheckRecord:
             "q": self.q.weights_json(),
             "meet": self.meet.weights_json(),
             "join": self.join.weights_json() if self.join is not None else None,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
+            "lhs": json_float(self.lhs),
+            "rhs": json_float(self.rhs),
+            "margin": json_float(self.margin),
             "holds": self.holds,
             "verdict": self.verdict_label,
             "tolerance": self.tolerance,
@@ -115,26 +122,20 @@ def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
 
 def _family_values(dists, params: EntropyParams) -> list[float]:
     """The family value of each of ``dists`` at ``params``, evaluated as the
-    rows of one array per dimension.  The error of the first distribution,
+    zero-padded rows of one array.  The error of the first distribution,
     in sequence order, whose evaluation fails is raised."""
     import numpy as np
 
     from .entropy import family_rows
 
-    groups: dict[int, list[int]] = {}
-    for i, d in enumerate(dists):
-        groups.setdefault(d.dim, []).append(i)
-    values = [0.0] * len(dists)
-    failed = {}
-    for at in groups.values():
-        rows = np.array([dists[i].weights for i in at])
-        vals, errors = family_rows(rows, params.alpha, params.beta)
-        for i, v in zip(at, vals.tolist()):
-            values[i] = v
-        failed.update((at[r], err) for r, err in errors.items())
-    if failed:
-        raise failed[min(failed)]
-    return values
+    n = [d.dim for d in dists]
+    m = max(n)
+    rows = np.array([d.weights + (0.0,) * (m - d.dim) for d in dists])
+    lengths = np.array(n) if min(n) < m else None
+    values, errors = family_rows(rows, params.alpha, params.beta, lengths)
+    if errors:
+        raise errors[min(errors)]
+    return values.tolist()
 
 
 def run_check(

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .entropy import EntropyParams, sharma_mittal
-from .properties import PropertyCheckRecord, PropertyKind, run_check
+from .properties import PropertyCheckRecord, PropertyKind, json_float, run_check
 from .simplex import ProbabilityDistribution, make_distribution
 
 #: Identifier of the random stream, for cross-language reproduction.
@@ -123,9 +123,13 @@ KNOWN_SUBMODULARITY_VIOLATION = _ref(
 REFERENCE_PAIRS = (KNOWN_SUPERMODULARITY_VIOLATION, KNOWN_SUBMODULARITY_VIOLATION)
 
 
-def trial_key(seed: int, cell_index: int, trial_index: int) -> list[int]:
+def trial_key(seed: int, cell_index, trial_index) -> list:
     """The two 64-bit words of one trial's Philox key: the seed, then the
-    cell and the trial index in the high and low 32 bits."""
+    cell and the trial index in the high and low 32 bits.
+
+    The indices are ints, or two ``uint64`` arrays, one entry per trial,
+    which give an array of second words.
+    """
     return [seed & _MASK64, ((cell_index & _MASK32) << 32) | (trial_index & _MASK32)]
 
 
@@ -361,7 +365,7 @@ class CellReport:
             "property": self.kind.value,
             "verdict": self.verdict.value,
             "guaranteed": self.guaranteed,
-            "worst_margin": self.worst_margin,
+            "worst_margin": json_float(self.worst_margin),
             "trials": self.trials,
             "seed": self.seed,
             "counterexample": (
@@ -388,7 +392,7 @@ class RegionSweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()

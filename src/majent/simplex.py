@@ -182,15 +182,6 @@ def pad(p: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
     return ProbabilityDistribution(p.weights + (0.0,) * extra, exact)
 
 
-def lorenz(p: ProbabilityDistribution) -> tuple[float, ...]:
-    """Prefix sums of the sorted weights.
-
-    The returned curve is non-decreasing and concave (the increments are the
-    sorted weights themselves), and its last entry is 1 up to ``SUM_TOL``.
-    """
-    return tuple(accumulate(p.weights))
-
-
 def paired_curves(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> tuple[list[Weight], list[Weight], bool]:
@@ -269,16 +260,3 @@ def parse_distribution(text: str, *, exact: bool = False) -> ProbabilityDistribu
     """Parse text into a validated distribution.  See :func:`parse_weights`."""
     return make_distribution(parse_weights(text, exact=exact))
 
-
-def weights_from_json(values: Sequence) -> list[Weight]:
-    """Rebuild weights from a JSON field (floats or ``"a/b"`` strings)."""
-    out: list[Weight] = []
-    for v in values:
-        if isinstance(v, str):
-            try:
-                out.append(Fraction(v))
-            except (ValueError, ZeroDivisionError) as err:
-                raise VectorParseError(f"cannot parse weight {v!r}") from err
-        else:
-            out.append(float(v))
-    return out

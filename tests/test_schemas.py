@@ -22,11 +22,20 @@ def load(name):
     return json.loads((DOCS / name).read_text())
 
 
+def strict_json(text):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def capture_json(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
-    return json.loads(out.getvalue())
+    return strict_json(out.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -71,6 +80,17 @@ class TestCheckRecordSchema:
         )
         jsonschema.validate(record.to_json_dict(), self.schema())
 
+    def test_nan_margin_is_written_as_null(self):
+        # 2 * 0.5 ** -1023 overflows inside the power sum: lhs = rhs = inf
+        # and the margin is nan; the record stays a violation.
+        data = capture_json(
+            ["check", "--property", "subadditive", "--p", "0.5,0.5", "--q", "0.5,0.5",
+             "--alpha", "-1023", "--beta", "0.5", "--format", "json"]
+        )
+        jsonschema.validate(data, self.schema())
+        assert (data["lhs"], data["rhs"], data["margin"]) == (None, None, None)
+        assert data["verdict"] == "violated"
+
     def test_extra_key_is_rejected(self):
         data = capture_json(
             ["check", "--property", "subadditive",
@@ -113,6 +133,22 @@ class TestSweepReportSchema:
         jsonschema.validate(data, load("sweep-report.schema.json"))
         ce = data["cells"][0]["counterexample"]
         assert ce is not None and isinstance(ce["seed"], int)
+
+    def test_infinite_worst_margin_is_written_as_null(self, tmp_path):
+        # Every margin of the cell is nan, so the worst margin stays inf.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "alpha_grid = 0.9999999999999999\nbeta_grid = -1e308\ndims = 2,3\n"
+            "properties = subadditive\ntrials_per_cell = 5\nseed = 1\n"
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["sweep", "--config", str(cfg), "--format", "json"])
+        data = strict_json(out.getvalue())
+        jsonschema.validate(data, load("sweep-report.schema.json"))
+        assert code == 0
+        (cell,) = data["cells"]
+        assert (cell["worst_margin"], cell["verdict"]) == (None, "no-violation-found")
 
 
 def test_verify_records_validate():

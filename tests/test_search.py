@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from majent.engine import draw_pairs
-from majent.entropy import EntropyParams
+from majent.entropy import (
+    EntropyParams,
+    ZeroWeightNegativeAlphaError,
+    family_rows,
+    sharma_mittal,
+)
 from majent.properties import CHECK_TOL, PropertyKind, run_check
 from majent.search import (
     DEFAULT_SEED,
@@ -31,6 +36,7 @@ from majent.search import (
     trial_stream,
     verify_paper_counterexamples,
 )
+from majent.simplex import make_distribution
 import majent.engine
 import majent.search
 
@@ -479,8 +485,13 @@ class TestBatchedEngine:
                 alpha_grid=(0.0, 1.0, 2.0), beta_grid=(1.0, 3.0), dims=(2,),
                 trials_per_cell=3, seed=14,
             ),
+            # dimensions on both sides of the width-class edges, in one batch
+            SweepConfig(
+                alpha_grid=(-2.0, -0.5, 1.0, 2.5), beta_grid=(1.5, 3.0),
+                dims=(2, 7, 8, 9, 15, 16, 17, 63), trials_per_cell=16, seed=15,
+            ),
         ],
-        ids=["c3", "c4", "mixed", "references"],
+        ids=["c3", "c4", "mixed", "references", "class-edges"],
     )
     def test_batches_equal_the_single_pair_loop(self, config, batch_rows, monkeypatch):
         monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
@@ -493,3 +504,31 @@ class TestBatchedEngine:
             assert cell.verdict is want
             got = cell.counterexample.to_json_dict() if cell.counterexample else None
             assert json.dumps(got) == json.dumps(found.to_json_dict() if found else None)
+
+    def test_padding_hides_no_zero_weight(self):
+        # Row 0 holds a real zero weight; row 1 is (0.5, 0.5) zero-padded.
+        rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        values, errors = family_rows(rows, -1.0, 2.0, np.array([3, 2]))
+        assert list(errors) == [0]
+        assert isinstance(errors[0], ZeroWeightNegativeAlphaError)
+        params = EntropyParams.make(-1.0, 2.0)
+        assert values[1] == sharma_mittal(make_distribution([0.5, 0.5]), params)
+        with pytest.raises(ZeroWeightNegativeAlphaError):
+            sharma_mittal(make_distribution([0.5, 0.5, 0.0]), params)
+
+    def test_padded_rows_equal_the_unpadded_values(self):
+        dists = [
+            sample_simplex(n, trial_stream(16, n, t))
+            for n in (2, 3, 7, 8, 9, 16, 17, 40) for t in range(3)
+        ]
+        width = 48
+        rows = np.zeros((len(dists), width))
+        for row, d in zip(rows, dists):
+            row[: d.dim] = d.weights
+        lengths = np.array([d.dim for d in dists])
+        for alpha in (-2.5, 0.0, 0.5, 1.0, 3.0):
+            for beta in (-1.0, 1.0, 2.0):
+                values, errors = family_rows(rows, alpha, beta, lengths)
+                params = EntropyParams.make(alpha, beta)
+                assert errors == {}
+                assert values.tolist() == [sharma_mittal(d, params) for d in dists]

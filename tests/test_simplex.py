@@ -15,14 +15,13 @@ from majent.simplex import (
     TargetDimTooSmallError,
     VectorParseError,
     compare,
-    lorenz,
     make_distribution,
     pad,
+    paired_curves,
     parse_distribution,
     parse_weights,
     tensor_product,
     uniform,
-    weights_from_json,
 )
 
 
@@ -119,7 +118,9 @@ class TestUniformAndPad:
 class TestLorenz:
     def test_prefix_sums(self):
         d = make_distribution([0.5, 0.3, 0.1, 0.1])
-        assert lorenz(d) == pytest.approx((0.5, 0.8, 0.9, 1.0), abs=1e-15)
+        curve, _, exact = paired_curves(d, d)
+        assert curve == pytest.approx([0.5, 0.8, 0.9, 1.0], abs=1e-15)
+        assert not exact
 
     @given(
         st.lists(
@@ -130,7 +131,7 @@ class TestLorenz:
     )
     def test_curve_is_concave_and_ends_at_one(self, raw):
         d = make_distribution(raw, normalize=True)
-        curve = lorenz(d)
+        curve = paired_curves(d, d)[0]
         assert curve[-1] == pytest.approx(1.0, abs=1e-9)
         diffs = [curve[0]] + [b - a for a, b in zip(curve, curve[1:])]
         # The increments are the sorted weights, so they must not increase.
@@ -258,19 +259,15 @@ class TestParsing:
 class TestJsonWeights:
     def test_float_round_trip(self):
         d = make_distribution([0.5, 0.3, 0.2])
-        back = make_distribution(weights_from_json(d.weights_json()))
+        back = make_distribution(d.weights_json())
         assert back.weights == d.weights
 
     def test_exact_round_trip(self):
         d = make_distribution([Fraction(2, 5), Fraction(2, 5), Fraction(1, 10), Fraction(1, 10)])
         payload = d.weights_json()
         assert payload == ["2/5", "2/5", "1/10", "1/10"]
-        back = make_distribution(weights_from_json(payload))
+        back = make_distribution([Fraction(w) for w in payload])
         assert back.exact == d.exact
-
-    def test_bad_string_rejected(self):
-        with pytest.raises(VectorParseError):
-            weights_from_json(["1/2", "nope"])
 
 
 @given(
