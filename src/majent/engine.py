@@ -19,7 +19,6 @@ those of ``search.trial_stream`` and ``search.sample_simplex``.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterator, Sequence
 
@@ -88,7 +87,7 @@ class _Batch:
     ``lhs``, ``rhs``, ``margin`` and ``failed`` are in row order;
     :meth:`pair` rebuilds the pair of one row for a replay and
     :meth:`check` the record :func:`~majent.properties.run_check` would
-    return for it.  Rows are evaluated in width classes: a row of
+    return for it, with the pair's source.  Rows are evaluated in width classes: a row of
     dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and the
     rows of a class, joined or not, go through the kernels as one array.
     """
@@ -152,9 +151,12 @@ class _Batch:
         (p, q, _, _), i, _, n = self._slot(r)
         return row_distribution(p[i, :n]), row_distribution(q[i, :n]), "random"
 
-    def check(self, r: int, kind: PropertyKind, params: EntropyParams) -> PropertyCheckRecord:
-        """The record of row ``r``, built from the batch's own values."""
-        p, q, _ = self.pair(r)
+    def check(
+        self, r: int, kind: PropertyKind, params: EntropyParams
+    ) -> tuple[PropertyCheckRecord, str]:
+        """The record of row ``r``, built from the batch's own values, and
+        the source of its pair."""
+        p, q, source = self.pair(r)
         (_, _, meets, joins), i, j, n = self._slot(r)
         margin = float(self.margin[r])
         return PropertyCheckRecord(
@@ -169,7 +171,7 @@ class _Batch:
             tolerance=CHECK_TOL,
             meet=row_distribution(meets[i, :n]),
             join=row_distribution(joins[j, :n]) if self.joined[r] else None,
-        )
+        ), source
 
 
 def run_cells(
@@ -189,6 +191,13 @@ def run_cells(
     :func:`~majent.properties.run_check`, which raises its error; as in a
     trial-by-trial loop, the first failing trial of a cell raises before
     the cell is yielded.
+
+    The cells of a batch are tallied at once: ``np.minimum.reduceat``
+    gives each cell's least margin (nan ranked as inf, and the first of
+    equal margins wins, as in a strict ``<`` loop) and ``np.searchsorted``
+    its first violating row.  A cell that runs over several batches keeps
+    its worst margin and first violation from the earliest batch that set
+    them.
     """
     gen = np.random.Generator(np.random.Philox())
     kinds = list(PropertyKind)
@@ -202,25 +211,29 @@ def run_cells(
     for start in range(0, total, BATCH_ROWS):
         cell, trial = np.divmod(np.arange(start, min(start + BATCH_ROWS, total)), trials)
         batch = _Batch(gen, grid, dims, seed, cell, trial)
-        failed = np.flatnonzero(batch.failed)
+        # Cell c0 + j holds the batch's rows lo[j] to hi[j] - 1.
+        c0 = int(cell[0])
+        lo = np.maximum(np.arange(c0, int(cell[-1]) + 1) * trials - start, 0)
+        hi = np.append(lo[1:], len(cell))
+        # Each cell's first row with its least margin, nan ranked as inf.
         ranked = np.where(np.isnan(batch.margin), math.inf, batch.margin)
-        hits = np.flatnonzero(batch.margin < -CHECK_TOL).tolist()
-        for c in range(int(cell[0]), int(cell[-1]) + 1):
-            lo = max(c * trials - start, 0)
-            hi = min((c + 1) * trials - start, len(cell))
+        least = np.flatnonzero(ranked == np.minimum.reduceat(ranked, lo)[cell - c0])
+        worsts = batch.margin[least[np.searchsorted(least, lo)]].tolist()
+        # Each cell's first row with a violation; len(cell) stands for none.
+        hits = np.append(np.flatnonzero(batch.margin < -CHECK_TOL), len(cell))
+        firsts = hits[np.searchsorted(hits, lo)].tolist()
+        failed = np.flatnonzero(batch.failed)
+        failed_cell = int(cell[failed[0]]) if failed.size else -1
+        for c, margin, r, end in zip(range(c0, c0 + len(lo)), worsts, firsts, hi.tolist()):
             kind, params = cells[c]
-            # Earlier cells raised on their own failures, so failed[0] >= lo.
-            if failed.size and failed[0] < hi:
+            if c == failed_cell:
                 p, q, _ = batch.pair(int(failed[0]))
                 run_check(kind, p, q, params)
                 raise RuntimeError("the batched and the single-pair evaluation disagree")
-            i = lo + int(ranked[lo:hi].argmin())
-            if batch.margin[i] < worst:
-                worst = float(batch.margin[i])
-            h = bisect.bisect_left(hits, lo)
-            if first is None and h < len(hits) and hits[h] < hi:
-                r = hits[h]
-                first = (int(trial[r]), batch.check(r, kind, params), batch.pair(r)[2])
-            if start + hi == (c + 1) * trials:
+            if margin < worst:
+                worst = margin
+            if first is None and r < end:
+                first = (int(trial[r]), *batch.check(r, kind, params))
+            if start + end == (c + 1) * trials:
                 yield worst, first
                 worst, first = math.inf, None

@@ -27,8 +27,9 @@ evaluates each row at its own (alpha, beta) and returns the error each
 failing row raises, and the scalar functions here are the same kernels at
 k = 1, raising what a term-by-term evaluation in Python floats would raise.
 Powers, logarithms and ``expm1`` come from the C library, as in Python's
-float arithmetic, and sums run one term at a time, so a value has the same
-bits whatever k, the padding and the host's vector unit are.
+float arithmetic, numpy does only correctly rounded arithmetic, and sums
+run one term at a time, so a value has the same bits whatever k, the
+padding and the host's vector unit are.
 """
 from __future__ import annotations
 
@@ -181,6 +182,41 @@ def _h_outer(x: float, alpha: float, beta: float) -> float:
 #: floats, which raise where the C library signals an error.
 _OUTER = (_shannon_outer, _phi_outer, _renyi_outer, _h_outer)
 
+#: Calls with at least this many rows take the outer map in bulk.  The bulk
+#: pass costs a fixed 20-35 us a call and saves about 1 us a row over the
+#: per-row map of ``_OUTER``; measured on rows of 8, the two break even at
+#: 40-60 rows.  The k = 1 callers stay per row.
+_BULK_ROWS = 64
+
+#: Largest ``expm1`` argument the bulk pass settles.  ``math.expm1``
+#: overflows just past log(DBL_MAX) = 709.78, so the rows beyond this bound
+#: go through ``_OUTER``, which gives math's value or its OverflowError.
+_EXPM1_BOUND = 709.0
+
+
+def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """(values, replay): the outer map of every row, with numpy doing the
+    arithmetic of ``_OUTER``'s expressions in their own order (elementwise
+    IEEE operations give Python's float bits) and ``map`` calling
+    ``math.log`` and ``math.expm1``; and the rows whose value this pass
+    cannot settle, which go through ``_OUTER``: an argument outside the
+    domain of the log or of the Shannon forms, and an ``expm1`` argument
+    above ``_EXPM1_BOUND``.
+    """
+    a1, b1 = alpha == 1.0, beta == 1.0
+    replay = ~np.where(a1, x >= 0.0, x > 0.0)
+    logs = np.zeros(len(x))
+    at = ~(a1 | replay)
+    logs[at] = list(map(math.log, x[at].tolist()))
+    one_b = 1.0 - beta
+    arg = np.where(a1, one_b * x * LN2, one_b / (1.0 - alpha) * logs)
+    replay |= ~b1 & (arg > _EXPM1_BOUND)
+    grown = np.zeros(len(x))
+    at = ~(b1 | replay)
+    grown[at] = list(map(math.expm1, arg[at].tolist()))
+    values = np.where(b1, np.where(a1, LN2 * x, logs / (1.0 - alpha)), grown / one_b)
+    return values, np.flatnonzero(replay).tolist()
+
 
 def family_rows(
     w: np.ndarray, alpha, beta, n: np.ndarray | None = None
@@ -199,24 +235,33 @@ def family_rows(
     the smallest-first sums add its zero terms before any real term, and
     the zero-weight rule reads each row's last real entry, which is what
     ``n`` is for.
+
+    The outer map from a row's power sum or Shannon entropy to its value
+    runs row by row through ``_OUTER`` below ``_BULK_ROWS`` rows, and in
+    bulk from there (:func:`_bulk_outer`), with the same bits and errors.
     """
     if not isinstance(alpha, np.ndarray):
         alpha, beta = np.array([float(alpha)] * len(w)), np.array([float(beta)] * len(w))
     with np.errstate(all="ignore"):
         x, terms = _argument(w, alpha, alpha == 1.0)
-    values, errors = [], {}
-    for i, (xi, a, b) in enumerate(zip(x.tolist(), alpha.tolist(), beta.tolist())):
+        if len(w) < _BULK_ROWS:
+            values, replay = np.empty(len(w)), range(len(w))
+        else:
+            values, replay = _bulk_outer(x, alpha, beta)
+    errors = {}
+    for i in replay:
+        a, b = alpha.item(i), beta.item(i)
         try:
-            values.append(_OUTER[(a != 1.0) * 2 + (b != 1.0)](xi, a, b))
+            values[i] = _OUTER[(a != 1.0) * 2 + (b != 1.0)](x.item(i), a, b)
         except (ValueError, OverflowError) as err:
-            values.append(math.nan)
+            values[i] = math.nan
             errors[i] = err
     # A power sum's error comes before any error of the outer map.
     power = _power_errors(w, n, alpha, x, terms)
     for i in power:
         values[i] = math.nan
     errors.update(power)
-    return np.array(values), errors
+    return values, errors
 
 
 def _row(p: ProbabilityDistribution) -> np.ndarray:

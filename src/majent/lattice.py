@@ -66,12 +66,14 @@ def bound_rows(pairs: np.ndarray, join: np.ndarray) -> tuple[np.ndarray, np.ndar
     A row may be zero-padded past its length, and its meet and join then
     are too, exactly: past the length both curves stay at their last value,
     so every difference there is 0, the sort keeps those zeros at the end
-    and :func:`flatten` never grows a block into them.
+    and the block averaging never grows a block into them.
 
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
-    joins whose differences ascend somewhere go through :func:`flatten`;
-    the others are already sorted.
+    joins whose differences ascend somewhere go through the block averaging
+    of :func:`flatten`, without its check of the result, as the meets skip
+    it too: the differences of a max curve are >= 0 and sum to its end.
+    The others are already sorted.
     """
     import numpy as np
 
@@ -81,7 +83,7 @@ def bound_rows(pairs: np.ndarray, join: np.ndarray) -> tuple[np.ndarray, np.ndar
         return meets, ca[:0]
     joins = _row_differences(np.maximum(ca[join], cb[join]))
     for i in np.flatnonzero((joins[:, :-1] < joins[:, 1:]).any(axis=1)).tolist():
-        joins[i] = flatten(joins[i].tolist()).weights
+        joins[i] = _pool(joins[i].tolist())
     return meets, joins
 
 
@@ -135,27 +137,25 @@ def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Wei
     return _differences([max(x, y) for x, y in zip(pa, pb)])
 
 
-def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
-    """Repair a pre-join vector into a sorted distribution.
+def _pool(vals: list) -> list:
+    """Average the violating blocks of ``vals`` in place, left to right, and
+    return it.
 
-    Scans left to right for the first ascent, grows the surrounding block as
-    long as a boundary entry would break the order against the running block
-    average (growth can propagate leftward), replaces the block by its
-    average and restarts.  Adjacent equal entries are not violations.
-
-    The repaired Lorenz curve is the least concave majorant of the input's
-    curve, so among sorted vectors whose curve dominates the input's this is
-    the minimal one in the majorization order.  Values that do not sum to 1
-    are rejected by :func:`~majent.simplex.make_distribution`.
+    Finds the first ascent, grows the surrounding block as long as a
+    boundary entry would break the order against the running block average
+    (growth can propagate leftward), replaces the block by its average and
+    resumes the scan at the block's end.  Nothing before that end can
+    ascend: the prefix held no ascent, the left neighbour is >= the average
+    and the right one <= it.  Adjacent equal entries are not violations.
     """
-    vals = list(values)
     n = len(vals)
+    a = 0
     while True:
-        for a in range(n - 1):
+        for a in range(a, n - 1):
             if vals[a] < vals[a + 1]:
                 break
         else:
-            return make_distribution(vals)
+            return vals
         b = a + 1
         while True:
             avg = sum(vals[a : b + 1]) / (b - a + 1)
@@ -167,6 +167,19 @@ def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
                 continue
             break
         vals[a : b + 1] = [avg] * (b - a + 1)
+        a = b + 1
+
+
+def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
+    """Repair a pre-join vector into a sorted distribution.
+
+    Averages the maximal violating blocks, left to right (see ``_pool``).
+    The repaired Lorenz curve is the least concave majorant of the input's
+    curve, so among sorted vectors whose curve dominates the input's this is
+    the minimal one in the majorization order.  Values that do not sum to 1
+    are rejected by :func:`~majent.simplex.make_distribution`.
+    """
+    return make_distribution(_pool(list(values)))
 
 
 def join(

@@ -43,6 +43,13 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+#: Most points a ``start:step:end`` grid range may have.  Each point adds
+#: cells of ``trials_per_cell`` trials, so a sweep over more would not end,
+#: and a step far below the range's span (1e-300 on [0, 1]) would otherwise
+#: build its tuple of points until memory runs out.
+MAX_GRID_POINTS = 10**6
+
+
 class SweepConfigError(ValueError):
     """A sweep configuration is malformed."""
 
@@ -481,7 +488,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise SweepConfigError(f"grid step must be positive in {text!r}")
     if not (math.isfinite(start) and math.isfinite(end)):
         return (start, end)  # not enumerable; SweepConfig rejects it
-    count = int(round((end - start) / step)) + 1
+    span = (end - start) / step
+    if not math.isfinite(span) or round(span) >= MAX_GRID_POINTS:
+        raise SweepConfigError(
+            f"grid range {text!r} spans {span:g} steps; at most {MAX_GRID_POINTS - 1} are allowed"
+        )
+    count = round(span) + 1
     values = (start + i * step for i in range(count))
     return tuple(v for v in values if v <= end + 1e-9)
 

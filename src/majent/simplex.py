@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 Weight = Union[int, float, Fraction]
 
@@ -90,17 +90,6 @@ class ProbabilityDistribution:
     def dim(self) -> int:
         return len(self.weights)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def support(self) -> tuple[float, ...]:
-        """The strictly positive weights."""
-        return tuple(w for w in self.weights if w > 0)
-
-    def support_size(self) -> int:
-        return sum(1 for w in self.weights if w > 0)
-
     def values(self) -> Sequence[Weight]:
         """Exact weights when available, floats otherwise."""
         return self.exact if self.exact is not None else self.weights
@@ -110,15 +99,6 @@ class ProbabilityDistribution:
         if self.exact is not None:
             return [f"{w.numerator}/{w.denominator}" for w in self.exact]
         return list(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, i: int) -> float:
-        return self.weights[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.weights)
 
 
 def make_distribution(

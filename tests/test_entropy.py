@@ -16,6 +16,7 @@ from majent.entropy import (
     EntropyParams,
     IndexOutOfRangeError,
     ZeroWeightNegativeAlphaError,
+    _BULK_ROWS,
     family_rows,
     g_alpha,
     h_alpha_beta,
@@ -393,3 +394,44 @@ class TestRowKernelBits:
         assert math.isnan(values[1]) and math.isnan(values[3])
         assert values[0] == _term_by_term(make_distribution([0.5, 0.5, 0.0]), 2.0, 3.0)
         assert values[2] == 0.0
+
+    def test_bulk_errors_equal_the_per_row_errors(self):
+        # Each failure of the outer map, and a finite row whose expm1
+        # argument lies in (709, 709.78], among ordinary rows: a call with
+        # at least _BULK_ROWS rows must give each row the value bits, error
+        # type and message of the same row evaluated alone.
+        special = [
+            ([0.5, 0.5, 0.0], 2000.0, 3.0),  # power sum underflows to 0
+            ([0.5, 0.5, 0.0], 2000.0, 1.0),  # log(0): math domain error
+            ([0.5, 0.5, 0.0], 2.0, -2000.0),  # expm1 overflows, h branch
+            ([0.5, 0.5, 0.0], 1.0, -2000.0),  # expm1 overflows, phi branch
+            ([0.5, 0.5, 0.0], 2.0, -1022.5),  # expm1(709.44), h branch
+            ([0.5, 0.5, 0.0], 1.0, -1022.5),  # expm1(709.44), phi branch
+            ([0.5, 0.3, 0.2], -1023.0, 3.0),  # power sum overflows
+            ([0.5, 0.5, 0.0], -1.0, 2.0),  # zero weight at negative order
+        ]
+        ordinary = ((0.5, 2.0), (1.0, 1.0), (-1.5, 1.0), (1.0, 3.0), (2.0, -3.0), (-0.5, 0.5))
+        cases = [
+            (sample_simplex(3, trial_stream(12, 3, t)).weights, alpha, beta)
+            for t in range(8)
+            for alpha, beta in ordinary
+        ]
+        for i, case in enumerate(special * 2):
+            cases.insert(4 * i + 1, case)
+        rows, alphas, betas = (np.array(column) for column in zip(*cases))
+        assert len(rows) >= _BULK_ROWS
+        values, errors = family_rows(rows, alphas, betas)
+        alone = [
+            family_rows(rows[i : i + 1], alphas[i : i + 1], betas[i : i + 1])
+            for i in range(len(rows))
+        ]
+        assert values.view(np.uint64).tolist() == [v.view(np.uint64)[0] for v, _ in alone]
+        assert {i: (type(e), str(e)) for i, e in errors.items()} == {
+            i: (type(e[0]), str(e[0])) for i, (_, e) in enumerate(alone) if e
+        }
+        kinds = sorted(type(e).__name__ for e in errors.values())
+        assert kinds == sorted(
+            ["ValueError"] * 4 + ["OverflowError"] * 6 + ["ZeroWeightNegativeAlphaError"] * 2
+        )
+        finite = [i for i, b in enumerate(betas.tolist()) if b == -1022.5]
+        assert len(finite) == 4 and all(1e305 < values[i] < math.inf for i in finite)

@@ -1,5 +1,6 @@
 """Sampling determinism, counterexample search, sweeps and their reports."""
 import csv
+import hashlib
 import io
 import json
 import math
@@ -316,6 +317,8 @@ class TestConfigParsing:
             "alpha_grid = 2:1:0\nbeta_grid = 2\n",  # end before start
             "alpha_grid = 0:nan:1\nbeta_grid = 2\n",
             "alpha_grid = 0:1:inf\nbeta_grid = 2\n",
+            "alpha_grid = 0:1e-320:1\nbeta_grid = 2\n",  # infinitely many points
+            "alpha_grid = 0:1e-300:1\nbeta_grid = 2\n",  # 1e300 points
             "alpha_grid = 1\nbeta_grid = 2\ndims = nan\n",
             "alpha_grid = 1\nbeta_grid = 2\ndims = inf\n",
             "alpha_grid = 1,,2\nbeta_grid = 2\n",  # empty grid item
@@ -414,6 +417,40 @@ class TestSweep:
         assert len(report.cells) == 2
         for cell in report.cells:
             assert cell.verdict in (Verdict.NO_VIOLATION_FOUND, Verdict.VIOLATION_FOUND)
+
+
+class TestFrozenReports:
+    """Whole sweep reports against sha256 digests recorded from an earlier
+    engine.  ``TestBatchedEngine`` compares the engine with a ``run_check``
+    loop that shares its row kernels, so it cannot see a last-bit change in
+    the kernels themselves; these digests can.  Both configs cross width
+    classes and run to completion (superadditivity at alpha < 0, beta <= 1
+    would abort), and a batch of 7 rows keeps every kernel call small."""
+
+    @pytest.mark.parametrize("batch_rows", [1024, 7])
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                SweepConfig(
+                    alpha_grid=(-2.0, -0.5, 1.0), beta_grid=(1.5, 3.0),
+                    dims=(2, 7, 9, 17, 64), trials_per_cell=24, seed=91,
+                ),
+                "395a26d72c4f047c1197fcfe0c8f4292a1bfdceec42b3b760dbdccd4f7578539",
+            ),
+            (
+                SweepConfig(
+                    alpha_grid=(0.0, 0.5, 1.0, 2.5), beta_grid=(-1.0, 1.0, 3.0),
+                    dims=(2, 7, 9, 17, 64), trials_per_cell=24, seed=92,
+                ),
+                "a81f06c789984d31f80665023243fc966463235ce8fcb0e03a32c05476409cb5",
+            ),
+        ],
+        ids=["negative-orders", "limit-branches"],
+    )
+    def test_report_is_frozen(self, config, digest, batch_rows, monkeypatch):
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
+        assert hashlib.sha256(sweep(config).to_json().encode()).hexdigest() == digest
 
 
 class TestBatchedEngine:

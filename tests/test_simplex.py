@@ -67,25 +67,17 @@ class TestMakeDistribution:
 
     def test_rational_input_stays_exact(self):
         d = make_distribution([Fraction(1, 3)] * 3)
-        assert d.is_exact
+        assert d.exact is not None
         assert d.exact == (Fraction(1, 3),) * 3
         assert d.weights == (1 / 3, 1 / 3, 1 / 3)
 
     def test_any_float_drops_exactness(self):
         d = make_distribution([Fraction(1, 2), 0.25, Fraction(1, 4)])
-        assert not d.is_exact
         assert d.exact is None
-
-    def test_container_protocol(self):
-        d = make_distribution([0.2, 0.8])
-        assert len(d) == 2
-        assert d[0] == 0.8
-        assert list(d) == [0.8, 0.2]
 
     def test_support(self):
         d = make_distribution([0.5, 0.5, 0.0, 0.0])
-        assert d.support() == (0.5, 0.5)
-        assert d.support_size() == 2
+        assert tuple(w for w in d.weights if w > 0) == (0.5, 0.5)
         assert d.dim == 4
 
 
@@ -221,7 +213,7 @@ class TestTensorProduct:
 
     def test_exact_when_both_exact(self):
         t = tensor_product(uniform(2), uniform(3))
-        assert t.is_exact
+        assert t.exact is not None
         assert sum(t.exact) == 1
 
 
@@ -252,7 +244,7 @@ class TestParsing:
 
     def test_parse_distribution_exact(self):
         d = parse_distribution("1/2,3/10,1/10,1/10", exact=True)
-        assert d.is_exact
+        assert d.exact is not None
         assert d.exact[0] == Fraction(1, 2)
 
 
