@@ -34,7 +34,7 @@ from .properties import (
     oriented_sides,
     run_check,
 )
-from .search import REFERENCE_PAIRS, trial_key
+from .search import REFERENCE_PAIRS, CounterexampleRecord, trial_key
 from .simplex import ProbabilityDistribution
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
@@ -86,14 +86,14 @@ class _Batch:
 
     ``lhs``, ``rhs``, ``margin`` and ``failed`` are in row order;
     :meth:`pair` rebuilds the pair of one row for a replay and
-    :meth:`check` the record :func:`~majent.properties.run_check` would
-    return for it, with the pair's source.  Rows are evaluated in width classes: a row of
-    dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and the
-    rows of a class, joined or not, go through the kernels as one array.
+    :meth:`counterexample` the record of a violating row.  Rows are
+    evaluated in width classes: a row of dimension n is zero-padded to n
+    rounded up to ``CLASS_WIDTH``, and the rows of a class, joined or not,
+    go through the kernels as one array.
     """
 
     def __init__(self, gen, grid, dims, seed, cell, trial):
-        self.trial = trial
+        self.seed, self.cell, self.trial = seed, cell, trial
         k = len(cell)
         kind_index, alpha, beta = (column[cell] for column in grid)
         self.ref = (alpha >= 0.0) & (trial < len(REFERENCE_PAIRS))
@@ -151,27 +151,29 @@ class _Batch:
         (p, q, _, _), i, _, n = self._slot(r)
         return row_distribution(p[i, :n]), row_distribution(q[i, :n]), "random"
 
-    def check(
+    def counterexample(
         self, r: int, kind: PropertyKind, params: EntropyParams
-    ) -> tuple[PropertyCheckRecord, str]:
-        """The record of row ``r``, built from the batch's own values, and
-        the source of its pair."""
+    ) -> CounterexampleRecord:
+        """Row ``r`` with its replay key; its check is the record
+        :func:`~majent.properties.run_check` would return, built from the
+        batch's own values."""
         p, q, source = self.pair(r)
         (_, _, meets, joins), i, j, n = self._slot(r)
-        margin = float(self.margin[r])
-        return PropertyCheckRecord(
+        check = PropertyCheckRecord(
             kind=kind,
             p=p,
             q=q,
             params=params,
             lhs=float(self.lhs[r]),
             rhs=float(self.rhs[r]),
-            margin=margin,
-            holds=margin >= -CHECK_TOL,
+            margin=float(self.margin[r]),
             tolerance=CHECK_TOL,
             meet=row_distribution(meets[i, :n]),
             join=row_distribution(joins[j, :n]) if self.joined[r] else None,
-        ), source
+        )
+        return CounterexampleRecord(
+            check, self.seed, int(self.cell[r]), int(self.trial[r]), source
+        )
 
 
 def run_cells(
@@ -179,15 +181,15 @@ def run_cells(
     dims: Sequence[int],
     trials: int,
     seed: int,
-) -> Iterator[tuple[float, tuple[int, PropertyCheckRecord, str] | None]]:
-    """Yield (worst margin, first violation) for each cell, in order.
+) -> Iterator[tuple[float, CounterexampleRecord | None]]:
+    """Yield (worst margin, first counterexample) for each cell, in order.
 
     Cell ``i`` runs the check ``cells[i]`` with cell index ``i``.  The
     pairs of ``search.REFERENCE_PAIRS`` are its leading trials whenever the
     order is non-negative (they may contain a zero weight, so negative
     orders skip them); the rest are fresh samples with the dimension
-    cycling through ``dims``.  The first violation is (trial, check record, source), or
-    None.  A trial whose evaluation fails is replayed through
+    cycling through ``dims``.  A cell without a violation has None for its
+    counterexample.  A trial whose evaluation fails is replayed through
     :func:`~majent.properties.run_check`, which raises its error; as in a
     trial-by-trial loop, the first failing trial of a cell raises before
     the cell is yielded.
@@ -199,7 +201,8 @@ def run_cells(
     its worst margin and first violation from the earliest batch that set
     them.
     """
-    gen = np.random.Generator(np.random.Philox())
+    # Every trial sets its own key; a fixed one here draws no OS entropy.
+    gen = np.random.Generator(np.random.Philox(key=0))
     kinds = list(PropertyKind)
     grid = (
         np.array([kinds.index(kind) for kind, _ in cells]),
@@ -233,7 +236,7 @@ def run_cells(
             if margin < worst:
                 worst = margin
             if first is None and r < end:
-                first = (int(trial[r]), *batch.check(r, kind, params))
+                first = batch.counterexample(r, kind, params)
             if start + end == (c + 1) * trials:
                 yield worst, first
                 worst, first = math.inf, None

@@ -112,6 +112,11 @@ def _sum_smallest_first(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1]
 
 
+def _mapped(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each entry of the 1-d ``x``, called on Python floats."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
 def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     """(x, terms): per row of ``w``, the Shannon entropy in bits where
     ``logged``, else the power sum at the row's ``alpha``, and the terms
@@ -133,7 +138,7 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
         g = w[at]
         # -(g log2 g), negated exactly before the sum: the sum is then
         # 0.0 minus the sum of the g log2 g, bit for bit.
-        terms[at] = (0.0 - np.array(list(map(math.log2, g.tolist())))) * g
+        terms[at] = (0.0 - _mapped(math.log2, g)) * g
     if False in flags:
         np.float_power(w, alpha[:, None], out=terms, where=positive)
     return _sum_smallest_first(terms), terms
@@ -207,13 +212,13 @@ def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     replay = ~np.where(a1, x >= 0.0, x > 0.0)
     logs = np.zeros(len(x))
     at = ~(a1 | replay)
-    logs[at] = list(map(math.log, x[at].tolist()))
+    logs[at] = _mapped(math.log, x[at])
     one_b = 1.0 - beta
     arg = np.where(a1, one_b * x * LN2, one_b / (1.0 - alpha) * logs)
     replay |= ~b1 & (arg > _EXPM1_BOUND)
     grown = np.zeros(len(x))
     at = ~(b1 | replay)
-    grown[at] = list(map(math.expm1, arg[at].tolist()))
+    grown[at] = _mapped(math.expm1, arg[at])
     values = np.where(b1, np.where(a1, LN2 * x, logs / (1.0 - alpha)), grown / one_b)
     return values, np.flatnonzero(replay).tolist()
 

@@ -26,6 +26,8 @@ without it.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .simplex import ProbabilityDistribution, Weight, make_distribution, paired_curves
@@ -147,6 +149,9 @@ def _pool(vals: list) -> list:
     resumes the scan at the block's end.  Nothing before that end can
     ascend: the prefix held no ascent, the left neighbour is >= the average
     and the right one <= it.  Adjacent equal entries are not violations.
+
+    A block's total is summed left to right, as the builtin ``sum`` was
+    before Python 3.12 compensated it, so no bit depends on the version.
     """
     n = len(vals)
     a = 0
@@ -157,15 +162,17 @@ def _pool(vals: list) -> list:
         else:
             return vals
         b = a + 1
+        total = vals[a] + vals[b]
         while True:
-            avg = sum(vals[a : b + 1]) / (b - a + 1)
+            avg = total / (b - a + 1)
             if a > 0 and vals[a - 1] < avg:
                 a -= 1
-                continue
-            if b + 1 < n and vals[b + 1] > avg:
+                total = reduce(add, vals[a : b + 1])
+            elif b + 1 < n and vals[b + 1] > avg:
                 b += 1
-                continue
-            break
+                total += vals[b]
+            else:
+                break
         vals[a : b + 1] = [avg] * (b - a + 1)
         a = b + 1
 

@@ -58,10 +58,13 @@ class PropertyCheckRecord:
     lhs: float
     rhs: float
     margin: float
-    holds: bool
     tolerance: float
     meet: ProbabilityDistribution
     join: ProbabilityDistribution | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.margin >= -self.tolerance  # False for a nan margin
 
     @property
     def verdict_label(self) -> str:
@@ -161,7 +164,6 @@ def run_check(
         sm, sp, sq = _family_values((m, p, q), params)
         sj = None
     lhs, rhs, margin = oriented_sides(kind, params.alpha, params.beta, sp, sq, sm, sj)
-    margin = float(margin)
     return PropertyCheckRecord(
         kind=kind,
         p=p,
@@ -169,8 +171,7 @@ def run_check(
         params=params,
         lhs=lhs,
         rhs=rhs,
-        margin=margin,
-        holds=margin >= -tolerance,
+        margin=float(margin),
         tolerance=tolerance,
         meet=m,
         join=j,

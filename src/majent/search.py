@@ -23,9 +23,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: and a step far below the range's span (1e-300 on [0, 1]) would otherwise
 #: build its tuple of points until memory runs out.
 MAX_GRID_POINTS = 10**6
+
+#: Largest pair dimension a sweep or search takes.  A batch of 1024 trials
+#: then holds 64 MiB per (2, k, n) pair array, and its kernels make several.
+MAX_DIM = 4096
 
 
 class SweepConfigError(ValueError):
@@ -88,25 +92,12 @@ class ReferencePair:
     expected_margin: float
 
 
-def _ref(name, p, q, violates, meet_w, join_w, values, margin):
-    return ReferencePair(
-        name,
-        make_distribution(p),
-        make_distribution(q),
-        violates,
-        meet_w,
-        join_w,
-        values,
-        margin,
-    )
-
-
 #: Breaks supermodularity at (2, 3): the pair's entropies sum to 0.8704 but
 #: the meet and join entropies only to 0.8700.
-KNOWN_SUPERMODULARITY_VIOLATION = _ref(
+KNOWN_SUPERMODULARITY_VIOLATION = ReferencePair(
     "reference-pair-1",
-    (0.5, 0.3, 0.1, 0.1),
-    (0.4, 0.4, 0.2, 0.0),
+    make_distribution((0.5, 0.3, 0.1, 0.1)),
+    make_distribution((0.4, 0.4, 0.2, 0.0)),
     PropertyKind.SUPERMODULAR,
     (0.4, 0.4, 0.1, 0.1),
     (0.5, 0.3, 0.2, 0.0),
@@ -116,10 +107,10 @@ KNOWN_SUPERMODULARITY_VIOLATION = _ref(
 
 #: Breaks submodularity at (2, 3): 0.8826875 on the pair side against
 #: 0.8883875 on the lattice side.
-KNOWN_SUBMODULARITY_VIOLATION = _ref(
+KNOWN_SUBMODULARITY_VIOLATION = ReferencePair(
     "reference-pair-2",
-    (0.5, 0.2, 0.2, 0.1),
-    (0.4, 0.4, 0.15, 0.05),
+    make_distribution((0.5, 0.2, 0.2, 0.1)),
+    make_distribution((0.4, 0.4, 0.15, 0.05)),
     PropertyKind.SUBMODULAR,
     (0.4, 0.3, 0.2, 0.1),
     (0.5, 0.3, 0.15, 0.05),
@@ -209,27 +200,6 @@ def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:
     return False
 
 
-def _cell_outcomes(
-    cells: Sequence[tuple[PropertyKind, EntropyParams]],
-    dims: Sequence[int],
-    trials: int,
-    seed: int,
-) -> Iterator[tuple[float, CounterexampleRecord | None]]:
-    """(worst margin, first counterexample) of each cell, in order; cell
-    ``i`` is ``cells[i]`` with cell index ``i``.  See
-    :func:`~majent.engine.run_cells`."""
-    # Imported here, so that one-shot commands without a sweep do not
-    # compile the engine.
-    from .engine import run_cells
-
-    for c, (worst, first) in enumerate(run_cells(cells, dims, trials, seed)):
-        if first is None:
-            yield worst, None
-        else:
-            trial, check, source = first
-            yield worst, CounterexampleRecord(check, seed, c, trial, source)
-
-
 def find_counterexample(
     kind: PropertyKind,
     params: EntropyParams,
@@ -243,9 +213,15 @@ def find_counterexample(
     lead the trial order, so the known breakdowns at (2, 3) are found
     independent of seed.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    return next(_cell_outcomes([(kind, params)], (n,), trials, seed))[1]
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"need an integer trials >= 1, got {trials!r}")
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
+        raise ValueError(f"need an integer n from 1 to {MAX_DIM}, got {n!r}")
+    # Imported on use, so that commands that run no search (verify-paper)
+    # do not compile the engine.
+    from .engine import run_cells
+
+    return next(run_cells([(kind, params)], (int(n),), trials, seed))[1]
 
 
 def verify_paper_counterexamples(
@@ -330,12 +306,16 @@ class SweepConfig:
             _check_ascending(name, grid)
             if any(not math.isfinite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
-        if any(not math.isfinite(d) or int(d) != d or d < 2 for d in self.dims):
-            raise SweepConfigError(f"dims must be integers >= 2: {self.dims}")
+        if any(not math.isfinite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in self.dims):
+            raise SweepConfigError(
+                f"dims must be integers >= 2 and <= {MAX_DIM} (a batch of trials holds "
+                f"its pairs in memory at full width): {self.dims}"
+            )
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         _check_ascending("dims", self.dims)
-        if self.trials_per_cell < 1:
-            raise SweepConfigError("trials_per_cell must be >= 1")
+        trials = self.trials_per_cell
+        if not (isinstance(trials, numbers.Integral) and trials >= 1):
+            raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
         if not self.properties:
             raise SweepConfigError("properties must not be empty")
         canonical = tuple(k for k in PropertyKind if k in set(self.properties))
@@ -358,12 +338,22 @@ class CellReport:
     alpha: float
     beta: float
     kind: PropertyKind
-    verdict: Verdict
-    guaranteed: bool
     worst_margin: float
     trials: int
     seed: int
     counterexample: CounterexampleRecord | None
+
+    @property
+    def guaranteed(self) -> bool:
+        return theorem_guaranteed(self.kind, self.alpha, self.beta)
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.counterexample is not None:
+            return Verdict.VIOLATION_FOUND
+        if self.guaranteed:
+            return Verdict.THEOREM_GUARANTEED
+        return Verdict.NO_VIOLATION_FOUND
 
     def to_json_dict(self) -> dict:
         return {
@@ -385,10 +375,14 @@ class CellReport:
 class RegionSweepReport:
     """All cell outcomes of one sweep, plus the reproduction header."""
 
-    algorithm: str
-    seed: int
     config: SweepConfig
     cells: tuple[CellReport, ...]
+
+    algorithm = STREAM_ALGORITHM
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def to_json_dict(self) -> dict:
         return {
@@ -421,49 +415,29 @@ def sweep(config: SweepConfig) -> RegionSweepReport:
     deterministic no matter how the work would be scheduled.  A violation
     inside a guaranteed region aborts with :class:`GuaranteeViolationError`.
     """
-    grid = [
-        (alpha, beta, kind, EntropyParams.make(alpha, beta))
+    from .engine import run_cells
+
+    cells = [
+        (kind, params)
         for alpha in config.alpha_grid
         for beta in config.beta_grid
+        for params in (EntropyParams.make(alpha, beta),)
         for kind in config.properties
     ]
-    outcomes = _cell_outcomes(
-        [(kind, params) for _, _, kind, params in grid],
-        config.dims,
-        config.trials_per_cell,
-        config.seed,
-    )
-    cells: list[CellReport] = []
-    for (alpha, beta, kind, _), (worst, found) in zip(grid, outcomes):
-        guaranteed = theorem_guaranteed(kind, alpha, beta)
-        if found is not None:
-            if guaranteed:
-                raise GuaranteeViolationError(
-                    f"violation in guaranteed region: {kind.value} at "
-                    f"alpha={alpha}, beta={beta}, trial "
-                    f"{found.trial_index}, margin "
-                    f"{found.check.margin!r}; either the implementation "
-                    "or the guarantee table is wrong"
-                )
-            verdict = Verdict.VIOLATION_FOUND
-        elif guaranteed:
-            verdict = Verdict.THEOREM_GUARANTEED
-        else:
-            verdict = Verdict.NO_VIOLATION_FOUND
-        cells.append(
-            CellReport(
-                alpha=float(alpha),
-                beta=float(beta),
-                kind=kind,
-                verdict=verdict,
-                guaranteed=guaranteed,
-                worst_margin=worst,
-                trials=config.trials_per_cell,
-                seed=config.seed,
-                counterexample=found,
-            )
+    reports: list[CellReport] = []
+    outcomes = run_cells(cells, config.dims, config.trials_per_cell, config.seed)
+    for (kind, params), (worst, found) in zip(cells, outcomes):
+        cell = CellReport(
+            params.alpha, params.beta, kind, worst, config.trials_per_cell, config.seed, found
         )
-    return RegionSweepReport(STREAM_ALGORITHM, config.seed, config, tuple(cells))
+        if found is not None and cell.guaranteed:
+            raise GuaranteeViolationError(
+                f"violation in guaranteed region: {kind.value} at alpha={cell.alpha}, "
+                f"beta={cell.beta}, trial {found.trial_index}, margin {found.check.margin!r}; "
+                "either the implementation or the guarantee table is wrong"
+            )
+        reports.append(cell)
+    return RegionSweepReport(config, tuple(reports))
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

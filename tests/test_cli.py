@@ -266,6 +266,14 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error: dims must be integers >= 2")
 
+    def test_oversized_dims_is_usage_error(self, tmp_path):
+        # One batch of these pairs would need 1.49 TiB.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 100000000\ntrials_per_cell = 1024\n")
+        code, out, err = run(["sweep", "--config", str(cfg)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: dims must be integers >= 2 and <= 4096 (")
+
     def test_unwritable_out_is_usage_error(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(GOOD_CONFIG)

@@ -88,6 +88,18 @@ class TestPreJoinAndFlatten:
         raw = [Fraction(1, 5), Fraction(4, 5)]
         assert flatten(raw).exact == (Fraction(1, 2), Fraction(1, 2))
 
+    def test_block_sums_run_left_to_right_on_every_python(self):
+        # One block of 11, grown both ways.  Python 3.12's compensated
+        # builtin sum gives 0.0909090909090909 here; a left-to-right sum
+        # gives the bits below on every version.
+        raw = [
+            0.03991596638309493, 0.0012327628351515847, 0.12128726926824884,
+            0.01402485585558474, 0.2550865824861394, 0.0035321928973136435,
+            0.12232427819767044, 0.14012264868980276, 0.02535634858461899,
+            0.0729555526108383, 0.20416154219153632,
+        ]
+        assert flatten(raw).weights == (0.09090909090909091,) * 11
+
 
 class TestJoin:
     def test_hand_curve(self):

@@ -21,6 +21,7 @@ from majent.search import (
     DEFAULT_SEED,
     KNOWN_SUBMODULARITY_VIOLATION,
     KNOWN_SUPERMODULARITY_VIOLATION,
+    MAX_DIM,
     REFERENCE_PAIRS,
     STREAM_ALGORITHM,
     CounterexampleRecord,
@@ -139,8 +140,14 @@ class TestFindCounterexample:
         assert find_counterexample(PropertyKind.SUPERMODULAR, params, 4, 10_000) is None
 
     def test_requires_trials(self):
-        with pytest.raises(ValueError):
-            find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), 4, 0)
+        for trials in (0, 2.5):
+            with pytest.raises(ValueError, match="need an integer trials >= 1"):
+                find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), 4, trials)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, MAX_DIM + 1])
+    def test_requires_an_integer_dimension_up_to_the_cap(self, n):
+        with pytest.raises(ValueError, match="need an integer n from 1 to"):
+            find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), n, 10)
 
     def test_random_record_replays_bit_for_bit(self):
         params = EntropyParams.make(-1.0, 0.0)
@@ -248,6 +255,8 @@ class TestSweepConfig:
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(2, 2)),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=0),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=()),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=2.5),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(2, MAX_DIM + 1)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
