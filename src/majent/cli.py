@@ -259,14 +259,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check(args, parser)
         if args.command == "verify-paper":
             return _cmd_verify_paper(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_sweep(args)
     except VectorParseError as err:
         return _error(err, EXIT_USAGE)
     except (ValueError, OverflowError) as err:
         return _error(err, EXIT_DOMAIN)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

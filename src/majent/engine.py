@@ -29,8 +29,8 @@ from .lattice import bound_rows, row_distribution, sorted_rows
 from .properties import (
     _CHECKS,
     CHECK_TOL,
-    PropertyCheckRecord,
     PropertyKind,
+    check_record,
     oriented_sides,
     run_check,
 )
@@ -155,22 +155,13 @@ class _Batch:
         self, r: int, kind: PropertyKind, params: EntropyParams
     ) -> CounterexampleRecord:
         """Row ``r`` with its replay key; its check is the record
-        :func:`~majent.properties.run_check` would return, built from the
-        batch's own values."""
+        :func:`~majent.properties.run_check` would return, built by the same
+        :func:`~majent.properties.check_record` from the batch's own rows."""
         p, q, source = self.pair(r)
         (_, _, meets, joins), i, j, n = self._slot(r)
-        check = PropertyCheckRecord(
-            kind=kind,
-            p=p,
-            q=q,
-            params=params,
-            lhs=float(self.lhs[r]),
-            rhs=float(self.rhs[r]),
-            margin=float(self.margin[r]),
-            tolerance=CHECK_TOL,
-            meet=row_distribution(meets[i, :n]),
-            join=row_distribution(joins[j, :n]) if self.joined[r] else None,
-        )
+        sides = self.lhs[r], self.rhs[r], self.margin[r]
+        join = joins[j, :n] if self.joined[r] else None
+        check = check_record(kind, p, q, params, sides, meets[i, :n], join)
         return CounterexampleRecord(
             check, self.seed, int(self.cell[r]), int(self.trial[r]), source
         )

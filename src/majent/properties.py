@@ -78,10 +78,10 @@ class PropertyCheckRecord:
         return {
             "kind": self.kind.value,
             "params": self.params.to_json_dict(),
-            "p": self.p.weights_json(),
-            "q": self.q.weights_json(),
-            "meet": self.meet.weights_json(),
-            "join": self.join.weights_json() if self.join is not None else None,
+            "p": list(self.p.weights),
+            "q": list(self.q.weights),
+            "meet": list(self.meet.weights),
+            "join": list(self.join.weights) if self.join is not None else None,
             "lhs": json_float(self.lhs),
             "rhs": json_float(self.rhs),
             "margin": json_float(self.margin),
@@ -123,22 +123,17 @@ def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
     return lhs, rhs, rhs - lhs if orientation > 0 else lhs - rhs
 
 
-def _family_values(dists, params: EntropyParams) -> list[float]:
-    """The family value of each of ``dists`` at ``params``, evaluated as the
-    zero-padded rows of one array.  The error of the first distribution,
-    in sequence order, whose evaluation fails is raised."""
-    import numpy as np
-
-    from .entropy import family_rows
-
-    n = [d.dim for d in dists]
-    m = max(n)
-    rows = np.array([d.weights + (0.0,) * (m - d.dim) for d in dists])
-    lengths = np.array(n) if min(n) < m else None
-    values, errors = family_rows(rows, params.alpha, params.beta, lengths)
-    if errors:
-        raise errors[min(errors)]
-    return values.tolist()
+def check_record(
+    kind: PropertyKind, p, q, params: EntropyParams, sides, meet_row, join_row, tolerance=CHECK_TOL
+) -> PropertyCheckRecord:
+    """The record of check ``kind`` on (p, q) from its (lhs, rhs, margin)
+    ``sides`` and the kernel rows of its meet and join, cut to their
+    dimension; ``join_row`` is None for the meet-only kinds."""
+    lhs, rhs, margin = map(float, sides)
+    join = None if join_row is None else lattice.row_distribution(join_row)
+    return PropertyCheckRecord(
+        kind, p, q, params, lhs, rhs, margin, tolerance, lattice.row_distribution(meet_row), join
+    )
 
 
 def run_check(
@@ -154,25 +149,25 @@ def run_check(
     The modular kinds compare S(p) + S(q) (lhs) with S(p meet q) +
     S(p join q) (rhs); the others compare S(p meet q) (lhs) with
     S(p) + S(q), plus the cross term (1 - beta) S(p) S(q) for the
-    generalized kind (rhs).  The family values are taken in that order, so
-    the first one that fails raises.
+    generalized kind (rhs).  The check runs in floats, on the engine's row
+    kernels at one zero-padded row, and the first family value to fail, in
+    the order of the sides, raises.
     """
-    m, j = lattice.bounds(p, q, join=_CHECKS[kind][0])
-    if j is not None:
-        sp, sq, sm, sj = _family_values((p, q, m, j), params)
-    else:
-        sm, sp, sq = _family_values((m, p, q), params)
-        sj = None
-    lhs, rhs, margin = oriented_sides(kind, params.alpha, params.beta, sp, sq, sm, sj)
-    return PropertyCheckRecord(
-        kind=kind,
-        p=p,
-        q=q,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        margin=float(margin),
-        tolerance=tolerance,
-        meet=m,
-        join=j,
-    )
+    import numpy as np
+
+    from .entropy import family_rows
+
+    joined = _CHECKS[kind][0]
+    n = max(p.dim, q.dim)
+    pairs = np.zeros((2, 1, n))
+    pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
+    meets, joins = lattice.bound_rows(pairs, np.array([joined]))
+    lengths = np.array([p.dim, q.dim, n, n][: 3 + joined]) if p.dim != q.dim else None
+    rows = np.concatenate([pairs[0], pairs[1], meets, joins])
+    values, errors = family_rows(rows, params.alpha, params.beta, lengths)
+    if errors:  # meet-only kinds take the meet first
+        raise errors[min(errors, key=None if joined else (2, 0, 1).index)]
+    # S(p), S(q), S(meet) and S(join), None for the meet-only kinds.
+    sides = oriented_sides(kind, params.alpha, params.beta, *(values.tolist() + [None])[:4])
+    join_row = joins[0] if joined else None
+    return check_record(kind, p, q, params, sides, meets[0], join_row, tolerance)

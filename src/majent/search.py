@@ -131,6 +131,12 @@ def trial_key(seed: int, cell_index, trial_index) -> list:
     return [seed & _MASK64, ((cell_index & _MASK32) << 32) | (trial_index & _MASK32)]
 
 
+def _check_seed(seed, error=ValueError) -> None:
+    """Raise ``error`` unless ``seed`` is an int, not a bool, that fits a 64-bit key word."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
+        raise error(f"seed must be an integer in [0, 2**64): {seed!r}")
+
+
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
     """The counter-based stream for one trial, independent of all others."""
     key = np.array(trial_key(seed, cell_index, trial_index), dtype=np.uint64)
@@ -217,6 +223,7 @@ def find_counterexample(
         raise ValueError(f"need an integer trials >= 1, got {trials!r}")
     if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
         raise ValueError(f"need an integer n from 1 to {MAX_DIM}, got {n!r}")
+    _check_seed(seed)
     # Imported on use, so that commands that run no search (verify-paper)
     # do not compile the engine.
     from .engine import run_cells
@@ -316,6 +323,7 @@ class SweepConfig:
         trials = self.trials_per_cell
         if not (isinstance(trials, numbers.Integral) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
+        _check_seed(self.seed, SweepConfigError)
         if not self.properties:
             raise SweepConfigError("properties must not be empty")
         canonical = tuple(k for k in PropertyKind if k in set(self.properties))

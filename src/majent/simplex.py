@@ -90,16 +90,6 @@ class ProbabilityDistribution:
     def dim(self) -> int:
         return len(self.weights)
 
-    def values(self) -> Sequence[Weight]:
-        """Exact weights when available, floats otherwise."""
-        return self.exact if self.exact is not None else self.weights
-
-    def weights_json(self) -> list:
-        """JSON-ready weights: floats, or ``"a/b"`` strings in exact mode."""
-        if self.exact is not None:
-            return [f"{w.numerator}/{w.denominator}" for w in self.exact]
-        return list(self.weights)
-
 
 def make_distribution(
     raw: Sequence[Weight], *, normalize: bool = False
@@ -138,13 +128,6 @@ def make_distribution(
     if not exact:
         return ProbabilityDistribution(tuple(vals))
     return ProbabilityDistribution(tuple(map(float, vals)), tuple(vals))
-
-
-def uniform(n: int) -> ProbabilityDistribution:
-    """The uniform distribution on ``n`` outcomes, exact."""
-    if n < 1:
-        raise EmptyInputError("need n >= 1")
-    return make_distribution([Fraction(1, n)] * n)
 
 
 def pad(p: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
@@ -204,10 +187,9 @@ def compare(
 def tensor_product(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:
-    """Distribution of the independent pair, sorted: entries ``p_i * q_j``."""
-    vp = p.values()
-    vq = q.values()
-    return make_distribution([x * y for x in vp for y in vq])
+    """Distribution of the independent pair, sorted: entries ``p_i * q_j``,
+    in floats."""
+    return make_distribution([x * y for x in p.weights for y in q.weights])
 
 
 def parse_weights(text: str, *, exact: bool = False) -> list[Weight]:

@@ -23,8 +23,11 @@ def run(argv):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Runs main() on the given arguments, then reports on a last stderr line
-#: whether numpy was imported.
+#: The modules whose import :func:`run_fresh` reports.
+WATCHED = ("numpy", "majent.search", "majent.engine")
+
+#: Runs main() on the given arguments, then lists on a last stderr line
+#: which of ``WATCHED`` were imported.
 FRESH_MAIN = (
     "import sys\n"
     "from majent.cli import main\n"
@@ -32,15 +35,16 @@ FRESH_MAIN = (
     "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    f"print('imported:', *(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
 def run_fresh(argv):
     """Invoke main() in a new interpreter, as the ``majent`` script does,
-    capturing (exit_code, stdout, stderr, whether numpy was imported).  The
-    test process has numpy loaded already, so only a new one can tell.
+    capturing (exit_code, stdout, stderr, the set of ``WATCHED`` modules it
+    imported).  The test process has them loaded already, so only a new one
+    can tell.
     ``MAJENT_SEED`` is unset, so a sweep runs at the built-in seed."""
     env = {k: v for k, v in os.environ.items() if k != "MAJENT_SEED"}
     proc = subprocess.run(
@@ -50,8 +54,8 @@ def run_fresh(argv):
         text=True,
         timeout=120,
     )
-    err, _, flag = proc.stderr.rpartition("numpy imported: ")
-    return proc.returncode, proc.stdout, err, flag == "True\n"
+    err, _, loaded = proc.stderr.rpartition("imported:")
+    return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
 class TestEntropyCommand:
@@ -247,6 +251,26 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "MAJENT_SEED" in err
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, 5 - 2**64])
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, monkeypatch, seed, source):
+        # The key holds the seed in one 64-bit word, so these would run the
+        # streams of seed 5 under another name.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_CONFIG + (f"seed = {seed}\n" if source == "config" else ""))
+        monkeypatch.setenv("MAJENT_SEED", str(seed) if source == "env" else "5")
+        code, out, err = run(["sweep", "--config", str(cfg)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: seed must be an integer in [0, 2**64): {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_run(self, tmp_path, monkeypatch, seed):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        monkeypatch.setenv("MAJENT_SEED", str(seed))
+        code, out, _ = run(["sweep", "--config", str(cfg)])
+        assert (code, out.split("\n")[0].endswith(f"seed: {seed}")) == (EXIT_OK, True)
+
     def test_missing_config_file(self, tmp_path):
         code, _, err = run(["sweep", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_USAGE
@@ -345,6 +369,22 @@ class TestErrorMapping:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            # The meet-only kinds take S(meet) first: 1e-7 ** -50 overflows.
+            ("subadditive", "(34, 'Numerical result out of range')"),
+            # The modular kinds take S(p) first: p has a zero weight.
+            ("supermodular", "zero weight is outside the domain for alpha = -50.0"),
+        ],
+    )
+    def test_first_failing_family_value_in_the_order_of_the_sides(self, kind, message):
+        code, out, err = run(
+            ["check", "--property", kind, "--p", "0.5,0.5,0",
+             "--q", "0.5,0.4999999,1e-7", "--alpha", "-50", "--beta", "2"]
+        )
+        assert (code, out, err) == (EXIT_DOMAIN, "", f"error: {message}\n")
+
     def test_nan_margin_is_labelled_violated(self):
         # 2 * 0.5 ** -1023 overflows to inf inside the power sum, so
         # lhs = rhs = inf and the margin is nan, which must not "hold".
@@ -403,16 +443,31 @@ class TestImportOnUse:
         ],
     )
     def test_exact_and_parse_only_commands_do_not_import_numpy(self, argv, code):
-        got, _, _, numpy_imported = run_fresh(argv)
-        assert (got, numpy_imported) == (code, False)
+        got, _, _, loaded = run_fresh(argv)
+        assert (got, "numpy" in loaded) == (code, False)
 
     def test_check_imports_numpy(self):
-        got, out, _, numpy_imported = run_fresh(
+        got, out, _, loaded = run_fresh(
             ["check", "--property", "subadditive", "--p", "0.5,0.5",
              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"]
         )
-        assert (got, numpy_imported) == (EXIT_OK, True)
+        assert (got, "numpy" in loaded) == (EXIT_OK, True)
         assert out.endswith("verdict: holds\n")
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (["check", "--property", "supermodular", "--p", "0.5,0.5",
+              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], {"numpy"}),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], {"numpy"}),
+            (["verify-paper"], {"numpy", "majent.search"}),
+        ],
+    )
+    def test_only_sweeps_and_searches_load_the_engine(self, argv, loaded):
+        # A check runs the engine's kernels, not the engine; verify-paper
+        # replays its pairs through run_check.
+        got, _, _, imported = run_fresh(argv)
+        assert (got, imported) == (EXIT_OK, loaded)
 
     @pytest.mark.parametrize(
         "text,code,message",

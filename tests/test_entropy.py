@@ -6,6 +6,7 @@ arithmetic), so a regression in any branch shows up as a clean mismatch
 rather than a tolerance fight.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,11 +30,16 @@ from majent.entropy import (
     tsallis,
 )
 from majent.search import sample_simplex, trial_stream
-from majent.simplex import make_distribution, pad, tensor_product, uniform
+from majent.simplex import make_distribution, pad, tensor_product
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
 Q1 = make_distribution([0.4, 0.4, 0.2, 0.0])
 AT_2_3 = EntropyParams.make(2.0, 3.0)
+
+
+def uniform(n):
+    """The exact uniform distribution on ``n`` outcomes."""
+    return make_distribution([Fraction(1, n)] * n)
 
 
 def raw_family_value(weights, alpha, beta):

@@ -16,8 +16,13 @@ from majent.simplex import (
     compare,
     make_distribution,
     pad,
-    uniform,
 )
+
+
+def uniform(n):
+    """The exact uniform distribution on ``n`` outcomes."""
+    return make_distribution([Fraction(1, n)] * n)
+
 
 # Weight vectors as small integers over a common denominator; the exact
 # constructor path turns them into Fractions.

@@ -4,6 +4,11 @@ The two fixed pairs below are the ones every report in this package keeps
 coming back to: at (alpha, beta) = (2, 3) the first breaks supermodularity
 by 4e-4 and the second breaks submodularity by 5.7e-3.
 """
+import dataclasses
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 
 from majent.entropy import EntropyParams, ZeroWeightNegativeAlphaError, sharma_mittal
@@ -13,7 +18,7 @@ from majent.properties import (
     PropertyKind,
     run_check,
 )
-from majent.search import find_counterexample, sample_simplex, trial_stream
+from majent.search import REFERENCE_PAIRS, find_counterexample, sample_simplex, trial_stream
 from majent.simplex import make_distribution
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
@@ -196,3 +201,49 @@ class TestRandomPairConsistency:
         if alpha < 0:
             with pytest.raises(ZeroWeightNegativeAlphaError, match="alpha = -1.0"):
                 run_check(PropertyKind.SUBADDITIVE, P1, Q1, ints)
+
+
+class TestExactInputs:
+    @pytest.mark.parametrize("kind", list(PropertyKind))
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (0.5, 1.0), (1.0, 2.0)])
+    def test_exact_pair_checks_as_its_float_weights(self, kind, alpha, beta):
+        # A check runs in floats whatever its inputs carry, so only the
+        # exact copies of p and q set the two records apart.
+        p = make_distribution([Fraction(1, 2), Fraction(3, 10), Fraction(1, 10), Fraction(1, 10)])
+        q = make_distribution([Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)])
+        fp, fq = make_distribution(p.weights), make_distribution(q.weights)
+        params = EntropyParams.make(alpha, beta)
+        exact, floats = run_check(kind, p, q, params), run_check(kind, fp, fq, params)
+        assert dataclasses.replace(exact, p=fp, q=fq) == floats
+        assert exact.to_json_dict() == floats.to_json_dict()
+
+
+class TestFrozenChecks:
+    """Check records on a fixed grid against a sha256 digest recorded when
+    ``run_check`` still had its own family evaluation and record
+    constructor.  ``TestBatchedEngine`` compares the engine with
+    ``run_check``, which now share their kernels and record builder, so it
+    cannot see a bit that moves in both; this digest can.  A failing check
+    is recorded as its error's type name."""
+
+    GRID = [(2, 3), (0.5, 1), (1, 1), (1, 2), (2, 1), (-1, 0.5), (0, 5),
+            (0.999999, -1), (2, 2), (-2, 1.5)]
+
+    def test_records_are_frozen(self):
+        pairs = [(ref.p, ref.q) for ref in REFERENCE_PAIRS]
+        pairs.append((make_distribution([0.5, 0.5]), make_distribution([0.4, 0.3, 0.3])))
+        for n in (2, 7, 9, 17, 64):
+            stream = trial_stream(21, n, 0)
+            pairs.append((sample_simplex(n, stream), sample_simplex(n, stream)))
+        out = []
+        for kind in PropertyKind:
+            for alpha, beta in self.GRID:
+                params = EntropyParams.make(alpha, beta)
+                for p, q in pairs:
+                    try:
+                        out.append(run_check(kind, p, q, params).to_json_dict())
+                    except (ValueError, OverflowError) as err:
+                        out.append(type(err).__name__)
+        assert (len(out), sum(isinstance(x, str) for x in out)) == (400, 14)
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == "c7d7ad73ed05d73b352b03f4f026f4b4c28f2e8bb87f51a9f3afe63b237e4518"

@@ -66,20 +66,6 @@ class TestCheckRecordSchema:
         jsonschema.validate(data, self.schema())
         assert data["join"] is None
 
-    def test_exact_weights_validate_as_rational_strings(self):
-        # Exact distributions serialize weights as "a/b" strings; the
-        # schema admits both spellings.
-        from majent.properties import PropertyKind, run_check
-        from majent.entropy import EntropyParams
-        from majent.simplex import make_distribution
-        from fractions import Fraction
-
-        p = make_distribution([Fraction(1, 2), Fraction(1, 2)])
-        record = run_check(
-            PropertyKind.SUBADDITIVE, p, p, EntropyParams.make(2.0, 3.0)
-        )
-        jsonschema.validate(record.to_json_dict(), self.schema())
-
     def test_nan_margin_is_written_as_null(self):
         # 2 * 0.5 ** -1023 overflows inside the power sum: lhs = rhs = inf
         # and the margin is nan; the record stays a violation.

