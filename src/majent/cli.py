@@ -6,12 +6,12 @@ guarantee inconsistency), 2 on usage errors, 3 on numeric domain errors
 such as negative weights, parameters outside the family's domain or a power
 sum that overflows.
 
-Each command loads only the modules it runs.  ``compare``, ``meet --exact``
-and ``join --exact`` run on exact rationals and never import numpy, nor do
-``--help`` and usage errors found while parsing; ``meet`` and ``join`` on
-floats, ``entropy``, ``check``, ``verify-paper`` and ``sweep`` load numpy
-with the float kernels, and only ``verify-paper`` and ``sweep`` load
-:mod:`majent.search`.
+Each command loads only the modules it runs.  ``meet --exact`` and
+``join --exact`` run on exact rationals, ``compare`` on floats within
+``simplex.CMP_TOL``; these, ``--help`` and usage errors found while parsing
+never import numpy.  Float ``meet`` and ``join``, ``entropy``, ``check``,
+``verify-paper`` and ``sweep`` load numpy with the float kernels, and only
+``verify-paper`` and ``sweep`` load :mod:`majent.search`.
 """
 from __future__ import annotations
 

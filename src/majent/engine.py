@@ -144,12 +144,10 @@ class _Batch:
         return self.classes[int(self.width[r])], i, j, int(self.dims[r])
 
     def pair(self, r: int) -> tuple[ProbabilityDistribution, ProbabilityDistribution, str]:
-        """(p, q, source) of row ``r``."""
-        if self.ref[r]:
-            ref = REFERENCE_PAIRS[self.trial[r]]
-            return ref.p, ref.q, ref.name
+        """(p, q, source) of row ``r``; a reference pair's rows are its p and q."""
         (p, q, _, _), i, _, n = self._slot(r)
-        return row_distribution(p[i, :n]), row_distribution(q[i, :n]), "random"
+        source = REFERENCE_PAIRS[self.trial[r]].name if self.ref[r] else "random"
+        return row_distribution(p[i, :n]), row_distribution(q[i, :n]), source
 
     def counterexample(
         self, r: int, kind: PropertyKind, params: EntropyParams

@@ -17,8 +17,9 @@ float at the boundary; that path is the oracle the float path is tested
 against.  The float path works on rows: :func:`bound_rows` takes k pairs
 of sorted distributions, zero-padded to a common width, as a (2, k, m)
 array and returns the k meets, and the joins of the rows that ask for
-one, from one pair of curves; :func:`bounds`, :func:`meet` and
-:func:`join` are the same kernel at k = 1.  Curves are running sums along
+one, from one pair of curves; :func:`meet` and :func:`join` run it on the
+one pair that :func:`pair_rows` pads, as
+:func:`~majent.properties.run_check` does.  Curves are running sums along
 each row, so every entry is summed in the same order as a scalar loop
 would, whatever k and the padding are.  Only the float path imports
 numpy, so the exact lattice and :func:`~majent.simplex.compare` run
@@ -59,11 +60,11 @@ def _row_differences(curves: np.ndarray) -> np.ndarray:
     return out
 
 
-def bound_rows(pairs: np.ndarray, join: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
     """(meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]`` of a
     (2, k, m) array of sorted distributions, both from one pair of Lorenz
-    curves; ``joins`` holds the joins of the rows that the boolean mask
-    ``join`` selects, in row order.
+    curves; ``joins`` holds the joins of the rows that the k booleans
+    ``join`` select, in row order.
 
     A row may be zero-padded past its length, and its meet and join then
     are too, exactly: past the length both curves stay at their last value,
@@ -80,6 +81,7 @@ def bound_rows(pairs: np.ndarray, join: np.ndarray) -> tuple[np.ndarray, np.ndar
     import numpy as np
 
     ca, cb = np.add.accumulate(pairs, axis=2)
+    join = np.asarray(join)
     meets = sorted_rows(_row_differences(np.minimum(ca, cb)))
     if True not in join.tolist():
         return meets, ca[:0]
@@ -94,25 +96,14 @@ def row_distribution(row: np.ndarray) -> ProbabilityDistribution:
     return ProbabilityDistribution(tuple(row.tolist()))
 
 
-def bounds(
-    p: ProbabilityDistribution, q: ProbabilityDistribution, join: bool = True
-) -> tuple[ProbabilityDistribution, ProbabilityDistribution | None]:
-    """(meet, join) of ``p`` and ``q``, the join None unless ``join``.
-
-    Exact when both operands are; otherwise :func:`bound_rows` on the pair,
-    zero-padded to a common dimension.
-    """
-    if p.exact is not None and q.exact is not None:
-        pa, pb, _ = paired_curves(p, q)
-        m = make_distribution(_differences([min(x, y) for x, y in zip(pa, pb)]))
-        return m, flatten(pre_join(p, q)) if join else None
+def pair_rows(p: ProbabilityDistribution, q: ProbabilityDistribution) -> np.ndarray:
+    """The pair (p, q) as the (2, 1, n) array :func:`bound_rows` takes,
+    both rows zero-padded to the common dimension n."""
     import numpy as np
 
-    a, b = p.weights, q.weights
-    n = max(len(a), len(b))
-    pairs = np.array([[a + (0.0,) * (n - len(a))], [b + (0.0,) * (n - len(b))]])
-    meets, joins = bound_rows(pairs, np.array([join]))
-    return row_distribution(meets[0]), row_distribution(joins[0]) if join else None
+    pairs = np.zeros((2, 1, max(p.dim, q.dim)))
+    pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
+    return pairs
 
 
 def meet(
@@ -123,7 +114,10 @@ def meet(
     The result is majorized by both operands, and any r majorized by both is
     majorized by the result.  Exact when both operands are.
     """
-    return bounds(p, q, join=False)[0]
+    if p.exact is not None and q.exact is not None:
+        pa, pb, _ = paired_curves(p, q)
+        return make_distribution(_differences([min(x, y) for x, y in zip(pa, pb)]))
+    return row_distribution(bound_rows(pair_rows(p, q), [False])[0][0])
 
 
 def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Weight]:
@@ -194,4 +188,6 @@ def join(
 ) -> ProbabilityDistribution:
     """Least upper bound: the repaired pointwise-max curve.  Exact when both
     operands are."""
-    return bounds(p, q)[1]
+    if p.exact is not None and q.exact is not None:
+        return flatten(pre_join(p, q))
+    return row_distribution(bound_rows(pair_rows(p, q), [True])[1][0])

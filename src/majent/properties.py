@@ -150,18 +150,17 @@ def run_check(
     S(p join q) (rhs); the others compare S(p meet q) (lhs) with
     S(p) + S(q), plus the cross term (1 - beta) S(p) S(q) for the
     generalized kind (rhs).  The check runs in floats, on the engine's row
-    kernels at one zero-padded row, and the first family value to fail, in
-    the order of the sides, raises.
+    kernels at the one pair that :func:`~majent.lattice.pair_rows` pads,
+    and the first family value to fail, in the order of the sides, raises.
     """
     import numpy as np
 
     from .entropy import family_rows
 
     joined = _CHECKS[kind][0]
-    n = max(p.dim, q.dim)
-    pairs = np.zeros((2, 1, n))
-    pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
-    meets, joins = lattice.bound_rows(pairs, np.array([joined]))
+    pairs = lattice.pair_rows(p, q)
+    meets, joins = lattice.bound_rows(pairs, [joined])
+    n = pairs.shape[2]
     lengths = np.array([p.dim, q.dim, n, n][: 3 + joined]) if p.dim != q.dim else None
     rows = np.concatenate([pairs[0], pairs[1], meets, joins])
     values, errors = family_rows(rows, params.alpha, params.beta, lengths)

@@ -39,10 +39,6 @@ STREAM_ALGORITHM = "philox4x64 (numpy.random.Philox, keyed counter-based)"
 #: Seed used when neither the caller nor the environment supplies one.
 DEFAULT_SEED = 2718281828
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
 #: Most points a ``start:step:end`` grid range may have.  Each point adds
 #: cells of ``trials_per_cell`` trials, so a sweep over more would not end,
 #: and a step far below the range's span (1e-300 on [0, 1]) would otherwise
@@ -125,21 +121,25 @@ def trial_key(seed: int, cell_index, trial_index) -> list:
     """The two 64-bit words of one trial's Philox key: the seed, then the
     cell and the trial index in the high and low 32 bits.
 
-    The indices are ints, or two ``uint64`` arrays, one entry per trial,
-    which give an array of second words.
+    The indices are ints below 2**32, or two ``uint64`` arrays of them, one
+    entry per trial, which give an array of second words.
     """
-    return [seed & _MASK64, ((cell_index & _MASK32) << 32) | (trial_index & _MASK32)]
+    return [seed, (cell_index << 32) | trial_index]
 
 
-def _check_seed(seed, error=ValueError) -> None:
-    """Raise ``error`` unless ``seed`` is an int, not a bool, that fits a 64-bit key word."""
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
-        raise error(f"seed must be an integer in [0, 2**64): {seed!r}")
+def _check_word(name: str, value, bits: int, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, in [0, 2**bits)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and 0 <= value < 2**bits):
+        raise error(f"{name} must be an integer in [0, 2**{bits}): {value!r}")
 
 
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
-    """The counter-based stream for one trial, independent of all others."""
-    key = np.array(trial_key(seed, cell_index, trial_index), dtype=np.uint64)
+    """The counter-based stream for one trial, independent of all others;
+    ValueError unless the seed fits 64 bits and each index 32."""
+    _check_word("seed", seed, 64)
+    _check_word("cell_index", cell_index, 32)
+    _check_word("trial_index", trial_index, 32)
+    key = np.array(trial_key(int(seed), int(cell_index), int(trial_index)), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -219,11 +219,12 @@ def find_counterexample(
     lead the trial order, so the known breakdowns at (2, 3) are found
     independent of seed.
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError(f"need an integer trials >= 1, got {trials!r}")
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
+    _check_word("last trial index", trials - 1, 32)
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
         raise ValueError(f"need an integer n from 1 to {MAX_DIM}, got {n!r}")
-    _check_seed(seed)
+    _check_word("seed", seed, 64)
     # Imported on use, so that commands that run no search (verify-paper)
     # do not compile the engine.
     from .engine import run_cells
@@ -321,14 +322,18 @@ class SweepConfig:
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         _check_ascending("dims", self.dims)
         trials = self.trials_per_cell
-        if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
-        _check_seed(self.seed, SweepConfigError)
+        _check_word("seed", self.seed, 64, SweepConfigError)
         if not self.properties:
             raise SweepConfigError("properties must not be empty")
         canonical = tuple(k for k in PropertyKind if k in set(self.properties))
         if canonical != self.properties:
             object.__setattr__(self, "properties", canonical)
+        # A replay key holds the cell and the trial index in 32 bits each.
+        _check_word("last trial index", trials - 1, 32, SweepConfigError)
+        cells = len(self.alpha_grid) * len(self.beta_grid) * len(canonical)
+        _check_word("last cell index", cells - 1, 32, SweepConfigError)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import majent.search
 from majent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -270,6 +271,34 @@ class TestSweepCommand:
         monkeypatch.setenv("MAJENT_SEED", str(seed))
         code, out, _ = run(["sweep", "--config", str(cfg)])
         assert (code, out.split("\n")[0].endswith(f"seed: {seed}")) == (EXIT_OK, True)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "alpha_grid = 2\nbeta_grid = 3\ntrials_per_cell = 4294967297\n",
+                "last trial index must be an integer in [0, 2**32): 4294967296",
+            ),
+            (
+                "alpha_grid = 0:1:65535\nbeta_grid = 0:1:65535\n"
+                "properties = subadditive, superadditive\n",
+                "last cell index must be an integer in [0, 2**32): 8589934591",
+            ),
+        ],
+    )
+    def test_more_than_2_to_the_32_trials_or_cells_is_usage_error(
+        self, tmp_path, monkeypatch, text, error
+    ):
+        # A replay key holds the cell and the trial index in 32 bits each.
+        # Were the config accepted, its sweep would not end.
+        def refuse(config):
+            raise AssertionError("the config should have been refused")
+
+        monkeypatch.setattr(majent.search, "sweep", refuse)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        code, out, err = run(["sweep", "--config", str(cfg)])
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {error}\n")
 
     def test_missing_config_file(self, tmp_path):
         code, _, err = run(["sweep", "--config", str(tmp_path / "absent.cfg")])

@@ -7,7 +7,7 @@ is checked against hand-computed curves and against the exact path.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from majent.lattice import flatten, join, meet, pre_join
 from majent.simplex import (
@@ -125,6 +125,29 @@ class TestJoin:
 
     def test_result_dimension(self):
         assert join(make_distribution([0.9, 0.1]), uniform(5)).dim == 5
+
+
+# Float distributions of dimension 1 to 12, with zero weights now and then.
+float_dists = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=12
+).filter(lambda ws: sum(ws) > 0).map(lambda ws: make_distribution(ws, normalize=True))
+
+
+class TestFloatPadding:
+    """The float lattice pads a pair to its common dimension through one
+    helper, whichever operand is the shorter."""
+
+    @given(float_dists, float_dists)
+    def test_unequal_dimensions_equal_the_padded_pair(self, p, q):
+        assume(p.dim != q.dim)
+        n = max(p.dim, q.dim)
+        for op in (meet, join):
+            for a, b in ((p, q), (q, p)):
+                got = op(a, b)
+                assert got.weights == op(pad(a, n), pad(b, n)).weights
+                # The exact oracle on the same float weights.
+                exact = op(*(make_distribution(map(Fraction, d.weights)) for d in (a, b)))
+                assert max(abs(x - y) for x, y in zip(got.weights, exact.exact)) <= 1e-15
 
 
 class TestLatticeLaws:

@@ -140,3 +140,43 @@ class TestSweepReportSchema:
 def test_verify_records_validate():
     data = capture_json(["verify-paper", "--format", "json"])
     jsonschema.validate(data, load("verify-records.schema.json"))
+
+
+def live_output(schema, tmp_path):
+    """(payload, one check record inside it) of the command ``schema`` describes."""
+    if schema == "check-record.schema.json":
+        data = capture_json(
+            ["check", "--property", "supermodular",
+             "--p", "0.5,0.3,0.1,0.1", "--q", "0.4,0.4,0.2,0",
+             "--alpha", "2", "--beta", "3", "--format", "json"]
+        )
+        return data, data
+    if schema == "verify-records.schema.json":
+        data = capture_json(["verify-paper", "--format", "json"])
+        return data, data[0]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 4\ntrials_per_cell = 5\n")
+    data = capture_json(["sweep", "--config", str(cfg), "--format", "json"])
+    return data, next(c["counterexample"] for c in data["cells"] if c["counterexample"])
+
+
+#: Values no writer produces: weights are always floats, and a parameter
+#: is always read as finite or as the limit toward 1.
+UNWRITTEN = {
+    "rational-string-weight": lambda record: record["p"].__setitem__(0, "1/2"),
+    "infinite-alpha-kind": lambda record: record["params"].__setitem__("alpha_kind", "infinite"),
+    "limit-alpha-beta-kind": lambda record: record["params"].__setitem__("beta_kind", "limit-alpha"),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(UNWRITTEN))
+@pytest.mark.parametrize(
+    "schema",
+    ["check-record.schema.json", "sweep-report.schema.json", "verify-records.schema.json"],
+)
+def test_values_no_writer_produces_are_rejected(schema, patch, tmp_path):
+    data, record = live_output(schema, tmp_path)
+    jsonschema.validate(data, load(schema))
+    UNWRITTEN[patch](record)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, load(schema))

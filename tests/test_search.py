@@ -1,5 +1,6 @@
 """Sampling determinism, counterexample search, sweeps and their reports."""
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -44,6 +45,9 @@ import majent.search
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
+#: 2**16 grid points: two such grids make 2**32 cells per property.
+GRID_2_16 = tuple(map(float, range(2**16)))
+
 # One fixed draw, recorded from the stream's first run and frozen.  If this
 # ever changes, every published report seed is silently worthless, so the
 # comparison is bitwise.
@@ -71,6 +75,36 @@ class TestSampling:
 
     def test_single_point(self):
         assert sample_simplex(1, trial_stream(0, 0, 0)).weights == (1.0,)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (-1, 0, 0), (2**64, 0, 0), (2**64 + 5, 0, 0), (True, 0, 0), (5.0, 0, 0),
+            (5, -1, 0), (5, 2**32, 0), (5, 2**32 + 3, 7), (5, True, 0),
+            (5, 0, -1), (5, 0, 2**32), (5, 0, False),
+        ],
+    )
+    def test_stream_refuses_a_key_outside_its_words(self, key):
+        # Each of these would draw the pair of another key: the seed fills
+        # one 64-bit word, the cell and trial index 32 bits each.
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*(64|32)\): "):
+            trial_stream(*key)
+
+    def test_keys_at_the_ends_of_their_words_name_distinct_trials(self):
+        ends = [
+            (0, 0, 0), (2**64 - 1, 0, 0), (5, 0, 0),
+            (5, 2**32 - 1, 0), (5, 0, 2**32 - 1), (5, 2**32 - 1, 2**32 - 1),
+        ]
+        draws = {trial_stream(*key).standard_exponential(2).tobytes() for key in ends}
+        assert len(draws) == len(ends)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+    def test_numpy_integer_keys_name_the_trial_of_their_value(self, dtype):
+        # A uint32 cell index shifted into the high half of its word in its
+        # own type would lose every bit.
+        want = trial_stream(5, 2**32 - 1, 7).standard_exponential(2)
+        got = trial_stream(np.uint64(5), dtype(2**32 - 1), dtype(7)).standard_exponential(2)
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -140,14 +174,31 @@ class TestFindCounterexample:
         assert find_counterexample(PropertyKind.SUPERMODULAR, params, 4, 10_000) is None
 
     def test_requires_trials(self):
-        for trials in (0, 2.5):
+        for trials in (0, 2.5, True):
             with pytest.raises(ValueError, match="need an integer trials >= 1"):
                 find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), 4, trials)
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, MAX_DIM + 1])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, MAX_DIM + 1])
     def test_requires_an_integer_dimension_up_to_the_cap(self, n):
         with pytest.raises(ValueError, match="need an integer n from 1 to"):
             find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), n, 10)
+
+    def test_trials_up_to_2_to_the_32(self, monkeypatch):
+        # A cell's trial indices fill 32 bits of its replay key.
+        calls = []
+
+        def run_cells(cells, dims, trials, seed):
+            calls.append(trials)
+            yield 0.0, None
+
+        monkeypatch.setattr(majent.engine, "run_cells", run_cells)
+        params = EntropyParams.make(2, 3)
+        assert find_counterexample(PropertyKind.SUBADDITIVE, params, 4, 2**32) is None
+        assert calls == [2**32]
+        with pytest.raises(
+            ValueError, match=r"last trial index must be an integer in \[0, 2\*\*32\): 4294967296"
+        ):
+            find_counterexample(PropertyKind.SUBADDITIVE, params, 4, 2**32 + 1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 5 - 2**64, 2**64 + 5, 1.5])
     def test_requires_a_seed_that_fits_64_bits(self, seed):
@@ -232,8 +283,6 @@ class TestReferenceVerification:
         assert len(REFERENCE_PAIRS) == 2
 
     def test_tampered_expectation_is_caught(self, monkeypatch):
-        import dataclasses
-
         broken = dataclasses.replace(
             KNOWN_SUPERMODULARITY_VIOLATION, expected_margin=-0.0005
         )
@@ -269,6 +318,9 @@ class TestSweepConfig:
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=0),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=()),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=2.5),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=True),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), trials_per_cell=2**32 + 1),
+            dict(alpha_grid=GRID_2_16, beta_grid=GRID_2_16, properties=tuple(PropertyKind)[:2]),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(2, MAX_DIM + 1)),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=2**64 + 5),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=5 - 2**64),
@@ -279,6 +331,20 @@ class TestSweepConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(SweepConfigError):
             SweepConfig(**kwargs)
+
+    def test_cells_and_trials_up_to_2_to_the_32(self):
+        # The cell and trial indices of a replay key fill 32 bits each.
+        cfg = SweepConfig(
+            alpha_grid=GRID_2_16,
+            beta_grid=GRID_2_16,
+            trials_per_cell=2**32,
+            properties=(PropertyKind.SUBADDITIVE,),
+        )
+        assert (len(cfg.alpha_grid) * len(cfg.beta_grid), cfg.trials_per_cell) == (2**32, 2**32)
+        with pytest.raises(SweepConfigError, match=rf"^last cell index .*: {2**16 * (2**16 + 1) - 1}$"):
+            dataclasses.replace(cfg, beta_grid=GRID_2_16 + (2.0**16,))
+        with pytest.raises(SweepConfigError, match=r"^last trial index .*: 4294967296$"):
+            dataclasses.replace(cfg, trials_per_cell=2**32 + 1)
 
     def test_integral_float_dims_are_stored_as_ints(self):
         cfg = SweepConfig(
@@ -335,6 +401,9 @@ class TestConfigParsing:
             "alpha_grid = 1\nbeta_grid = 2\ncolor = red\n",
             "alpha_grid = 1\nbeta_grid = 2\nproperties = shiny\n",
             "alpha_grid = 1\nbeta_grid = 2\ntrials_per_cell = many\n",
+            "alpha_grid = 1\nbeta_grid = 2\ntrials_per_cell = 4294967297\n",  # 2**32 + 1
+            # 2**33 cells
+            "alpha_grid = 0:1:65535\nbeta_grid = 0:1:65535\nproperties = subadditive,superadditive\n",
             "alpha_grid = 1\nbeta_grid = 2\nseed = pi\n",
             "alpha_grid = 1\nbeta_grid = 2\ndims = 2.5\n",
             "alpha_grid = one\nbeta_grid = 2\n",
