@@ -78,11 +78,13 @@ class EntropyParams:
             raise DegenerateParamsError(
                 f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})"
             )
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
 
     @classmethod
     def make(cls, alpha: float, beta: float) -> "EntropyParams":
-        """Build params from plain numbers, converted to float."""
-        return cls(float(alpha), float(beta))
+        """Build params from plain numbers, stored as floats."""
+        return cls(alpha, beta)
 
     @property
     def alpha_kind(self) -> str:

@@ -116,6 +116,9 @@ KNOWN_SUBMODULARITY_VIOLATION = ReferencePair(
 
 REFERENCE_PAIRS = (KNOWN_SUPERMODULARITY_VIOLATION, KNOWN_SUBMODULARITY_VIOLATION)
 
+#: How far a replayed reference value may stray from its stored one.
+REPRODUCTION_TOL = 1e-12
+
 
 def trial_key(seed: int, cell_index, trial_index) -> list:
     """The two 64-bit words of one trial's Philox key: the seed, then the
@@ -232,13 +235,11 @@ def find_counterexample(
     return next(run_cells([(kind, params)], (int(n),), trials, seed))[1]
 
 
-def verify_paper_counterexamples(
-    tolerance: float = 1e-12,
-) -> tuple[CounterexampleRecord, CounterexampleRecord]:
+def verify_paper_counterexamples() -> tuple[CounterexampleRecord, CounterexampleRecord]:
     """Re-derive the two reference pairs and check every stored number.
 
     For each pair the lattice vectors must match entrywise and the four
-    entropy values, both sums and the margin must match to ``tolerance``.
+    entropy values and the margin must match to ``REPRODUCTION_TOL``.
     Raises :class:`ReproductionError` on any mismatch; returns the two
     replayed records otherwise.
     """
@@ -250,7 +251,7 @@ def verify_paper_counterexamples(
 
         def vec_close(got: ProbabilityDistribution, want: tuple[float, ...]) -> bool:
             return got.dim == len(want) and all(
-                abs(g - w) <= tolerance for g, w in zip(got.weights, want)
+                abs(g - w) <= REPRODUCTION_TOL for g, w in zip(got.weights, want)
             )
 
         if not vec_close(check.meet, ref.expected_meet):
@@ -267,7 +268,7 @@ def verify_paper_counterexamples(
             ("margin", check.margin, ref.expected_margin),
         ]
         for label, got_v, want_v in pairs:
-            if not abs(got_v - want_v) <= tolerance:
+            if not abs(got_v - want_v) <= REPRODUCTION_TOL:
                 problems.append(f"{label} = {got_v!r}, expected {want_v!r}")
         if check.holds:
             problems.append(f"expected a violation of {ref.violates.value}, margin {check.margin!r}")
@@ -288,11 +289,11 @@ def _check_ascending(name: str, values: tuple) -> None:
 class SweepConfig:
     """Grid description for :func:`sweep`.
 
-    Grids are finite ascending sequences; dims are the pair dimensions the
-    trials cycle through, given as integral numbers and stored as ``int``.
-    Properties are stored in a canonical order so that equal configs always
-    produce identical reports.  This is the one place where a config is
-    validated; :func:`parse_sweep_config` only converts text.
+    Grids are finite ascending sequences stored as ``float``, and dims the
+    pair dimensions the trials cycle through, integral numbers stored as
+    ``int``.  Properties are stored in a canonical order so that equal
+    configs always produce identical reports.  This is the one place where
+    a config is validated; :func:`parse_sweep_config` only converts text.
     """
 
     alpha_grid: tuple[float, ...]
@@ -314,6 +315,7 @@ class SweepConfig:
             _check_ascending(name, grid)
             if any(not math.isfinite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
+            object.__setattr__(self, name, tuple(map(float, grid)))
         if any(not math.isfinite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in self.dims):
             raise SweepConfigError(
                 f"dims must be integers >= 2 and <= {MAX_DIM} (a batch of trials holds "

@@ -6,9 +6,9 @@ from integers or :class:`fractions.Fraction` weights keeps an exact rational
 copy of the vector alongside the float one, which lets the lattice
 operations downstream run without rounding when the caller wants that.
 
-Weights are validated, never silently repaired: a vector whose sum is off by
-more than ``SUM_TOL`` is rejected unless the caller asks for normalization
-explicitly.
+Weights are validated, never repaired: a vector whose sum is off by more
+than ``SUM_TOL`` is rejected, so a caller with unnormalized weights divides
+by their sum before constructing.
 """
 from __future__ import annotations
 
@@ -54,10 +54,6 @@ class SumOutOfToleranceError(DistributionError):
         )
 
 
-class TargetDimTooSmallError(DistributionError):
-    """Raised when padding is asked to shrink a vector."""
-
-
 class VectorParseError(ValueError):
     """Raised when a textual weight vector cannot be parsed at all."""
 
@@ -91,19 +87,15 @@ class ProbabilityDistribution:
         return len(self.weights)
 
 
-def make_distribution(
-    raw: Sequence[Weight], *, normalize: bool = False
-) -> ProbabilityDistribution:
+def make_distribution(raw: Sequence[Weight]) -> ProbabilityDistribution:
     """Validate and canonicalize a weight vector.
 
     Parameters
     ----------
     raw:
-        Weights, in any order.  Ints and Fractions produce an exact
-        distribution; any float in the input drops exactness.
-    normalize:
-        Divide by the sum instead of requiring it to be 1 already.  The sum
-        must be positive in that case.
+        Weights, in any order, summing to 1 within ``SUM_TOL``.  Ints and
+        Fractions produce an exact distribution; any float in the input
+        drops exactness.
 
     Raises
     ------
@@ -119,45 +111,25 @@ def make_distribution(
     exact = all(isinstance(w, numbers.Rational) for w in ws)
     vals = sorted(map(Fraction if exact else float, ws), reverse=True)
     total = sum(vals)
-    if normalize:
-        if total <= 0:
-            raise SumOutOfToleranceError(total)
-        vals = [w / total for w in vals]
-    elif abs(float(total) - 1.0) > SUM_TOL:
+    if abs(float(total) - 1.0) > SUM_TOL:
         raise SumOutOfToleranceError(total)
     if not exact:
         return ProbabilityDistribution(tuple(vals))
     return ProbabilityDistribution(tuple(map(float, vals)), tuple(vals))
 
 
-def pad(p: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
-    """Append zero weights up to dimension ``n``.
-
-    Padding with zeros does not move ``p`` in the majorization order, it
-    only places it in a larger simplex.
-    """
-    if n < p.dim:
-        raise TargetDimTooSmallError(f"cannot pad dim {p.dim} down to {n}")
-    if n == p.dim:
-        return p
-    extra = n - p.dim
-    exact = p.exact + (Fraction(0),) * extra if p.exact is not None else None
-    return ProbabilityDistribution(p.weights + (0.0,) * extra, exact)
-
-
 def paired_curves(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> tuple[list[Weight], list[Weight], bool]:
-    """Lorenz curves of ``p`` and ``q`` zero-padded to a common dimension.
-
-    The flag is true when both curves are exact, which they are exactly when
-    both operands carry exact weights.
+    """Lorenz curves of ``p`` and ``q`` on their common dimension, and
+    whether both are exact, as they are when both operands carry exact
+    weights.  The shorter curve is extended with its last value, which is
+    its curve zero-padded: a zero weight adds exactly 0, float or Fraction.
     """
-    n = max(p.dim, q.dim)
-    a, b = pad(p, n), pad(q, n)
-    if a.exact is not None and b.exact is not None:
-        return list(accumulate(a.exact)), list(accumulate(b.exact)), True
-    return list(accumulate(a.weights)), list(accumulate(b.weights)), False
+    exact = p.exact is not None and q.exact is not None
+    pa, pb = (list(accumulate(d.exact if exact else d.weights)) for d in (p, q))
+    n = max(len(pa), len(pb))
+    return pa + pa[-1:] * (n - len(pa)), pb + pb[-1:] * (n - len(pb)), exact
 
 
 def compare(

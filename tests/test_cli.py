@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ def run(argv):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 #: The modules whose import :func:`run_fresh` reports.
 WATCHED = ("numpy", "majent.search", "majent.engine")
@@ -515,3 +518,27 @@ class TestImportOnUse:
         cfg.write_text(text)
         got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)])
         assert (got, out, err) == (code, "", message)
+
+
+def readme_blocks(lang):
+    """The bodies of README's fenced ``lang`` code blocks, in order."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+class TestReadmeExamples:
+    def test_command_examples_run(self, tmp_path, monkeypatch):
+        # The sweep example reads README's config as sweep.cfg from the
+        # working directory.
+        (config,) = readme_blocks("ini")
+        (commands,) = [b for b in readme_blocks("sh") if b.startswith("majent ")]
+        (tmp_path / "sweep.cfg").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        ran = set()
+        for line in commands.splitlines():
+            program, *argv = shlex.split(line)
+            code, out, err = run(argv)
+            # Reference pair 1 violates supermodularity at (2, 3).
+            want = EXIT_VIOLATION if "check" in argv else EXIT_OK
+            assert (program, code, err, bool(out)) == ("majent", want, "", True), line
+            ran.update(argv[:1])
+        assert {"check", "sweep"} <= ran

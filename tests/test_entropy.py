@@ -30,7 +30,7 @@ from majent.entropy import (
     tsallis,
 )
 from majent.search import sample_simplex, trial_stream
-from majent.simplex import make_distribution, pad, tensor_product
+from majent.simplex import make_distribution, tensor_product
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
 Q1 = make_distribution([0.4, 0.4, 0.2, 0.0])
@@ -270,14 +270,15 @@ class TestPaddingBehavior:
     @pytest.mark.parametrize("alpha,beta", [(0.0, 2.0), (0.5, 0.5), (2.0, 3.0), (2.0, 1.0)])
     def test_nonnegative_orders_ignore_padding(self, alpha, beta):
         params = EntropyParams.make(alpha, beta)
-        assert sharma_mittal(pad(P1, 7), params) == sharma_mittal(P1, params)
+        padded = make_distribution(P1.weights + (0.0,) * 3)
+        assert sharma_mittal(padded, params) == sharma_mittal(P1, params)
 
     def test_negative_orders_reject_padding(self):
         fair = make_distribution([0.5, 0.5])
         params = EntropyParams.make(-1.0, 0.0)
         sharma_mittal(fair, params)  # fine unpadded
         with pytest.raises(ZeroWeightNegativeAlphaError):
-            sharma_mittal(pad(fair, 4), params)
+            sharma_mittal(make_distribution([0.5, 0.5, 0.0, 0.0]), params)
 
 
 class TestPartialDerivative:
@@ -288,7 +289,7 @@ class TestPartialDerivative:
             for trial in range(20):
                 base = sample_simplex(4, trial_stream(11, 0, trial))
                 ws = [0.9 * w + 0.1 / 4 for w in base.weights]  # keep interior
-                p = make_distribution(ws, normalize=True)
+                p = make_distribution([w / sum(ws) for w in ws])
                 for i in range(p.dim):
                     up = list(p.weights)
                     down = list(p.weights)

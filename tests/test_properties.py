@@ -195,7 +195,7 @@ class TestRandomPairConsistency:
             assert sharma_mittal(p, ints) == sharma_mittal(p, floats)
             for kind in PropertyKind:
                 a, b = run_check(kind, p, q, ints), run_check(kind, p, q, floats)
-                assert (a.lhs, a.rhs, a.margin) == (b.lhs, b.rhs, b.margin)
+                assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
         a, b = (find_counterexample(PropertyKind.SUBMODULAR, prm, 3, 20, seed=5) for prm in (ints, floats))
         assert (a and (a.trial_index, a.check.margin)) == (b and (b.trial_index, b.check.margin))
         if alpha < 0:

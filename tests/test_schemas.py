@@ -38,12 +38,31 @@ def capture_json(argv):
     return strict_json(out.getvalue())
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["check-record.schema.json", "sweep-report.schema.json", "verify-records.schema.json"],
-)
+SCHEMAS = ("check-record.schema.json", "sweep-report.schema.json", "verify-records.schema.json")
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
 def test_schemas_are_valid_draft_2020_12(name):
     jsonschema.Draft202012Validator.check_schema(load(name))
+
+
+def test_shared_definitions_do_not_drift():
+    # Each schema stands alone, so the definitions they share are copies.
+    defs = [load(name)["$defs"] for name in SCHEMAS]
+    for key in ("propertyKind", "params", "weights"):
+        assert defs[0][key] == defs[1][key] == defs[2][key], key
+    # verify-paper writes finite values and no replay key; a sweep may write
+    # null values and writes its replay keys.
+    loose = ("lhs", "rhs", "margin", "seed", "cell_index", "trial_index")
+    verify, sweep = (
+        load(name)["$defs"]["counterexample"]
+        for name in ("verify-records.schema.json", "sweep-report.schema.json")
+    )
+    assert verify["properties"].keys() == sweep["properties"].keys()
+    for d in (verify, sweep):
+        for key in loose:
+            del d["properties"][key]
+    assert verify == sweep
 
 
 class TestCheckRecordSchema:

@@ -292,9 +292,11 @@ class TestReferenceVerification:
         with pytest.raises(ReproductionError, match="reference-pair-1"):
             verify_paper_counterexamples()
 
-    def test_tolerance_is_honored(self):
+    def test_tolerance_is_honored(self, monkeypatch):
+        # The replayed floats are close to the stored values, not equal.
+        monkeypatch.setattr(majent.search, "REPRODUCTION_TOL", 1e-18)
         with pytest.raises(ReproductionError):
-            verify_paper_counterexamples(tolerance=1e-18)
+            verify_paper_counterexamples()
 
 
 class TestSweepConfig:
@@ -353,6 +355,15 @@ class TestSweepConfig:
         assert cfg.dims == (2, 3)
         assert all(type(d) is int for d in cfg.dims)
         assert len(sweep(cfg).cells) == len(cfg.properties)
+
+    def test_int_valued_grids_write_the_float_report(self):
+        # Equal configs, built from ints or from floats, give identical bytes.
+        ints, floats = (
+            SweepConfig((a,), (b,), (2, 3), 5, 1, (PropertyKind.SUBADDITIVE,))
+            for a, b in ((2, 3), (2.0, 3.0))
+        )
+        assert ints == floats
+        assert sweep(ints).to_json() == sweep(floats).to_json()
 
     def test_properties_canonicalized(self):
         cfg = SweepConfig(
@@ -636,6 +647,18 @@ class TestBatchedEngine:
             assert cell.verdict is want
             got = cell.counterexample.to_json_dict() if cell.counterexample else None
             assert json.dumps(got) == json.dumps(found.to_json_dict() if found else None)
+
+    def test_a_failed_row_that_replays_cleanly_is_an_error(self, monkeypatch):
+        # alpha = -300 overflows the power sum of every 64-dimensional row;
+        # the replay of the first failed row is made to return instead of
+        # raising, so the batch and the single-pair path disagree.
+        monkeypatch.setattr(majent.engine, "run_check", lambda *args: None)
+        config = SweepConfig(
+            alpha_grid=(-300.0,), beta_grid=(2.0,), dims=(64,), trials_per_cell=5,
+            properties=(PropertyKind.SUBMODULAR,),
+        )
+        with pytest.raises(RuntimeError, match="batched and the single-pair evaluation disagree"):
+            sweep(config)
 
     def test_padding_hides_no_zero_weight(self):
         # Row 0 holds a real zero weight; row 1 is (0.5, 0.5) zero-padded.

@@ -15,11 +15,9 @@ from majent.simplex import (
     MajorizationOrder,
     NegativeWeightError,
     SumOutOfToleranceError,
-    TargetDimTooSmallError,
     VectorParseError,
     compare,
     make_distribution,
-    pad,
     paired_curves,
     parse_distribution,
     parse_weights,
@@ -64,14 +62,6 @@ class TestMakeDistribution:
         with pytest.raises(SumOutOfToleranceError):
             make_distribution([2, 1, 1])
 
-    def test_explicit_normalization(self):
-        d = make_distribution([2, 1, 1], normalize=True)
-        assert d.exact == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
-
-    def test_normalize_zero_sum_rejected(self):
-        with pytest.raises(SumOutOfToleranceError):
-            make_distribution([0, 0, 0], normalize=True)
-
     def test_rational_input_stays_exact(self):
         d = make_distribution([Fraction(1, 3)] * 3)
         assert d.exact is not None
@@ -88,30 +78,22 @@ class TestMakeDistribution:
         assert d.dim == 4
 
 
-class TestUniformAndPad:
-    def test_pad_appends_zeros(self):
-        d = pad(make_distribution([0.5, 0.5]), 4)
-        assert d.weights == (0.5, 0.5, 0.0, 0.0)
-
-    def test_pad_keeps_exactness(self):
-        d = pad(uniform(2), 3)
-        assert d.exact == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-
-    def test_pad_noop_returns_same(self):
-        d = make_distribution([0.5, 0.5])
-        assert pad(d, 2) is d
-
-    def test_pad_cannot_shrink(self):
-        with pytest.raises(TargetDimTooSmallError):
-            pad(uniform(4), 3)
-
-
 class TestLorenz:
     def test_prefix_sums(self):
         d = make_distribution([0.5, 0.3, 0.1, 0.1])
         curve, _, exact = paired_curves(d, d)
         assert curve == pytest.approx([0.5, 0.8, 0.9, 1.0], abs=1e-15)
         assert not exact
+
+    @pytest.mark.parametrize("kind", [float, Fraction])
+    def test_shorter_curve_extends_with_its_last_value(self, kind):
+        # As the curve of the zero-padded vector, whichever operand is shorter.
+        p = make_distribution([kind(0.5), kind(0.5)])
+        q = make_distribution([kind(0.5), kind(0.25), kind(0.25)])
+        exact = kind is Fraction
+        assert paired_curves(p, q) == ([0.5, 1, 1], [0.5, 0.75, 1], exact)
+        assert paired_curves(q, p) == ([0.5, 0.75, 1], [0.5, 1, 1], exact)
+        assert {type(x) for x in sum(paired_curves(p, q)[:2], [])} == {kind}
 
     @given(
         st.lists(
@@ -121,7 +103,7 @@ class TestLorenz:
         )
     )
     def test_curve_is_concave_and_ends_at_one(self, raw):
-        d = make_distribution(raw, normalize=True)
+        d = make_distribution([w / sum(raw) for w in raw])
         curve = paired_curves(d, d)[0]
         assert curve[-1] == pytest.approx(1.0, abs=1e-9)
         diffs = [curve[0]] + [b - a for a, b in zip(curve, curve[1:])]
@@ -181,8 +163,8 @@ class TestCompare:
         ),
     )
     def test_comparison_is_antisymmetric(self, wp, wq):
-        p = make_distribution(wp, normalize=True)
-        q = make_distribution(wq, normalize=True)
+        p = make_distribution([Fraction(w, sum(wp)) for w in wp])
+        q = make_distribution([Fraction(w, sum(wq)) for w in wq])
         forward = compare(p, q)
         backward = compare(q, p)
         flipped = {
@@ -260,7 +242,8 @@ class TestJsonWeights:
     )
 )
 def test_normalized_vectors_are_valid(raw):
-    d = make_distribution(raw, normalize=True)
+    # Dividing by the sum, as sample_simplex does, always lands within SUM_TOL.
+    d = make_distribution([w / sum(raw) for w in raw])
     assert abs(sum(d.weights) - 1.0) <= SUM_TOL
     assert all(w >= 0 for w in d.weights)
     assert d.weights == tuple(sorted(d.weights, reverse=True))
