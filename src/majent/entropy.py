@@ -61,6 +61,14 @@ def _kind(value: float) -> str:
     return "limit-1" if value == 1.0 else "finite"
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class EntropyParams:
     """A validated (alpha, beta) pair of finite floats.
@@ -74,7 +82,7 @@ class EntropyParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (is_finite(self.alpha) and is_finite(self.beta)):
             raise DegenerateParamsError(
                 f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})"
             )

@@ -21,6 +21,7 @@ loop over :func:`run_check`.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import numbers
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entropy import EntropyParams, sharma_mittal
+from .entropy import EntropyParams, is_finite, sharma_mittal
 from .properties import PropertyCheckRecord, PropertyKind, json_float, run_check
 from .simplex import ProbabilityDistribution, make_distribution
 
@@ -232,7 +233,7 @@ def find_counterexample(
     # do not compile the engine.
     from .engine import run_cells
 
-    return next(run_cells([(kind, params)], (int(n),), trials, seed))[1]
+    return next(run_cells((params.alpha,), (params.beta,), (kind,), (int(n),), trials, seed))[1]
 
 
 def verify_paper_counterexamples() -> tuple[CounterexampleRecord, CounterexampleRecord]:
@@ -313,10 +314,10 @@ class SweepConfig:
         for name in ("alpha_grid", "beta_grid"):
             grid = getattr(self, name)
             _check_ascending(name, grid)
-            if any(not math.isfinite(v) for v in grid):
+            if any(not is_finite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
             object.__setattr__(self, name, tuple(map(float, grid)))
-        if any(not math.isfinite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in self.dims):
+        if any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in self.dims):
             raise SweepConfigError(
                 f"dims must be integers >= 2 and <= {MAX_DIM} (a batch of trials holds "
                 f"its pairs in memory at full width): {self.dims}"
@@ -432,19 +433,11 @@ def sweep(config: SweepConfig) -> RegionSweepReport:
     """
     from .engine import run_cells
 
-    cells = [
-        (kind, params)
-        for alpha in config.alpha_grid
-        for beta in config.beta_grid
-        for params in (EntropyParams.make(alpha, beta),)
-        for kind in config.properties
-    ]
+    grid = (config.alpha_grid, config.beta_grid, config.properties)
     reports: list[CellReport] = []
-    outcomes = run_cells(cells, config.dims, config.trials_per_cell, config.seed)
-    for (kind, params), (worst, found) in zip(cells, outcomes):
-        cell = CellReport(
-            params.alpha, params.beta, kind, worst, config.trials_per_cell, config.seed, found
-        )
+    outcomes = run_cells(*grid, config.dims, config.trials_per_cell, config.seed)
+    for (alpha, beta, kind), (worst, found) in zip(itertools.product(*grid), outcomes):
+        cell = CellReport(alpha, beta, kind, worst, config.trials_per_cell, config.seed, found)
         if found is not None and cell.guaranteed:
             raise GuaranteeViolationError(
                 f"violation in guaranteed region: {kind.value} at alpha={cell.alpha}, "

@@ -78,6 +78,10 @@ class TestEntropyParams:
             EntropyParams.make(2.0, math.inf)
         with pytest.raises(DegenerateParamsError):
             EntropyParams.make(-math.inf, 2.0)
+        # An int too large for a float is refused like inf, not with the
+        # OverflowError of its conversion.
+        with pytest.raises(DegenerateParamsError, match="alpha and beta must be finite"):
+            EntropyParams(10**400, 1)
 
     def test_json_dict(self):
         assert EntropyParams.make(2, 1).to_json_dict() == {

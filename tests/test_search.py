@@ -3,14 +3,20 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from majent.engine import draw_pairs
+from majent.engine import draw_pairs, run_cells
 from majent.entropy import (
     EntropyParams,
     ZeroWeightNegativeAlphaError,
@@ -44,6 +50,7 @@ import majent.engine
 import majent.search
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+SRC = DOCS.parent / "src"
 
 #: 2**16 grid points: two such grids make 2**32 cells per property.
 GRID_2_16 = tuple(map(float, range(2**16)))
@@ -187,7 +194,7 @@ class TestFindCounterexample:
         # A cell's trial indices fill 32 bits of its replay key.
         calls = []
 
-        def run_cells(cells, dims, trials, seed):
+        def run_cells(alphas, betas, kinds, dims, trials, seed):
             calls.append(trials)
             yield 0.0, None
 
@@ -313,6 +320,8 @@ class TestSweepConfig:
             dict(alpha_grid=(), beta_grid=(1.0,)),
             dict(alpha_grid=(1.0, 0.5), beta_grid=(1.0,)),
             dict(alpha_grid=(0.0, math.inf), beta_grid=(1.0,)),
+            dict(alpha_grid=(10**400,), beta_grid=(1.0,)),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(10**400,)),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=()),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(1, 2)),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=(3, 2)),
@@ -602,44 +611,38 @@ class TestBatchedEngine:
                     cell_index += 1
         return out
 
-    @pytest.mark.parametrize("batch_rows", [1024, 7])
-    @pytest.mark.parametrize(
-        "config",
-        [
-            # c3: the subadditive region, beta = 1 included
-            SweepConfig(
-                alpha_grid=(0.0, 0.5, 1.0, 2.0, 5.0), beta_grid=(1.0, 2.0, 5.0),
-                dims=tuple(range(2, 9)), trials_per_cell=30, seed=11,
-                properties=(PropertyKind.SUBADDITIVE,),
-            ),
-            # c4: supermodularity on and off its proven region
-            SweepConfig(
-                alpha_grid=(0.25, 0.5, 1.0, 2.0, 4.0), beta_grid=(-1.0, 0.0, 0.5, 2.0, 4.0),
-                dims=tuple(range(2, 9)), trials_per_cell=30, seed=12,
-                properties=(PropertyKind.SUPERMODULAR,),
-            ),
-            # sweep-mixed: every property, negative orders, alpha = 1, n up to 64
-            SweepConfig(
-                alpha_grid=(-1.0, 0.5, 1.0, 2.0), beta_grid=(1.5, 2.0, 3.0),
-                dims=(2, 4, 8, 16, 32, 64), trials_per_cell=14, seed=13,
-            ),
-            # three trials, two of them the reference pairs, from order 0 up
-            SweepConfig(
-                alpha_grid=(0.0, 1.0, 2.0), beta_grid=(1.0, 3.0), dims=(2,),
-                trials_per_cell=3, seed=14,
-            ),
-            # dimensions on both sides of the width-class edges, in one batch
-            SweepConfig(
-                alpha_grid=(-2.0, -0.5, 1.0, 2.5), beta_grid=(1.5, 3.0),
-                dims=(2, 7, 8, 9, 15, 16, 17, 63), trials_per_cell=16, seed=15,
-            ),
-        ],
-        ids=["c3", "c4", "mixed", "references", "class-edges"],
-    )
-    def test_batches_equal_the_single_pair_loop(self, config, batch_rows, monkeypatch):
-        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
-        report = sweep(config)
-        for cell, (worst, found) in zip(report.cells, self.plain_loop(config)):
+    CONFIGS = {
+        # c3: the subadditive region, beta = 1 included
+        "c3": SweepConfig(
+            alpha_grid=(0.0, 0.5, 1.0, 2.0, 5.0), beta_grid=(1.0, 2.0, 5.0),
+            dims=tuple(range(2, 9)), trials_per_cell=30, seed=11,
+            properties=(PropertyKind.SUBADDITIVE,),
+        ),
+        # c4: supermodularity on and off its proven region
+        "c4": SweepConfig(
+            alpha_grid=(0.25, 0.5, 1.0, 2.0, 4.0), beta_grid=(-1.0, 0.0, 0.5, 2.0, 4.0),
+            dims=tuple(range(2, 9)), trials_per_cell=30, seed=12,
+            properties=(PropertyKind.SUPERMODULAR,),
+        ),
+        # sweep-mixed: every property, negative orders, alpha = 1, n up to 64
+        "mixed": SweepConfig(
+            alpha_grid=(-1.0, 0.5, 1.0, 2.0), beta_grid=(1.5, 2.0, 3.0),
+            dims=(2, 4, 8, 16, 32, 64), trials_per_cell=14, seed=13,
+        ),
+        # three trials, two of them the reference pairs, from order 0 up
+        "references": SweepConfig(
+            alpha_grid=(0.0, 1.0, 2.0), beta_grid=(1.0, 3.0), dims=(2,),
+            trials_per_cell=3, seed=14,
+        ),
+        # dimensions on both sides of the width-class edges, in one batch
+        "class-edges": SweepConfig(
+            alpha_grid=(-2.0, -0.5, 1.0, 2.5), beta_grid=(1.5, 3.0),
+            dims=(2, 7, 8, 9, 15, 16, 17, 63), trials_per_cell=16, seed=15,
+        ),
+    }
+
+    def assert_matches_plain_loop(self, report, config):
+        for cell, (worst, found) in zip(report.cells, self.plain_loop(config), strict=True):
             assert cell.worst_margin.hex() == worst.hex()
             want = Verdict.VIOLATION_FOUND if found else (
                 Verdict.THEOREM_GUARANTEED if cell.guaranteed else Verdict.NO_VIOLATION_FOUND
@@ -647,6 +650,12 @@ class TestBatchedEngine:
             assert cell.verdict is want
             got = cell.counterexample.to_json_dict() if cell.counterexample else None
             assert json.dumps(got) == json.dumps(found.to_json_dict() if found else None)
+
+    @pytest.mark.parametrize("batch_rows", [1024, 7])
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_batches_equal_the_single_pair_loop(self, config, batch_rows, monkeypatch):
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
+        self.assert_matches_plain_loop(sweep(config), config)
 
     def test_a_failed_row_that_replays_cleanly_is_an_error(self, monkeypatch):
         # alpha = -300 overflows the power sum of every 64-dimensional row;
@@ -687,3 +696,301 @@ class TestBatchedEngine:
                 params = EntropyParams.make(alpha, beta)
                 assert errors == {}
                 assert values.tolist() == [sharma_mittal(d, params) for d in dists]
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """The engine's worker, forked afresh from the test's module state on
+    the test's first split and closed after the test.  The CPU count reads
+    two, so that batches split also in a process pinned to one CPU, and no
+    rows need to run before the fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(majent.engine, "FORK_ROWS", 0)
+    majent.engine._WORKER.close()
+    yield majent.engine._WORKER
+    majent.engine._WORKER.close()
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as JSON, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return json.dumps(result and result.to_json_dict())
+
+
+def serial(monkeypatch, fn, *args):
+    """``fn(*args)`` with no batch split, as :func:`outcome` gives it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(majent.engine, "SPLIT_ROWS", 2**62)
+        return outcome(fn, *args)
+
+
+def rows_tallied_here(monkeypatch) -> list:
+    """The row count of each tally the test process makes from now on."""
+    rows, tally = [], majent.engine._tally
+
+    def spy(gen, grid, start, stop):
+        rows.append(stop - start)
+        return tally(gen, grid, start, stop)
+
+    monkeypatch.setattr(majent.engine, "_tally", spy)
+    return rows
+
+
+class TestSplitBatches:
+    """A batch of at least ``engine.SPLIT_ROWS`` rows is split at its
+    midpoint: the worker process tallies the second half.  Every report,
+    record and error is the serial path's."""
+
+    @pytest.mark.parametrize("batch_rows", [1024, 7])
+    @pytest.mark.parametrize("name", ["c3", "c4", "mixed", "class-edges"])
+    def test_split_batches_equal_the_single_pair_loop(self, name, batch_rows, worker, monkeypatch):
+        # Each config is one batch of 450 to 840 rows; the c3 and c4
+        # midpoints (rows 225 and 375) fall inside a cell.  Batches of 7
+        # split too, 3 rows here and 4 in the worker.
+        config = TestBatchedEngine.CONFIGS[name]
+        split_rows = min(majent.engine.SPLIT_ROWS, batch_rows)
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
+        monkeypatch.setattr(majent.engine, "SPLIT_ROWS", split_rows)
+        here = rows_tallied_here(monkeypatch)
+        report = sweep(config)
+        TestBatchedEngine().assert_matches_plain_loop(report, config)
+        rows = len(report.cells) * config.trials_per_cell
+        sizes = [min(batch_rows, rows - start) for start in range(0, rows, batch_rows)]
+        assert rows >= majent.engine.SPLIT_ROWS
+        assert here == [n // 2 if n >= split_rows else n for n in sizes]
+
+    def test_a_one_cell_search_takes_its_counterexample_from_the_worker(self, worker, monkeypatch):
+        # Supermodularity at (-1, 1) first fails at trial 10 (seed 0, n = 3),
+        # in the worker's half (rows 10 to 13) of the second batch of 7.
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", 7)
+        monkeypatch.setattr(majent.engine, "SPLIT_ROWS", 7)
+        here = rows_tallied_here(monkeypatch)
+        params = EntropyParams(-1.0, 1.0)
+        rec = find_counterexample(PropertyKind.SUPERMODULAR, params, 3, 1000, 0)
+        config = SweepConfig(
+            alpha_grid=(-1.0,), beta_grid=(1.0,), dims=(3,), trials_per_cell=1000, seed=0,
+            properties=(PropertyKind.SUPERMODULAR,),
+        )
+        _, want = TestBatchedEngine.plain_loop(config)[0]
+        assert rec.trial_index == 10
+        assert json.dumps(rec.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert here == [3] * 142 + [6]
+
+    #: Configs of two 100-trial cells, one batch split after cell 0.
+    EVENTS = {
+        # Order 300 takes the power sum of a 64-dimensional row to 0, so
+        # every trial of cell 1 but the reference pairs fails.
+        "error": (
+            SweepConfig(
+                alpha_grid=(2.0, 300.0), beta_grid=(2.0,), dims=(64,), trials_per_cell=100,
+                properties=(PropertyKind.SUBADDITIVE,),
+            ),
+            ValueError,
+        ),
+        # Superadditivity at (-1, 1) is in the table and fails on every pair.
+        "guarantee": (
+            SweepConfig(
+                alpha_grid=(-1.0,), beta_grid=(1.0,), dims=(64,), trials_per_cell=100,
+                properties=(PropertyKind.SUBADDITIVE, PropertyKind.SUPERADDITIVE),
+            ),
+            GuaranteeViolationError,
+        ),
+        # Order -300 overflows cell 0's power sums before cell 1 fails.
+        "error-here-first": (
+            SweepConfig(
+                alpha_grid=(-300.0, 300.0), beta_grid=(2.0,), dims=(64,), trials_per_cell=100,
+                properties=(PropertyKind.SUBADDITIVE,),
+            ),
+            OverflowError,
+        ),
+        # Cell 0 breaks the guarantee before cell 1 fails.
+        "guarantee-here-first": (
+            SweepConfig(
+                alpha_grid=(-1.0, 300.0), beta_grid=(1.0,), dims=(64,), trials_per_cell=100,
+                properties=(PropertyKind.SUPERADDITIVE,),
+            ),
+            GuaranteeViolationError,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", EVENTS)
+    def test_events_in_either_half_are_those_of_the_serial_path(self, name, worker, monkeypatch):
+        config, error = self.EVENTS[name]
+        want = serial(monkeypatch, sweep, config)
+        assert want[0] is error
+        here = rows_tallied_here(monkeypatch)
+        assert outcome(sweep, config) == want
+        # A worker's half with a failing row comes back to be tallied here.
+        assert here[0] == 100 and worker.pid is not None
+
+    def test_a_failed_row_in_the_workers_half_that_replays_cleanly_is_an_error(
+        self, worker, monkeypatch
+    ):
+        sweep(TestBatchedEngine.CONFIGS["c4"])  # the worker is forked before the patch
+        monkeypatch.setattr(majent.engine, "run_check", lambda *args: None)
+        with pytest.raises(RuntimeError, match="batched and the single-pair evaluation disagree"):
+            sweep(self.EVENTS["error"][0])
+
+    def test_a_sweep_after_an_aborted_one_gives_the_serial_report(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        with pytest.raises(GuaranteeViolationError):
+            sweep(self.EVENTS["guarantee"][0])
+        assert outcome(sweep, config) == want
+
+    def test_a_reply_is_drained_when_this_half_raises(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        assert outcome(sweep, config) == want  # the worker is forked before the patch
+        pid = worker.pid
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(majent.engine, "_tally", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(TestBatchedEngine.CONFIGS["mixed"])
+        assert outcome(sweep, config) == want
+        assert worker.pid == pid
+
+    def test_a_killed_worker_is_replaced(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        assert outcome(sweep, config) == want
+        pid = worker.pid
+        os.kill(pid, signal.SIGKILL)
+        assert outcome(sweep, config) == want
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
+        assert outcome(sweep, config) == want
+        assert worker.pid not in (None, pid)
+
+    def test_interleaved_runs_each_send_their_grid(self, worker, monkeypatch):
+        # Two runs of several split batches each, consumed in turn, take
+        # turns with the one worker.
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", 300)
+        runs = [
+            (config.alpha_grid, config.beta_grid, config.properties, config.dims, 30, 7)
+            for config in (TestBatchedEngine.CONFIGS["c3"], TestBatchedEngine.CONFIGS["c4"])
+        ]
+
+        def cells(outcomes):
+            return [(worst.hex(), json.dumps(found and found.to_json_dict())) for worst, found in outcomes]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(majent.engine, "SPLIT_ROWS", 2**62)
+            want = [cells(run_cells(*run)) for run in runs]
+        here = rows_tallied_here(monkeypatch)
+        got = [[], []]
+        for row in itertools.zip_longest(*(run_cells(*run) for run in runs)):
+            for out, cell in zip(got, row):
+                if cell is not None:
+                    out.append(cell)
+        assert [cells(run) for run in got] == want
+        assert here == [150, 150, 75, 150, 75]  # c3, c4, c3, c4, c4
+
+    def test_threads_take_turns_with_the_worker(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(outcome(sweep, config)))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 4
+
+    def test_a_fork_of_the_process_forks_its_own_worker(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        assert outcome(sweep, config) == want
+        inherited = worker.pid
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                ok = outcome(sweep, config) == want and worker.pid not in (None, inherited)
+                worker.close()
+                code = 0 if ok else 1
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert worker.pid == inherited
+        assert outcome(sweep, config) == want
+
+    def test_a_process_that_sweeps_leaves_no_worker_behind(self):
+        code = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from majent import engine, search\n"
+            "engine.FORK_ROWS = 0\n"
+            "search.sweep(search.SweepConfig((0.0, 1.0), (1.0, 2.0), trials_per_cell=20))\n"
+            "print(engine._WORKER.pid)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout), 0)
+
+    def test_the_worker_is_forked_after_fork_rows_rows(self, worker, monkeypatch):
+        # A short-lived process never pays for a fork: batches it could
+        # split run whole until it has tallied FORK_ROWS rows of them.
+        monkeypatch.setattr(majent.engine, "FORK_ROWS", 1000)
+        monkeypatch.setattr(worker, "unsplit_rows", 0)
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        here = rows_tallied_here(monkeypatch)
+        for _ in range(2):
+            assert outcome(sweep, config) == want
+            assert worker.pid is None
+        assert outcome(sweep, config) == want
+        assert worker.pid is not None and here == [750, 750, 375]
+
+    def test_no_worker_is_forked_on_one_cpu(self, worker, monkeypatch):
+        config = TestBatchedEngine.CONFIGS["c4"]
+        want = serial(monkeypatch, sweep, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+        here = rows_tallied_here(monkeypatch)
+        assert outcome(sweep, config) == want
+        assert here == [750] and worker.pid is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_a_grid_of_2_to_the_32_cells_streams_its_cells(self):
+        # Under an address-space cap 512 MiB above the interpreter's size, a
+        # run over 2**32 cells yields its first cell; a list of its cells
+        # would not fit.
+        code = (
+            "import os, resource\n"
+            "from majent.engine import run_cells\n"
+            "from majent.properties import PropertyKind\n"
+            "grid = tuple(map(float, range(2**16)))\n"
+            "pages = int(open('/proc/self/statm').read().split()[0])\n"
+            "cap = pages * os.sysconf('SC_PAGE_SIZE') + 2**29\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "worst, first = next(run_cells(grid, grid, (PropertyKind.SUBADDITIVE,), (2,), 1, 5))\n"
+            "print(repr(worst), first)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        worst, first = next(run_cells((0.0,), (0.0,), (PropertyKind.SUBADDITIVE,), (2,), 1, 5))
+        assert proc.stdout == f"{worst!r} {first}\n"
