@@ -7,11 +7,12 @@ such as negative weights, parameters outside the family's domain or a power
 sum that overflows.
 
 Each command loads only the modules it runs.  ``meet --exact`` and
-``join --exact`` run on exact rationals, ``compare`` on floats within
-``simplex.CMP_TOL``; these, ``--help`` and usage errors found while parsing
-never import numpy.  Float ``meet`` and ``join``, ``entropy``, ``check``,
-``verify-paper`` and ``sweep`` load numpy with the float kernels, and only
-``verify-paper`` and ``sweep`` load :mod:`majent.search`.
+``join --exact`` run on exact rationals; ``compare``, float ``meet`` and
+``join``, ``entropy``, ``check`` and ``verify-paper`` evaluate their one
+pair or distribution in Python floats.  None of these, nor ``--help`` or a
+usage error found while parsing, imports numpy: only ``sweep`` loads it,
+with the batched engine.  Only ``verify-paper`` and ``sweep`` load
+:mod:`majent.search`.
 """
 from __future__ import annotations
 

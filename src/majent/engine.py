@@ -44,8 +44,8 @@ from .lattice import bound_rows, row_distribution, sorted_rows
 from .properties import (
     _CHECKS,
     CHECK_TOL,
+    PropertyCheckRecord,
     PropertyKind,
-    check_record,
     oriented_sides,
     run_check,
 )
@@ -211,14 +211,15 @@ class _Batch:
     def counterexample(
         self, r: int, kind: PropertyKind, params: EntropyParams
     ) -> CounterexampleRecord:
-        """Row ``r`` with its replay key; its check is the record
-        :func:`~majent.properties.run_check` would return, built by the same
-        :func:`~majent.properties.check_record` from the batch's own rows."""
+        """Row ``r`` with its replay key; its check, built from the batch's
+        own rows, is the record :func:`~majent.properties.run_check` would
+        return."""
         p, q, source = self.pair(r)
         (_, _, meets, joins), i, j, n = self._slot(r)
         sides = self.lhs[r], self.rhs[r], self.margin[r]
-        join = joins[j, :n] if self.joined[r] else None
-        check = check_record(kind, p, q, params, sides, meets[i, :n], join)
+        join = row_distribution(joins[j, :n]) if self.joined[r] else None
+        meet = row_distribution(meets[i, :n])
+        check = PropertyCheckRecord(kind, p, q, params, *map(float, sides), CHECK_TOL, meet, join)
         return CounterexampleRecord(
             check, self.seed, int(self.cell[r]), int(self.trial[r]), source
         )

@@ -21,25 +21,29 @@ Conventions: 0^alpha = 0 for alpha >= 0 inside power sums (so the alpha = 0
 sum counts the support), and a zero weight combined with alpha < 0 is a hard
 error rather than an infinity.
 
-Every float value comes from row kernels over a (k, m) array of sorted
-distributions, each zero-padded past its own length: :func:`family_rows`
-evaluates each row at its own (alpha, beta) and returns the error each
-failing row raises, and the scalar functions here are the same kernels at
-k = 1, raising what a term-by-term evaluation in Python floats would raise.
-Powers, logarithms and ``expm1`` come from the C library, as in Python's
-float arithmetic, numpy does only correctly rounded arithmetic, and sums
-run one term at a time, so a value has the same bits whatever k, the
-padding and the host's vector unit are.
+Float values come from two paths with the same operations in the same
+order.  The scalar functions here evaluate one distribution term by term in
+Python floats, and :func:`family_rows`, the row kernel behind sweeps,
+evaluates a (k, m) array of sorted distributions, each zero-padded past its
+own length, at one (alpha, beta) per row and returns the error each failing
+row raises.  Powers, logarithms and ``expm1`` come from the C library on
+both paths (Python's ``**`` and ``np.float_power`` both call its ``pow``),
+numpy does only correctly rounded arithmetic, and sums run one term at a
+time, smallest weight first, so a value has the same bits on either path,
+whatever k, the padding and the host's vector unit are.  Only the row
+kernel imports numpy.
 """
 from __future__ import annotations
 
 import errno
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .simplex import ProbabilityDistribution, tensor_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -116,14 +120,10 @@ class EntropyParams:
 _SHANNON, _PHI, _RENYI, _H = range(4)
 
 
-def _sum_smallest_first(terms: np.ndarray) -> np.ndarray:
-    """Row sums added from the last column to the first, one term at a time,
-    so a sum is the same float whatever the number of rows."""
-    return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1]
-
-
 def _mapped(f, x: np.ndarray) -> np.ndarray:
     """``f`` of each entry of the 1-d ``x``, called on Python floats."""
+    import numpy as np
+
     return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
@@ -136,8 +136,12 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     numpy's vector loops for ``log2`` and ``power`` round some results
     differently from the C library, so the logarithms come from
     :mod:`math` and the powers from ``np.float_power``, which calls the C
-    library's ``pow`` element by element, as Python's ``**`` does.
+    library's ``pow`` element by element, as Python's ``**`` does.  Each
+    row is summed from its last column to its first, one term at a time, so
+    a sum is the same float whatever the number of rows.
     """
+    import numpy as np
+
     positive = w > 0.0
     terms = np.zeros(w.shape)
     flags = logged.tolist()
@@ -151,7 +155,7 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
         terms[at] = (0.0 - _mapped(math.log2, g)) * g
     if False in flags:
         np.float_power(w, alpha[:, None], out=terms, where=positive)
-    return _sum_smallest_first(terms), terms
+    return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1], terms
 
 
 def _power_errors(w, n, alpha: np.ndarray, x, terms) -> dict[int, Exception]:
@@ -159,6 +163,8 @@ def _power_errors(w, n, alpha: np.ndarray, x, terms) -> dict[int, Exception]:
     weight at a negative order, else a term beyond the float range.  Rows
     are non-increasing, so a zero weight ends its row's ``n`` entries (all
     of them without ``n``)."""
+    import numpy as np
+
     errors: dict[int, Exception] = {}
     if np.isinf(x).any():
         for i in np.flatnonzero(np.isinf(terms).any(axis=1)).tolist():
@@ -218,6 +224,8 @@ def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     domain of the log or of the Shannon forms, and an ``expm1`` argument
     above ``_EXPM1_BOUND``.
     """
+    import numpy as np
+
     a1, b1 = alpha == 1.0, beta == 1.0
     replay = ~np.where(a1, x >= 0.0, x > 0.0)
     logs = np.zeros(len(x))
@@ -254,7 +262,10 @@ def family_rows(
     The outer map from a row's power sum or Shannon entropy to its value
     runs row by row through ``_OUTER`` below ``_BULK_ROWS`` rows, and in
     bulk from there (:func:`_bulk_outer`), with the same bits and errors.
+    The scalar functions are the same evaluation at k = 1, in Python floats.
     """
+    import numpy as np
+
     if not isinstance(alpha, np.ndarray):
         alpha, beta = np.array([float(alpha)] * len(w)), np.array([float(beta)] * len(w))
     with np.errstate(all="ignore"):
@@ -279,34 +290,35 @@ def family_rows(
     return values, errors
 
 
-def _row(p: ProbabilityDistribution) -> np.ndarray:
-    return np.array([p.weights])
-
-
-def _raise_first(errors: dict[int, Exception]) -> None:
-    if errors:
-        raise errors[min(errors)]
-
-
 def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
     """The power sum sum_i p_i^alpha over the support, smallest weights first.
 
     This is the argument fed to ``h_alpha_beta`` and equals
     (1 - alpha) T_alpha(p) + 1 where T is the Tsallis entropy.  Zero weights
     contribute nothing for alpha >= 0 (in particular the alpha = 0 sum is
-    the support size) and are rejected for alpha < 0.
+    the support size) and are rejected for alpha < 0, before any power is
+    taken.  The terms are added as :func:`family_rows` adds a row's.
     """
-    w = _row(p)
-    alphas = np.array([float(alpha)])
-    with np.errstate(all="ignore"):
-        x, terms = _argument(w, alphas, np.array([False]))
-    _raise_first(_power_errors(w, None, alphas, x, terms))
-    return float(x[0])
+    alpha = float(alpha)
+    if alpha < 0.0 and p.weights[-1] == 0.0:
+        raise ZeroWeightNegativeAlphaError(
+            f"zero weight is outside the domain for alpha = {alpha!r}"
+        )
+    x = 0.0
+    for w in reversed(p.weights):
+        if w > 0.0:
+            x += w**alpha  # the C library's pow; OverflowError past the float range
+    return x
 
 
 def shannon(p: ProbabilityDistribution) -> float:
-    """Shannon entropy in bits."""
-    return float(_argument(_row(p), np.array([1.0]), np.array([True]))[0][0])
+    """Shannon entropy in bits, summed smallest weights first."""
+    x = 0.0
+    for w in reversed(p.weights):
+        if w > 0.0:
+            # -(w log2 w), negated exactly, as a row of family_rows takes it
+            x += (0.0 - math.log2(w)) * w
+    return x
 
 
 def renyi(p: ProbabilityDistribution, alpha: float) -> float:
@@ -374,11 +386,12 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
       Tsallis form (1 - g_alpha) / (alpha - 1) up to rounding
 
     Negative alpha with a zero weight raises.  Rows of many distributions,
-    each at its own (alpha, beta), go through :func:`family_rows`.
+    each at its own (alpha, beta), go through :func:`family_rows`, which
+    gives each row this function's value bits or error.
     """
-    values, errors = family_rows(_row(p), params.alpha, params.beta)
-    _raise_first(errors)
-    return float(values[0])
+    alpha, beta = params.alpha, params.beta
+    x = shannon(p) if alpha == 1.0 else g_alpha(p, alpha)
+    return _OUTER[(alpha != 1.0) * 2 + (beta != 1.0)](x, alpha, beta)
 
 
 def sharma_mittal_partial(

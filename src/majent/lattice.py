@@ -11,19 +11,18 @@ repeatedly averaging maximal violating blocks, which is the same thing as
 replacing the curve by its least concave majorant.  The repaired vector is
 the least upper bound.
 
-When both operands carry exact rational weights the whole pipeline runs in
-exact arithmetic (the pre-join list holds Fractions) and only converts to
-float at the boundary; that path is the oracle the float path is tested
-against.  The float path works on rows: :func:`bound_rows` takes k pairs
-of sorted distributions, zero-padded to a common width, as a (2, k, m)
-array and returns the k meets, and the joins of the rows that ask for
-one, from one pair of curves; :func:`meet` and :func:`join` run it on the
-one pair that :func:`pair_rows` pads, as
-:func:`~majent.properties.run_check` does.  Curves are running sums along
-each row, so every entry is summed in the same order as a scalar loop
-would, whatever k and the padding are.  Only the float path imports
-numpy, so the exact lattice and :func:`~majent.simplex.compare` run
-without it.
+:func:`meet` and :func:`join` run one body on either number type.  When
+both operands carry exact rational weights it runs in exact arithmetic (the
+pre-join list holds Fractions) and only converts to float at the boundary;
+that path is the oracle the float path is tested against.  Otherwise it
+runs in Python floats, as :func:`~majent.properties.run_check` does.
+:func:`bound_rows`, the row kernel behind sweeps, takes k pairs of sorted
+distributions, zero-padded to a common width, as a (2, k, m) array and
+returns the k meets, and the joins of the rows that ask for one, from one
+pair of curves.  Curves are running sums along each row, so every entry is
+summed in the same order as the scalar loop, whatever k and the padding
+are, and a row's meet and join equal the float :func:`meet` and
+:func:`join` bit for bit.  Only the row kernel imports numpy.
 """
 from __future__ import annotations
 
@@ -96,28 +95,21 @@ def row_distribution(row: np.ndarray) -> ProbabilityDistribution:
     return ProbabilityDistribution(tuple(row.tolist()))
 
 
-def pair_rows(p: ProbabilityDistribution, q: ProbabilityDistribution) -> np.ndarray:
-    """The pair (p, q) as the (2, 1, n) array :func:`bound_rows` takes,
-    both rows zero-padded to the common dimension n."""
-    import numpy as np
-
-    pairs = np.zeros((2, 1, max(p.dim, q.dim)))
-    pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
-    return pairs
-
-
 def meet(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:
     """Greatest lower bound: differences of the pointwise-min curve.
 
     The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.  Exact when both operands are.
+    majorized by the result.  Exact when both operands are.  Rounding can
+    leave a float difference a hair above its left neighbour, so the
+    differences are sorted, and, as in :func:`bound_rows`, not validated.
     """
-    if p.exact is not None and q.exact is not None:
-        pa, pb, _ = paired_curves(p, q)
-        return make_distribution(_differences([min(x, y) for x, y in zip(pa, pb)]))
-    return row_distribution(bound_rows(pair_rows(p, q), [False])[0][0])
+    pa, pb, exact = paired_curves(p, q)
+    values = _differences(list(map(min, pa, pb)))
+    if exact:
+        return make_distribution(values)
+    return ProbabilityDistribution(tuple(sorted(values, reverse=True)))
 
 
 def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Weight]:
@@ -126,11 +118,11 @@ def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Wei
     Entries are non-negative and sum to 1, but the non-increasing order can
     be violated, so this is deliberately a plain list and not a
     ProbabilityDistribution.  Entries are Fractions when both operands are
-    exact, floats otherwise.  This is the exact join's first step;
+    exact, floats otherwise.  This is the first step of :func:`join`, and
     :func:`bound_rows` takes the same differences of float rows.
     """
     pa, pb, _ = paired_curves(p, q)
-    return _differences([max(x, y) for x, y in zip(pa, pb)])
+    return _differences(list(map(max, pa, pb)))
 
 
 def _pool(vals: list) -> list:
@@ -188,6 +180,7 @@ def join(
 ) -> ProbabilityDistribution:
     """Least upper bound: the repaired pointwise-max curve.  Exact when both
     operands are."""
+    values = pre_join(p, q)
     if p.exact is not None and q.exact is not None:
-        return flatten(pre_join(p, q))
-    return row_distribution(bound_rows(pair_rows(p, q), [True])[1][0])
+        return flatten(values)
+    return ProbabilityDistribution(tuple(_pool(values)))

@@ -7,9 +7,10 @@ means it holds with room to spare.  A violation is only reported when the
 margin drops below ``-CHECK_TOL``; margins inside the window count as a
 tight hold, so rounding noise cannot masquerade as a counterexample.  The
 checks never refuse a parameter region: outside the guaranteed regions they
-simply report whatever the numbers say.  numpy and :mod:`majent.entropy`
-are imported where a check evaluates, so the kinds and the tolerance can be
-read without loading them.
+simply report whatever the numbers say.  A check runs in Python floats;
+:mod:`majent.entropy` is imported where it evaluates, so the kinds and the
+tolerance can be read without loading it, and nothing here imports numpy
+except the sweep engine's array branch of :func:`oriented_sides`.
 """
 from __future__ import annotations
 
@@ -107,33 +108,24 @@ _CHECKS = {
 def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
     """(lhs, rhs, margin) of check ``kind`` from the four family values.
 
-    Works elementwise on arrays of rows (``sj`` is unused by the meet-only
-    kinds) as well as on single floats.
+    Works on single floats, as :func:`run_check` gives them, and elementwise
+    on the sweep engine's arrays of rows (``sj`` is unused by the meet-only
+    kinds).  A margin is ``rhs - lhs`` or ``lhs - rhs``, never a negation,
+    so equal sides give +0.0 in either orientation.
     """
     needs_join, orientation = _CHECKS[kind]
     if needs_join:
         lhs, rhs = sp + sq, sm + sj
     elif orientation == 0:
+        lhs, rhs = sm, sp + sq + (1.0 - beta) * sp * sq
+        if isinstance(alpha, float):
+            return lhs, rhs, rhs - lhs if alpha >= 0.0 else lhs - rhs
         import numpy as np
 
-        lhs, rhs = sm, sp + sq + (1.0 - beta) * sp * sq
         return lhs, rhs, np.where(alpha >= 0.0, rhs - lhs, lhs - rhs)
     else:
         lhs, rhs = sm, sp + sq
     return lhs, rhs, rhs - lhs if orientation > 0 else lhs - rhs
-
-
-def check_record(
-    kind: PropertyKind, p, q, params: EntropyParams, sides, meet_row, join_row, tolerance=CHECK_TOL
-) -> PropertyCheckRecord:
-    """The record of check ``kind`` on (p, q) from its (lhs, rhs, margin)
-    ``sides`` and the kernel rows of its meet and join, cut to their
-    dimension; ``join_row`` is None for the meet-only kinds."""
-    lhs, rhs, margin = map(float, sides)
-    join = None if join_row is None else lattice.row_distribution(join_row)
-    return PropertyCheckRecord(
-        kind, p, q, params, lhs, rhs, margin, tolerance, lattice.row_distribution(meet_row), join
-    )
 
 
 def run_check(
@@ -149,24 +141,22 @@ def run_check(
     The modular kinds compare S(p) + S(q) (lhs) with S(p meet q) +
     S(p join q) (rhs); the others compare S(p meet q) (lhs) with
     S(p) + S(q), plus the cross term (1 - beta) S(p) S(q) for the
-    generalized kind (rhs).  The check runs in floats, on the engine's row
-    kernels at the one pair that :func:`~majent.lattice.pair_rows` pads,
-    and the first family value to fail, in the order of the sides, raises.
+    generalized kind (rhs).  The check runs in Python floats, on the float
+    weights of p and q even when both are exact, and the first family value
+    to fail, in the order of the sides, raises.  A sweep row of the same
+    pair gives the same record bit for bit.
     """
-    import numpy as np
+    from .entropy import sharma_mittal
 
-    from .entropy import family_rows
-
-    joined = _CHECKS[kind][0]
-    pairs = lattice.pair_rows(p, q)
-    meets, joins = lattice.bound_rows(pairs, [joined])
-    n = pairs.shape[2]
-    lengths = np.array([p.dim, q.dim, n, n][: 3 + joined]) if p.dim != q.dim else None
-    rows = np.concatenate([pairs[0], pairs[1], meets, joins])
-    values, errors = family_rows(rows, params.alpha, params.beta, lengths)
-    if errors:  # meet-only kinds take the meet first
-        raise errors[min(errors, key=None if joined else (2, 0, 1).index)]
-    # S(p), S(q), S(meet) and S(join), None for the meet-only kinds.
-    sides = oriented_sides(kind, params.alpha, params.beta, *(values.tolist() + [None])[:4])
-    join_row = joins[0] if joined else None
-    return check_record(kind, p, q, params, sides, meets[0], join_row, tolerance)
+    fp, fq = ProbabilityDistribution(p.weights), ProbabilityDistribution(q.weights)
+    meet = lattice.meet(fp, fq)
+    if _CHECKS[kind][0]:
+        join = lattice.join(fp, fq)
+        sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
+        sm, sj = sharma_mittal(meet, params), sharma_mittal(join, params)
+    else:  # the meet-only kinds take the meet first
+        join = sj = None
+        sm = sharma_mittal(meet, params)
+        sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
+    lhs, rhs, margin = oriented_sides(kind, params.alpha, params.beta, sp, sq, sm, sj)
+    return PropertyCheckRecord(kind, p, q, params, lhs, rhs, margin, tolerance, meet, join)

@@ -16,7 +16,9 @@ injection).  Known violations are therefore found regardless of seed.
 Sweeps and searches run on the batched engine of :mod:`majent.engine`,
 which draws the same numbers as :func:`trial_stream` and finds the same
 worst margins, first counterexamples and first errors as a trial-by-trial
-loop over :func:`run_check`.
+loop over :func:`run_check`.  numpy is imported where a stream is made and
+the engine where it runs, so :func:`verify_paper_counterexamples` replays
+the reference pairs in Python floats without either.
 """
 from __future__ import annotations
 
@@ -27,12 +29,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entropy import EntropyParams, is_finite, sharma_mittal
 from .properties import PropertyCheckRecord, PropertyKind, json_float, run_check
 from .simplex import ProbabilityDistribution, make_distribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Identifier of the random stream, for cross-language reproduction.
 STREAM_ALGORITHM = "philox4x64 (numpy.random.Philox, keyed counter-based)"
@@ -139,7 +143,10 @@ def _check_word(name: str, value, bits: int, error=ValueError) -> None:
 
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
     """The counter-based stream for one trial, independent of all others;
-    ValueError unless the seed fits 64 bits and each index 32."""
+    ValueError unless the seed fits 64 bits and each index 32.  numpy is
+    imported here, so that only what samples loads it."""
+    import numpy as np
+
     _check_word("seed", seed, 64)
     _check_word("cell_index", cell_index, 32)
     _check_word("trial_index", trial_index, 32)

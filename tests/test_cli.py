@@ -39,12 +39,16 @@ FRESH_MAIN = (
     "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    f"print('imported:', *(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)\n"
+    f"print('imported:', *(m for m in {WATCHED!r} if sys.modules.get(m)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
-def run_fresh(argv):
+#: FRESH_MAIN in an interpreter where ``import numpy`` raises ImportError.
+NO_NUMPY_MAIN = "import sys\nsys.modules['numpy'] = None\n" + FRESH_MAIN
+
+
+def run_fresh(argv, script=FRESH_MAIN):
     """Invoke main() in a new interpreter, as the ``majent`` script does,
     capturing (exit_code, stdout, stderr, the set of ``WATCHED`` modules it
     imported).  The test process has them loaded already, so only a new one
@@ -52,13 +56,15 @@ def run_fresh(argv):
     ``MAJENT_SEED`` is unset, so a sweep runs at the built-in seed."""
     env = {k: v for k, v in os.environ.items() if k != "MAJENT_SEED"}
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_MAIN, *argv],
+        [sys.executable, "-c", script, *argv],
         env=dict(env, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    err, _, loaded = proc.stderr.rpartition("imported:")
+    err, found, loaded = proc.stderr.rpartition("imported:")
+    if not found:  # it died before its last line, as on an import error
+        return proc.returncode, proc.stdout, proc.stderr, set()
     return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
@@ -478,28 +484,72 @@ class TestImportOnUse:
         got, _, _, loaded = run_fresh(argv)
         assert (got, "numpy" in loaded) == (code, False)
 
-    def test_check_imports_numpy(self):
+    def test_check_runs_without_numpy(self):
         got, out, _, loaded = run_fresh(
             ["check", "--property", "subadditive", "--p", "0.5,0.5",
              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"]
         )
-        assert (got, "numpy" in loaded) == (EXIT_OK, True)
+        assert (got, "numpy" in loaded) == (EXIT_OK, False)
         assert out.endswith("verdict: holds\n")
 
     @pytest.mark.parametrize(
         "argv,loaded",
         [
             (["check", "--property", "supermodular", "--p", "0.5,0.5",
-              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], {"numpy"}),
-            (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], {"numpy"}),
-            (["verify-paper"], {"numpy", "majent.search"}),
+              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], set()),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], set()),
+            (["verify-paper"], {"majent.search"}),
         ],
     )
     def test_only_sweeps_and_searches_load_the_engine(self, argv, loaded):
-        # A check runs the engine's kernels, not the engine; verify-paper
-        # replays its pairs through run_check.
+        # A check and an entropy run in Python floats; verify-paper replays
+        # its pairs through run_check.
         got, _, _, imported = run_fresh(argv)
         assert (got, imported) == (EXIT_OK, loaded)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["check", "--property", "supermodular", "--p", "0.5,0.3,0.1,0.1",
+              "--q", "0.4,0.4,0.2,0", "--alpha", "2", "--beta", "3"], EXIT_VIOLATION),
+            (["check", "--property", "generalized", "--p", "0.5,0.3,0.2",
+              "--q", "0.6,0.4", "--alpha", "-1.5", "--beta", "0.5", "--format", "json"],
+             EXIT_VIOLATION),
+            (["check", "--property", "submodular", "--p", "0.5,0.2,0.2,0.1", "--q",
+              "0.4,0.4,0.15,0.05", "--alpha", "2", "--beta", "3", "--format", "json"], EXIT_VIOLATION),
+            (["check", "--property", "subadditive", "--p", "0.5,0.5",
+              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], EXIT_OK),
+            (["check", "--property", "subadditive", "--p", "0.5,0.5,0",
+              "--q", "0.6,0.4", "--alpha", "-1", "--beta", "2"], EXIT_DOMAIN),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--family", "shannon"], EXIT_OK),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--family", "renyi", "--alpha", "0.5"], EXIT_OK),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--family", "tsallis", "--alpha", "3"], EXIT_OK),
+            (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], EXIT_OK),
+            (["meet", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], EXIT_OK),
+            (["join", "--p", "0.5,0.15,0.15,0.1,0.1", "--q", "0.3,0.3,0.3,0.1"], EXIT_OK),
+            (["verify-paper"], EXIT_OK),
+            (["verify-paper", "--format", "json"], EXIT_OK),
+            (["compare", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], EXIT_OK),
+        ],
+    )
+    def test_float_commands_run_where_numpy_cannot_be_imported(self, argv, code):
+        # Every byte and exit code is the one the command gives with numpy
+        # loaded.
+        got, out, err, loaded = run_fresh(argv, NO_NUMPY_MAIN)
+        assert (got, out, err) == run(argv)
+        assert (got, loaded <= {"majent.search"}) == (code, True)
+
+    def test_sweep_loads_numpy_and_the_engine(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 3\ntrials_per_cell = 4\n")
+        got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg)])
+        assert (got, err, loaded) == (EXIT_OK, "", set(WATCHED))
+        assert out.startswith("# generator: philox4x64")
+        # The same sweep where numpy cannot be imported fails, so the
+        # commands above do run without it.
+        got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)], NO_NUMPY_MAIN)
+        assert (got, out) == (1, "")
+        assert err.endswith("ModuleNotFoundError: import of numpy halted; None in sys.modules\n")
 
     @pytest.mark.parametrize(
         "text,code,message",

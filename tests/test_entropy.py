@@ -5,12 +5,16 @@ formulas (power sums of small decimal vectors are exact decimal
 arithmetic), so a regression in any branch shows up as a clean mismatch
 rather than a tolerance fight.
 """
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from majent import engine
 from majent.entropy import (
     LN2,
     DegenerateParamsError,
@@ -18,6 +22,7 @@ from majent.entropy import (
     IndexOutOfRangeError,
     ZeroWeightNegativeAlphaError,
     _BULK_ROWS,
+    _argument,
     family_rows,
     g_alpha,
     h_alpha_beta,
@@ -29,6 +34,8 @@ from majent.entropy import (
     sharma_mittal_partial,
     tsallis,
 )
+from majent.lattice import bound_rows, join, meet
+from majent.properties import PropertyKind, run_check
 from majent.search import sample_simplex, trial_stream
 from majent.simplex import make_distribution, tensor_product
 
@@ -446,3 +453,137 @@ class TestRowKernelBits:
         )
         finite = [i for i, b in enumerate(betas.tolist()) if b == -1022.5]
         assert len(finite) == 4 and all(1e305 < values[i] < math.inf for i in finite)
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, a float or a distribution, or the type
+    and message of what it raised."""
+    try:
+        value = fn(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    return [w.hex() for w in value.weights] if hasattr(value, "weights") else value.hex()
+
+
+def _kernel_outcome(values, errors, i):
+    """Row ``i`` of a :func:`family_rows` result, as :func:`_outcome` gives it."""
+    return (type(errors[i]), str(errors[i])) if i in errors else values[i].hex()
+
+
+# Weights that are zero, ordinary, or small enough that a negative order
+# overflows their power.
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-3))
+
+
+def _dists(n):
+    """Float distributions of dimension ``n``, normalized from ``_weights``."""
+    return st.lists(_weights, min_size=n, max_size=n).filter(lambda ws: sum(ws) > 0).map(
+        lambda ws: make_distribution([w / sum(ws) for w in ws])
+    )
+
+
+_any_dists = st.integers(1, 12).flatmap(_dists)
+# Orders up to 1e3 in size, the limit value 1 exactly and a few landmarks.
+_orders = st.one_of(
+    st.sampled_from([1.0, 0.0, 0.5, 2.0, -1.0, -300.0, 1000.0, -1000.0]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def _params(draw):
+    alpha = draw(_orders)
+    return EntropyParams.make(alpha, draw(st.one_of(_orders, st.just(alpha))))
+
+
+@st.composite
+def _pairs_of_one_dimension(draw):
+    """(p, q) of one dimension, q equal to p now and then, which makes the
+    margins of some checks exactly zero."""
+    p = draw(st.integers(1, 12).flatmap(_dists))
+    return p, draw(st.one_of(st.just(p), _dists(p.dim)))
+
+
+class TestScalarPathBits:
+    """The one-pair path in Python floats against the row kernels behind
+    sweeps: the same value bits, or the same error type and message, for
+    the same rows, whatever the rows evaluated with them."""
+
+    @given(_any_dists, _any_dists, _params())
+    @example(make_distribution([0.999, 0.001]), make_distribution([1.0]), EntropyParams(-300.0, 2.0))
+    @example(make_distribution([0.5, 0.5, 0.0]), make_distribution([1.0]), EntropyParams(-1.0, 1.0))
+    def test_family_values_equal_the_row_kernel(self, p, q, params):
+        n = max(p.dim, q.dim)
+        rows = np.zeros((2, n))
+        rows[0, : p.dim], rows[1, : q.dim] = p.weights, q.weights
+        padded = family_rows(rows, params.alpha, params.beta, np.array([p.dim, q.dim]))
+        for i, d in enumerate((p, q)):
+            alone = family_rows(np.array([d.weights]), params.alpha, params.beta)
+            want = _outcome(sharma_mittal, d, params)
+            assert want == _kernel_outcome(*alone, 0) == _kernel_outcome(*padded, i)
+            # The arguments of the outer map: a power sum, at alpha = 1 too,
+            # and the Shannon sum.
+            row = np.array([d.weights])
+            with np.errstate(all="ignore"):
+                power, _ = _argument(row, np.array([params.alpha]), np.array([False]))
+                shannon_sum, _ = _argument(row, np.array([1.0]), np.array([True]))
+            if not isinstance(_outcome(g_alpha, d, params.alpha), tuple):
+                assert g_alpha(d, params.alpha).hex() == power[0].hex()
+            assert shannon(d).hex() == shannon_sum[0].hex()
+
+    @given(_any_dists, _any_dists)
+    def test_float_meet_and_join_equal_the_row_kernel(self, p, q):
+        n = max(p.dim, q.dim)
+        pairs = np.zeros((2, 2, n))
+        pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
+        pairs[0, 1, : q.dim], pairs[1, 1, : p.dim] = q.weights, p.weights
+        meets, joins = bound_rows(pairs, [True, True])
+        for i, (a, b) in enumerate(((p, q), (q, p))):
+            assert _outcome(meet, a, b) == [w.hex() for w in meets[i].tolist()]
+            assert _outcome(join, a, b) == [w.hex() for w in joins[i].tolist()]
+
+    @given(_pairs_of_one_dimension(), _params(), st.sampled_from(PropertyKind))
+    @example(
+        (make_distribution([1.0]), make_distribution([1.0])),
+        EntropyParams(-1.0, 2.0),
+        PropertyKind.GENERALIZED_SUB_SUPER,
+    )
+    @example(
+        (make_distribution([0.5, 0.5, 0.0]), make_distribution([0.5, 0.4999999, 1e-7])),
+        EntropyParams(-50.0, 2.0),
+        PropertyKind.SUBADDITIVE,
+    )
+    def test_run_check_equals_the_engine_record(self, pair, params, kind):
+        p, q = pair
+        assert _check_outcome(run_check, kind, p, q, params) == _engine_outcome(kind, p, q, params)
+
+
+def _check_outcome(fn, *args):
+    """The JSON and the bits of lhs, rhs and margin of the record
+    ``fn(*args)`` returns, or the type and message of what it raised."""
+    try:
+        record = fn(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    sides = (record.lhs.hex(), record.rhs.hex(), record.margin.hex())
+    return json.dumps(record.to_json_dict()), sides
+
+
+def _engine_outcome(kind, p, q, params):
+    """The sweep engine's record of the pair (p, q), of one dimension, as
+    :func:`_check_outcome` gives it: a batch of one row, which draws that
+    pair, tallied at trial 2 so that no reference pair stands in for it.
+    A failing row gives the first error of its kernel rows in the order of
+    the sides, which is what the engine's replay raises."""
+    grid = engine._Grid(
+        np.array([params.alpha]), np.array([params.beta]), (kind,), np.array([p.dim]), 3, 0
+    )
+    draw = lambda *args: (np.array([p.weights]), np.array([q.weights]))  # noqa: E731
+    with mock.patch.object(engine, "draw_pairs", draw):
+        batch = engine._Batch(None, grid, np.array([0]), np.array([2]))
+    if not batch.failed[0]:
+        return _check_outcome(lambda: batch.counterexample(0, kind, params).check)
+    rows = np.concatenate(batch.classes[int(batch.width[0])])
+    _, errors = family_rows(rows, params.alpha, params.beta, np.full(len(rows), p.dim))
+    err = errors[min(errors, key=None if len(rows) == 4 else (2, 0, 1).index)]
+    return type(err), str(err)
