@@ -18,22 +18,10 @@ The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
 empty buffer, the state a fresh keyed stream starts in, so the draws are
 those of ``search.trial_stream`` and ``search.sample_simplex``.
-
-A batch of at least ``SPLIT_ROWS`` rows is split at its midpoint when the
-process may run on two CPUs: one worker process, forked once the process
-has tallied ``FORK_ROWS`` rows of such batches whole and kept for the life
-of the process, tallies the second half while the process tallies the
-first.  The two tallies go through the merge that joins the tallies of
-consecutive batches, so a split changes no result.
 """
 from __future__ import annotations
 
-import atexit
-import contextlib
 import math
-import os
-import pickle
-import threading
 from itertools import count
 from typing import Iterator, NamedTuple, Sequence
 
@@ -49,31 +37,12 @@ from .properties import (
     oriented_sides,
     run_check,
 )
-from .search import REFERENCE_PAIRS, CounterexampleRecord, trial_key
+from .search import REFERENCE_PAIRS, CounterexampleRecord, TrialEvaluationError, trial_key
 from .simplex import ProbabilityDistribution
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
 BATCH_ROWS = 1024
-
-#: Fewest rows of a batch that are split with the worker process (at least
-#: 2, so that each half has a row).  A split runs the fixed per-batch work
-#: in both processes and adds a round trip through two pipes with the
-#: pickling of the task and the tally, so it pays from a size set by the
-#: per-row cost.  Measured on a 2-vCPU KVM guest (medians of 2,000
-#: alternating pairs), a split batch of the c3 grid's meet-only rows of 2
-#: to 8, the cheapest per row, took 1.27x the whole batch's time at 112
-#: rows and 0.89x at 128; on the five-property grid with rows up to 64 it
-#: breaks even at 64 rows.
-SPLIT_ROWS = 128
-
-#: Rows a process tallies whole, in batches of at least ``SPLIT_ROWS``,
-#: before it forks the worker.  The fork, the copy-on-write faults it
-#: leaves to both processes and the reaping at exit cost a one-shot sweep
-#: of 240 rows 6.6 ms (93.5 -> 100.1 ms, raw medians of 10 runs on the
-#: 2-vCPU guest), and a split saves about 0.66 us a row of the c3 grid, so
-#: the worker is forked once the rows already run could have paid for it.
-FORK_ROWS = 10_000
 
 #: Rows are zero-padded to a multiple of this width, and a batch runs the
 #: kernels once per width class.  Eight float64 fill one 64-byte cache
@@ -265,169 +234,6 @@ def _tally(gen, grid: _Grid, start: int, stop: int) -> _Tally:
     return _Tally(c0, stop, worsts, records, None if row is None else (int(cell[row]), batch, row))
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to ``fd`` as one length-prefixed pickle."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(fd: int):
-    """The next object :func:`_send` wrote to ``fd``; EOFError once its
-    writer is gone."""
-
-    def read(n: int) -> bytearray:
-        data = bytearray()
-        while len(data) < n:
-            chunk = os.read(fd, n - len(data))
-            if not chunk:
-                raise EOFError
-            data += chunk
-        return data
-
-    return pickle.loads(read(int.from_bytes(read(8), "little")))
-
-
-def _serve(tasks, replies) -> None:
-    """The worker's loop: tally the rows of each task until the task pipe
-    ends, then leave.  A task is (grid or None, start, stop), the grid only
-    when it is new to the worker.  A half with a failing row goes back
-    empty, so that the parent tallies it and its replay raises the error."""
-    import signal  # only the worker needs it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        gen = np.random.Generator(np.random.Philox(key=0))
-        grid = None
-        while True:
-            new_grid, start, stop = _receive(tasks)
-            grid = grid if new_grid is None else new_grid
-            tally = _tally(gen, grid, start, stop)
-            _send(replies, None if tally.failed else tally)
-    finally:
-        os._exit(0)
-
-
-class _Worker:
-    """The process's one worker, which tallies the second half of each
-    split batch.
-
-    It is forked on the first split after the process has run
-    ``FORK_ROWS`` rows and kept for the life of the process; a fork of the
-    process drops the worker it inherits and forks its own.  It ignores
-    SIGINT and leaves when its task pipe ends, which :meth:`close`, run at
-    exit, brings about before reaping it.  No answer depends on the worker:
-    a half it does not send back is tallied here.
-    """
-
-    def __init__(self) -> None:
-        self.pid = None
-        self.lock = threading.Lock()
-        self.unsplit_rows = 0
-
-    def split(self, gen, grid: _Grid, start: int, stop: int) -> list[_Tally] | None:
-        """The tallies of rows [start, mid) here and [mid, stop) in the
-        worker, or None when another thread holds the worker, the process
-        has not run ``FORK_ROWS`` rows yet or no worker can be forked."""
-        if not self.lock.acquire(blocking=False):
-            return None
-        try:
-            if self.pid is None and self.unsplit_rows < FORK_ROWS:
-                self.unsplit_rows += stop - start
-                return None
-            mid = (start + stop) // 2
-            if not self._pipe(self._task, grid, mid, stop):
-                return None
-            try:
-                first = _tally(gen, grid, start, mid)
-            finally:
-                second = self._pipe(_receive, self.replies)  # drained even if the above raised
-            return [first, second or _tally(gen, grid, mid, stop)]
-        finally:
-            self.lock.release()
-
-    def _task(self, grid: _Grid, start: int, stop: int) -> bool:
-        if self.pid is None:
-            self._fork()
-        _send(self.tasks, (None if self.grid is grid else grid, start, stop))
-        self.grid = grid
-        return True
-
-    def _pipe(self, fn, *args):
-        """``fn(*args)``, or None, with the worker closed, when no worker can
-        be forked or it is gone; the next split forks one."""
-        try:
-            return fn(*args)
-        except (OSError, EOFError):
-            self.close()
-            return None
-        except BaseException:  # a message cut short leaves the pipes unusable
-            self.close()
-            raise
-
-    def _fork(self) -> None:
-        tasks_r, tasks_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (tasks_r, tasks_w, replies_r, replies_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            os.close(tasks_w)
-            os.close(replies_r)
-            _serve(tasks_r, replies_w)
-        os.close(tasks_r)
-        os.close(replies_w)
-        self.pid, self.grid, self.tasks, self.replies = pid, None, tasks_w, replies_r
-        atexit.register(self.close)
-
-    def forget(self) -> None:
-        """Close this process's ends of the pipes, without reaping.  The
-        pipes are plain descriptors, so that a fork made while another
-        thread writes to one can still close it."""
-        if self.pid is not None:
-            os.close(self.tasks)
-            os.close(self.replies)
-        self.pid = None
-
-    def close(self) -> None:
-        """Close the pipes, so that the worker leaves, and reap it."""
-        pid = self.pid
-        self.forget()
-        if pid is not None:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-            atexit.unregister(self.close)
-
-    def _after_fork_in_child(self) -> None:
-        """A fork of this process, the worker included, starts without one."""
-        self.lock = threading.Lock()
-        self.forget()
-
-
-_WORKER = _Worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_WORKER._after_fork_in_child)
-
-
-def _tallies(gen, grid: _Grid, start: int, stop: int) -> list[_Tally]:
-    """The tallies of rows [start, stop), in row order: the halves of a
-    split batch, or the batch whole."""
-    if (
-        stop - start >= SPLIT_ROWS
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    ):
-        halves = _WORKER.split(gen, grid, start, stop)
-        if halves:
-            return halves
-    return [_tally(gen, grid, start, stop)]
-
-
 def run_cells(
     alpha_grid: Sequence[float],
     beta_grid: Sequence[float],
@@ -445,13 +251,14 @@ def run_cells(
     them); the rest are fresh samples with the dimension cycling through
     ``dims``.  A cell without a violation has None for its counterexample.
     A trial whose evaluation fails is replayed through
-    :func:`~majent.properties.run_check`, which raises its error; as in a
-    trial-by-trial loop, the first failing trial of a cell raises before
-    the cell is yielded.
+    :func:`~majent.properties.run_check`, and the error it raises comes out
+    as :class:`~majent.search.TrialEvaluationError`; as in a trial-by-trial
+    loop, the first failing trial of a cell raises before the cell is
+    yielded.
 
-    The tallies of consecutive batches, and of the two halves of a split
-    batch, are merged in row order: a cell keeps its worst margin and first
-    violation from the earliest tally that set them.
+    The tallies of consecutive batches are merged in row order: a cell
+    keeps its worst margin and first violation from the earliest tally that
+    set them.
     """
     # Every trial sets its own key; a fixed one here draws no OS entropy.
     gen = np.random.Generator(np.random.Philox(key=0))
@@ -466,17 +273,26 @@ def run_cells(
     total = len(grid.alphas) * len(grid.betas) * len(grid.kinds) * trials
     worst, first = math.inf, None
     for start in range(0, total, BATCH_ROWS):
-        for tally in _tallies(gen, grid, start, min(start + BATCH_ROWS, total)):
-            for c, margin, found in zip(count(tally.c0), tally.worsts, tally.records):
-                if tally.failed and c == tally.failed[0]:
-                    kind, params = grid.check(c)
-                    p, q, _ = tally.failed[1].pair(tally.failed[2])
+        tally = _tally(gen, grid, start, min(start + BATCH_ROWS, total))
+        for c, margin, found in zip(count(tally.c0), tally.worsts, tally.records):
+            if tally.failed and c == tally.failed[0]:
+                kind, params = grid.check(c)
+                batch, row = tally.failed[1:]
+                p, q, _ = batch.pair(row)
+                try:
                     run_check(kind, p, q, params)
-                    raise RuntimeError("the batched and the single-pair evaluation disagree")
-                if margin < worst:
-                    worst = margin
-                if first is None:
-                    first = found
-                if (c + 1) * trials <= tally.stop:
-                    yield worst, first
-                    worst, first = math.inf, None
+                except (ValueError, OverflowError) as err:
+                    # A C library error carries (errno, message).
+                    raise TrialEvaluationError(
+                        f"evaluation failed: {kind.value} at alpha={params.alpha}, "
+                        f"beta={params.beta}, seed {grid.seed}, cell {c}, "
+                        f"trial {batch.trial[row]}: {err.args[-1]}"
+                    ) from err
+                raise RuntimeError("the batched and the single-pair evaluation disagree")
+            if margin < worst:
+                worst = margin
+            if first is None:
+                first = found
+            if (c + 1) * trials <= tally.stop:
+                yield worst, first
+                worst, first = math.inf, None

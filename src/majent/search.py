@@ -68,6 +68,12 @@ class GuaranteeViolationError(RuntimeError):
     """
 
 
+class TrialEvaluationError(ValueError):
+    """A sweep trial's check could not be evaluated.  The message names the
+    check and the trial's replay key (seed, cell, trial), then the error of
+    the evaluation, which is chained as the cause."""
+
+
 class ReproductionError(RuntimeError):
     """The built-in reference counterexamples failed to reproduce."""
 

@@ -356,7 +356,7 @@ class TestSweepCommand:
             # (-1100, 0) overflows a power on trial 0; (-1, 0), the next
             # cell, breaks the guarantee.
             ("alpha_grid = -1100, -1\nbeta_grid = 0\n", EXIT_DOMAIN,
-             "error: (34, 'Numerical result out of range')"),
+             "error: evaluation failed: superadditive at alpha=-1100.0, beta=0.0, seed "),
         ],
     )
     def test_first_event_in_cell_order_wins(self, tmp_path, grids, code, message):
@@ -406,6 +406,21 @@ class TestErrorMapping:
         )
         assert code == EXIT_DOMAIN
         assert err.startswith("error: ")
+
+    def test_failing_sweep_trial_names_its_cell(self, tmp_path):
+        # 64-dimensional powers at order -300 overflow on the first trial.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "alpha_grid = -300\nbeta_grid = 2\ndims = 64\nproperties = submodular\n"
+            "trials_per_cell = 10\nseed = 1\n"
+        )
+        code, out, err = run(["sweep", "--config", str(cfg)])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (
+            "error: evaluation failed: submodular at alpha=-300.0, beta=2.0, seed 1, "
+            "cell 0, trial 0: Numerical result out of range\n"
+        )
+        assert "(34," not in err
 
     @pytest.mark.parametrize(
         "kind,message",
