@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _error(err: Exception, code: int) -> int:
-    print(f"error: {err}", file=sys.stderr)
+    # A C library error carries (errno, message): print the message.
+    print(f"error: {err.args[-1] if isinstance(err, OverflowError) else err}", file=sys.stderr)
     return code
 
 

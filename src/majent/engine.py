@@ -11,8 +11,10 @@ arrays and sends each class through the row kernels of ``lattice`` and
 padding is exact: the kernels leave a row's bits as they are at its own
 length.  The margins go back into row order, so each cell's worst margin,
 first violation and first failure are those of a trial-by-trial loop over
-:func:`~majent.properties.run_check`, and the record of a violation,
-built from the batch, equals that loop's bit for bit.
+:func:`~majent.properties.run_check`.  The record of a cell's first
+violation is that loop's own: the engine runs the row's pair through
+``run_check`` once, and margin bits that differ from the batch's are an
+error.
 
 The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
@@ -22,23 +24,14 @@ those of ``search.trial_stream`` and ``search.sample_simplex``.
 from __future__ import annotations
 
 import math
-from itertools import count
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .entropy import EntropyParams, family_rows
 from .lattice import bound_rows, row_distribution, sorted_rows
-from .properties import (
-    _CHECKS,
-    CHECK_TOL,
-    PropertyCheckRecord,
-    PropertyKind,
-    oriented_sides,
-    run_check,
-)
+from .properties import _CHECKS, CHECK_TOL, PropertyKind, oriented_sides, run_check
 from .search import REFERENCE_PAIRS, CounterexampleRecord, TrialEvaluationError, trial_key
-from .simplex import ProbabilityDistribution
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -110,32 +103,30 @@ def draw_pairs(
 class _Batch:
     """Consecutive (cell, trial) rows, evaluated at once.
 
-    ``lhs``, ``rhs``, ``margin`` and ``failed`` are in row order;
-    :meth:`pair` rebuilds the pair of one row for a replay and
-    :meth:`counterexample` the record of a violating row.  Rows are
-    evaluated in width classes: a row of dimension n is zero-padded to n
-    rounded up to ``CLASS_WIDTH``, and the rows of a class, joined or not,
-    go through the kernels as one array.
+    ``margin`` and ``failed`` are in row order; :meth:`replay` runs one row
+    through :func:`~majent.properties.run_check`.  Rows are evaluated in
+    width classes: a row of dimension n is zero-padded to n rounded up to
+    ``CLASS_WIDTH``, and the rows of a class, joined or not, go through the
+    kernels as one array.
     """
 
     def __init__(self, gen, grid: _Grid, cell, trial):
-        self.seed, self.cell, self.trial = grid.seed, cell, trial
+        self.cell, self.trial = cell, trial
         k = len(cell)
         kind_index, alpha, beta = grid.columns(cell)
         self.ref = (alpha >= 0.0) & (trial < len(REFERENCE_PAIRS))
         self.dims = grid.dims[trial % len(grid.dims)]
         for t, ref in enumerate(REFERENCE_PAIRS):
             self.dims[self.ref & (trial == t)] = ref.p.dim
-        self.joined = np.array([_CHECKS[kind][0] for kind in grid.kinds])[kind_index]
+        joined_rows = np.array([_CHECKS[kind][0] for kind in grid.kinds])[kind_index]
         self.width = -(-self.dims // CLASS_WIDTH) * CLASS_WIDTH
         values = np.full((4, k), np.nan)  # S(p), S(q), S(meet), S(join)
         self.failed = np.zeros(k, dtype=bool)
         self.classes = {}
-        # Each row's index in its class, and among the class's joined rows.
-        self.slot = np.empty((2, k), dtype=np.intp)
+        self.index = np.empty(k, dtype=np.intp)  # each row's index in its class
         for width in sorted(set(self.width.tolist())):
             at = np.flatnonzero(self.width == width)
-            n, joined = self.dims[at], self.joined[at]
+            n, joined = self.dims[at], joined_rows[at]
             pairs = np.zeros((2, len(at), width))
             p, q = pairs
             drawn = ~self.ref[at]
@@ -148,8 +139,8 @@ class _Batch:
                 rows = ~drawn & (trial[at] == t)
                 p[rows, : ref.p.dim], q[rows, : ref.q.dim] = ref.p.weights, ref.q.weights
             meets, joins = bound_rows(pairs, joined)
-            self.classes[width] = (p, q, meets, joins)
-            self.slot[:, at] = np.arange(len(at)), np.cumsum(joined) - 1
+            self.classes[width] = pairs
+            self.index[at] = np.arange(len(at))
             owner = np.concatenate([at, at, at, at[joined]])
             vals, errors = family_rows(
                 np.concatenate([p, q, meets, joins]), alpha[owner], beta[owner], self.dims[owner]
@@ -157,81 +148,40 @@ class _Batch:
             values[:3, at] = vals[: 3 * len(at)].reshape(3, -1)
             values[3, at[joined]] = vals[3 * len(at) :]
             self.failed[owner[list(errors)]] = True
-        self.lhs, self.rhs, self.margin = np.empty((3, k))
+        self.margin = np.empty(k)
         for i, kind in enumerate(grid.kinds):
             rows = kind_index == i
             if rows.any():
                 with np.errstate(all="ignore"):  # inf - inf is a nan margin
-                    sides = oriented_sides(kind, alpha[rows], beta[rows], *values[:, rows])
-                self.lhs[rows], self.rhs[rows], self.margin[rows] = sides
+                    _, _, self.margin[rows] = oriented_sides(
+                        kind, alpha[rows], beta[rows], *values[:, rows]
+                    )
 
-    def _slot(self, r: int):
-        """Row ``r``'s class arrays (p, q, meets, joins), its index in them
-        and among the joins, and its dimension."""
-        i, j = self.slot[:, r].tolist()
-        return self.classes[int(self.width[r])], i, j, int(self.dims[r])
+    def replay(self, grid: _Grid, r: int) -> CounterexampleRecord:
+        """Row ``r``'s check, as :func:`~majent.properties.run_check` gives
+        it for the row's pair, with its replay key.
 
-    def pair(self, r: int) -> tuple[ProbabilityDistribution, ProbabilityDistribution, str]:
-        """(p, q, source) of row ``r``; a reference pair's rows are its p and q."""
-        (p, q, _, _), i, _, n = self._slot(r)
-        source = REFERENCE_PAIRS[self.trial[r]].name if self.ref[r] else "random"
-        return row_distribution(p[i, :n]), row_distribution(q[i, :n]), source
-
-    def counterexample(
-        self, r: int, kind: PropertyKind, params: EntropyParams
-    ) -> CounterexampleRecord:
-        """Row ``r`` with its replay key; its check, built from the batch's
-        own rows, is the record :func:`~majent.properties.run_check` would
-        return."""
-        p, q, source = self.pair(r)
-        (_, _, meets, joins), i, j, n = self._slot(r)
-        sides = self.lhs[r], self.rhs[r], self.margin[r]
-        join = row_distribution(joins[j, :n]) if self.joined[r] else None
-        meet = row_distribution(meets[i, :n])
-        check = PropertyCheckRecord(kind, p, q, params, *map(float, sides), CHECK_TOL, meet, join)
-        return CounterexampleRecord(
-            check, self.seed, int(self.cell[r]), int(self.trial[r]), source
-        )
-
-
-class _Tally(NamedTuple):
-    """Rows [start, ``stop``) of a run, tallied per cell from cell ``c0`` on:
-    each cell's least margin over those rows (nan ranked as inf, the first
-    of equal margins winning) and the record of its first violation among
-    them, or None.  ``failed`` is (cell, batch, row) of the first row whose
-    evaluation failed, or None."""
-
-    c0: int
-    stop: int
-    worsts: list
-    records: list
-    failed: tuple | None
-
-
-def _tally(gen, grid: _Grid, start: int, stop: int) -> _Tally:
-    """Evaluate rows [start, stop) as one batch and tally them per cell:
-    ``np.minimum.reduceat`` gives each cell's least margin and
-    ``np.searchsorted`` its first violating row."""
-    c0, t0 = divmod(start, grid.trials)
-    cell, trial = np.divmod(np.arange(t0, t0 + stop - start), grid.trials)
-    cell += c0
-    batch = _Batch(gen, grid, cell, trial)
-    # Cell c0 + j holds the batch's rows lo[j] to hi[j] - 1.
-    lo = np.maximum(np.arange(int(cell[-1]) - c0 + 1) * grid.trials - t0, 0)
-    hi = np.append(lo[1:], len(cell)).tolist()
-    ranked = np.where(np.isnan(batch.margin), math.inf, batch.margin)
-    least = np.flatnonzero(ranked == np.minimum.reduceat(ranked, lo)[cell - c0])
-    worsts = batch.margin[least[np.searchsorted(least, lo)]].tolist()
-    # Each cell's first row with a violation; len(cell) stands for none.
-    hits = np.append(np.flatnonzero(batch.margin < -CHECK_TOL), len(cell))
-    firsts = hits[np.searchsorted(hits, lo)].tolist()
-    records = [
-        batch.counterexample(r, *grid.check(c)) if r < end else None
-        for c, r, end in zip(count(c0), firsts, hi)
-    ]
-    failed = np.flatnonzero(batch.failed)
-    row = int(failed[0]) if failed.size else None
-    return _Tally(c0, stop, worsts, records, None if row is None else (int(cell[row]), batch, row))
+        The error of a failing row comes out as
+        :class:`~majent.search.TrialEvaluationError`.  A replay that
+        disagrees with the batch, a failed row that evaluates or other
+        margin bits, raises RuntimeError.
+        """
+        c, t = int(self.cell[r]), int(self.trial[r])
+        kind, params = grid.check(c)
+        p, q = self.classes[int(self.width[r])][:, self.index[r], : self.dims[r]]
+        try:
+            check = run_check(kind, row_distribution(p), row_distribution(q), params)
+        except (ValueError, OverflowError) as err:
+            # A C library error carries (errno, message).
+            raise TrialEvaluationError(
+                f"evaluation failed: {kind.value} at alpha={params.alpha}, "
+                f"beta={params.beta}, seed {grid.seed}, cell {c}, trial {t}: {err.args[-1]}"
+            ) from err
+        # .hex() spells every nan alike, so a nan margin matches a nan margin.
+        if self.failed[r] or check.margin.hex() != self.margin[r].hex():
+            raise RuntimeError("the batched and the single-pair evaluation disagree")
+        source = REFERENCE_PAIRS[t].name if self.ref[r] else "random"
+        return CounterexampleRecord(check, grid.seed, c, t, source)
 
 
 def run_cells(
@@ -256,9 +206,13 @@ def run_cells(
     loop, the first failing trial of a cell raises before the cell is
     yielded.
 
-    The tallies of consecutive batches are merged in row order: a cell
-    keeps its worst margin and first violation from the earliest tally that
-    set them.
+    The cells of a batch are tallied at once: ``np.minimum.reduceat``
+    gives each cell's least margin (nan ranked as inf, and the first of
+    equal margins wins, as in a strict ``<`` loop) and ``np.searchsorted``
+    its first violating row, a nan margin counting as a violation.  A cell
+    that runs over several batches keeps its worst margin and first
+    violation from the earliest batch that set them, and replays at most
+    one row for its counterexample.
     """
     # Every trial sets its own key; a fixed one here draws no OS entropy.
     gen = np.random.Generator(np.random.Philox(key=0))
@@ -273,26 +227,28 @@ def run_cells(
     total = len(grid.alphas) * len(grid.betas) * len(grid.kinds) * trials
     worst, first = math.inf, None
     for start in range(0, total, BATCH_ROWS):
-        tally = _tally(gen, grid, start, min(start + BATCH_ROWS, total))
-        for c, margin, found in zip(count(tally.c0), tally.worsts, tally.records):
-            if tally.failed and c == tally.failed[0]:
-                kind, params = grid.check(c)
-                batch, row = tally.failed[1:]
-                p, q, _ = batch.pair(row)
-                try:
-                    run_check(kind, p, q, params)
-                except (ValueError, OverflowError) as err:
-                    # A C library error carries (errno, message).
-                    raise TrialEvaluationError(
-                        f"evaluation failed: {kind.value} at alpha={params.alpha}, "
-                        f"beta={params.beta}, seed {grid.seed}, cell {c}, "
-                        f"trial {batch.trial[row]}: {err.args[-1]}"
-                    ) from err
-                raise RuntimeError("the batched and the single-pair evaluation disagree")
+        cell, trial = np.divmod(np.arange(start, min(start + BATCH_ROWS, total)), trials)
+        batch = _Batch(gen, grid, cell, trial)
+        # Cell c0 + j holds the batch's rows lo[j] to hi[j] - 1.
+        c0 = int(cell[0])
+        lo = np.maximum(np.arange(c0, int(cell[-1]) + 1) * trials - start, 0)
+        hi = np.append(lo[1:], len(cell)).tolist()
+        # Each cell's first row with its least margin, nan ranked as inf.
+        ranked = np.where(np.isnan(batch.margin), math.inf, batch.margin)
+        least = np.flatnonzero(ranked == np.minimum.reduceat(ranked, lo)[cell - c0])
+        worsts = batch.margin[least[np.searchsorted(least, lo)]].tolist()
+        # Each cell's first row that does not hold; len(cell) stands for none.
+        hits = np.append(np.flatnonzero(~(batch.margin >= -CHECK_TOL)), len(cell))
+        firsts = hits[np.searchsorted(hits, lo)].tolist()
+        failed = np.flatnonzero(batch.failed)
+        failed_cell = int(cell[failed[0]]) if failed.size else -1
+        for c, margin, r, end in zip(range(c0, c0 + len(lo)), worsts, firsts, hi):
+            if c == failed_cell:
+                batch.replay(grid, int(failed[0]))  # raises: the row failed
             if margin < worst:
                 worst = margin
-            if first is None:
-                first = found
-            if (c + 1) * trials <= tally.stop:
+            if first is None and r < end:
+                first = batch.replay(grid, r)
+            if start + end == (c + 1) * trials:
                 yield worst, first
                 worst, first = math.inf, None

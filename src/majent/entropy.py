@@ -203,12 +203,6 @@ def _h_outer(x: float, alpha: float, beta: float) -> float:
 #: floats, which raise where the C library signals an error.
 _OUTER = (_shannon_outer, _phi_outer, _renyi_outer, _h_outer)
 
-#: Calls with at least this many rows take the outer map in bulk.  The bulk
-#: pass costs a fixed 20-35 us a call and saves about 1 us a row over the
-#: per-row map of ``_OUTER``; measured on rows of 8, the two break even at
-#: 40-60 rows.  The k = 1 callers stay per row.
-_BULK_ROWS = 64
-
 #: Largest ``expm1`` argument the bulk pass settles.  ``math.expm1``
 #: overflows just past log(DBL_MAX) = 709.78, so the rows beyond this bound
 #: go through ``_OUTER``, which gives math's value or its OverflowError.
@@ -260,9 +254,9 @@ def family_rows(
     ``n`` is for.
 
     The outer map from a row's power sum or Shannon entropy to its value
-    runs row by row through ``_OUTER`` below ``_BULK_ROWS`` rows, and in
-    bulk from there (:func:`_bulk_outer`), with the same bits and errors.
-    The scalar functions are the same evaluation at k = 1, in Python floats.
+    runs in bulk (:func:`_bulk_outer`), with the bits and errors of
+    ``_OUTER``.  The scalar functions are the same evaluation at k = 1, in
+    Python floats.
     """
     import numpy as np
 
@@ -270,10 +264,7 @@ def family_rows(
         alpha, beta = np.array([float(alpha)] * len(w)), np.array([float(beta)] * len(w))
     with np.errstate(all="ignore"):
         x, terms = _argument(w, alpha, alpha == 1.0)
-        if len(w) < _BULK_ROWS:
-            values, replay = np.empty(len(w)), range(len(w))
-        else:
-            values, replay = _bulk_outer(x, alpha, beta)
+        values, replay = _bulk_outer(x, alpha, beta)
     errors = {}
     for i in replay:
         a, b = alpha.item(i), beta.item(i)

@@ -5,6 +5,7 @@ formulas (power sums of small decimal vectors are exact decimal
 arithmetic), so a regression in any branch shows up as a clean mismatch
 rather than a tolerance fight.
 """
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -21,7 +22,6 @@ from majent.entropy import (
     EntropyParams,
     IndexOutOfRangeError,
     ZeroWeightNegativeAlphaError,
-    _BULK_ROWS,
     _argument,
     family_rows,
     g_alpha,
@@ -35,7 +35,7 @@ from majent.entropy import (
     tsallis,
 )
 from majent.lattice import bound_rows, join, meet
-from majent.properties import PropertyKind, run_check
+from majent.properties import _CHECKS, PropertyKind, run_check
 from majent.search import sample_simplex, trial_stream
 from majent.simplex import make_distribution, tensor_product
 
@@ -415,9 +415,9 @@ class TestRowKernelBits:
 
     def test_bulk_errors_equal_the_per_row_errors(self):
         # Each failure of the outer map, and a finite row whose expm1
-        # argument lies in (709, 709.78], among ordinary rows: a call with
-        # at least _BULK_ROWS rows must give each row the value bits, error
-        # type and message of the same row evaluated alone.
+        # argument lies in (709, 709.78], among ordinary rows: the bulk
+        # pass must give each row the value bits, error type and message
+        # of the scalar sharma_mittal, whose outer map is _OUTER's.
         special = [
             ([0.5, 0.5, 0.0], 2000.0, 3.0),  # power sum underflows to 0
             ([0.5, 0.5, 0.0], 2000.0, 1.0),  # log(0): math domain error
@@ -437,16 +437,11 @@ class TestRowKernelBits:
         for i, case in enumerate(special * 2):
             cases.insert(4 * i + 1, case)
         rows, alphas, betas = (np.array(column) for column in zip(*cases))
-        assert len(rows) >= _BULK_ROWS
         values, errors = family_rows(rows, alphas, betas)
-        alone = [
-            family_rows(rows[i : i + 1], alphas[i : i + 1], betas[i : i + 1])
-            for i in range(len(rows))
+        assert [_kernel_outcome(values, errors, i) for i in range(len(cases))] == [
+            _outcome(sharma_mittal, make_distribution(w), EntropyParams(a, b))
+            for w, a, b in cases
         ]
-        assert values.view(np.uint64).tolist() == [v.view(np.uint64)[0] for v, _ in alone]
-        assert {i: (type(e), str(e)) for i, e in errors.items()} == {
-            i: (type(e[0]), str(e[0])) for i, (_, e) in enumerate(alone) if e
-        }
         kinds = sorted(type(e).__name__ for e in errors.values())
         assert kinds == sorted(
             ["ValueError"] * 4 + ["OverflowError"] * 6 + ["ZeroWeightNegativeAlphaError"] * 2
@@ -572,9 +567,9 @@ def _check_outcome(fn, *args):
 def _engine_outcome(kind, p, q, params):
     """The sweep engine's record of the pair (p, q), of one dimension, as
     :func:`_check_outcome` gives it: a batch of one row, which draws that
-    pair, tallied at trial 2 so that no reference pair stands in for it.
-    A failing row gives the first error of its kernel rows in the order of
-    the sides, which is what the engine's replay raises."""
+    pair, replayed at trial 2 so that no reference pair stands in for it,
+    with the batch's margin.  A failing row gives the first error of its
+    kernel rows, rebuilt from the batch's pair, in the order of the sides."""
     grid = engine._Grid(
         np.array([params.alpha]), np.array([params.beta]), (kind,), np.array([p.dim]), 3, 0
     )
@@ -582,8 +577,10 @@ def _engine_outcome(kind, p, q, params):
     with mock.patch.object(engine, "draw_pairs", draw):
         batch = engine._Batch(None, grid, np.array([0]), np.array([2]))
     if not batch.failed[0]:
-        return _check_outcome(lambda: batch.counterexample(0, kind, params).check)
-    rows = np.concatenate(batch.classes[int(batch.width[0])])
+        check = batch.replay(grid, 0).check
+        return _check_outcome(lambda: dataclasses.replace(check, margin=float(batch.margin[0])))
+    pairs = batch.classes[int(batch.width[0])]
+    rows = np.concatenate([*pairs, *bound_rows(pairs, [_CHECKS[kind][0]])])
     _, errors = family_rows(rows, params.alpha, params.beta, np.full(len(rows), p.dim))
     err = errors[min(errors, key=None if len(rows) == 4 else (2, 0, 1).index)]
     return type(err), str(err)

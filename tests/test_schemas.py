@@ -140,7 +140,8 @@ class TestSweepReportSchema:
         assert ce is not None and isinstance(ce["seed"], int)
 
     def test_infinite_worst_margin_is_written_as_null(self, tmp_path):
-        # Every margin of the cell is nan, so the worst margin stays inf.
+        # Every margin of the cell is nan, so the worst margin stays inf, and
+        # a nan margin does not hold: trial 0 is the cell's counterexample.
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "alpha_grid = 0.9999999999999999\nbeta_grid = -1e308\ndims = 2,3\n"
@@ -153,7 +154,11 @@ class TestSweepReportSchema:
         jsonschema.validate(data, load("sweep-report.schema.json"))
         assert code == 0
         (cell,) = data["cells"]
-        assert (cell["worst_margin"], cell["verdict"]) == (None, "no-violation-found")
+        assert (cell["worst_margin"], cell["verdict"]) == (None, "violation-found")
+        found = cell["counterexample"]
+        assert (found["source"], found["trial_index"], found["margin"]) == (
+            "reference-pair-1", 0, None,
+        )
 
 
 def test_verify_records_validate():

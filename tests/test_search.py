@@ -22,7 +22,7 @@ from majent.entropy import (
     family_rows,
     sharma_mittal,
 )
-from majent.properties import CHECK_TOL, PropertyKind, run_check
+from majent.properties import PropertyKind, run_check
 from majent.search import (
     DEFAULT_SEED,
     KNOWN_SUBMODULARITY_VIOLATION,
@@ -605,7 +605,7 @@ class TestBatchedEngine:
                         check = run_check(kind, p, q, params)
                         if check.margin < worst:
                             worst = check.margin
-                        if found is None and check.margin < -CHECK_TOL:
+                        if found is None and not check.holds:
                             found = CounterexampleRecord(check, config.seed, cell_index, t, source)
                     out.append((worst, found))
                     cell_index += 1
@@ -843,6 +843,31 @@ class TestBatchOrder:
         assert rec.trial_index == 10
         assert json.dumps(rec.to_json_dict()) == json.dumps(want.to_json_dict())
 
+    def test_a_replay_with_other_margin_bits_is_an_error(self, monkeypatch):
+        # The replay of the violating row at trial 10 returns a margin one
+        # ulp above the batch's.
+        def nudged(*args):
+            check = run_check(*args)
+            return dataclasses.replace(check, margin=math.nextafter(check.margin, math.inf))
+
+        monkeypatch.setattr(majent.engine, "run_check", nudged)
+        with pytest.raises(RuntimeError, match="batched and the single-pair evaluation disagree"):
+            find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
+
+    def test_a_cell_replays_one_row_however_many_batches_it_spans(self, monkeypatch):
+        # Supermodularity at (-1, 1) fails on 238 of the 1000 trials, in 120
+        # of the 143 batches of 7; only the first violation is replayed.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_check(*args)
+
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", 7)
+        monkeypatch.setattr(majent.engine, "run_check", counted)
+        rec = find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
+        assert (rec.trial_index, len(calls)) == (10, 1)
+
     def test_a_sweep_after_an_aborted_one_gives_the_same_report(self):
         config = TestBatchedEngine.CONFIGS["c4"]
         want = outcome(sweep, config)
@@ -860,7 +885,7 @@ class TestBatchOrder:
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(majent.engine, "_tally", interrupted)
+            patch.setattr(majent.engine, "_Batch", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 sweep(TestBatchedEngine.CONFIGS["mixed"])
         assert outcome(sweep, config) == want
