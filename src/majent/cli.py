@@ -12,12 +12,14 @@ Each command loads only the modules it runs.  ``meet --exact`` and
 pair or distribution in Python floats.  None of these, nor ``--help`` or a
 usage error found while parsing, imports numpy: only ``sweep`` loads it,
 with the batched engine.  Only ``verify-paper`` and ``sweep`` load
-:mod:`majent.search`.
+:mod:`majent.search`, and :mod:`json` is loaded only where JSON is
+written.  The records are NamedTuples or slotted classes, so no command
+pays for :mod:`inspect` and the class generation of the standard record
+decorator (numpy itself loads :mod:`inspect` for ``sweep``).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -181,6 +183,8 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         PropertyKind(args.property), p, q, params, tolerance=args.tolerance
     )
     if args.format == "json":
+        import json
+
         print(json.dumps(record.to_json_dict(), indent=2, allow_nan=False))
     else:
         print(_render_check_text(record, args.digits))
@@ -196,6 +200,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         print(f"reproduction failed: {err}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.format == "json":
+        import json
+
         print(json.dumps([r.to_json_dict() for r in records], indent=2, allow_nan=False))
     else:
         for r in records:

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import errno
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .simplex import ProbabilityDistribution, tensor_product
+from .simplex import FrozenValue, ProbabilityDistribution, _set, tensor_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,8 +72,7 @@ def is_finite(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class EntropyParams:
+class EntropyParams(FrozenValue):
     """A validated (alpha, beta) pair of finite floats.
 
     A value of exactly 1 selects the limit toward 1 in :func:`sharma_mittal`
@@ -82,16 +80,15 @@ class EntropyParams:
     ``beta_kind`` name that reading (``"limit-1"`` or ``"finite"``).
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if not (is_finite(self.alpha) and is_finite(self.beta)):
+    def __init__(self, alpha: float, beta: float) -> None:
+        if not (is_finite(alpha) and is_finite(beta)):
             raise DegenerateParamsError(
-                f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})"
+                f"alpha and beta must be finite, got ({alpha!r}, {beta!r})"
             )
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        _set(self, "alpha", float(alpha))
+        _set(self, "beta", float(beta))
 
     @classmethod
     def make(cls, alpha: float, beta: float) -> "EntropyParams":

@@ -15,9 +15,8 @@ except the sweep engine's array branch of :func:`oriented_sides`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import lattice
 from .simplex import ProbabilityDistribution
@@ -43,8 +42,7 @@ class PropertyKind(Enum):
     SUBMODULAR = "submodular"
 
 
-@dataclass(frozen=True)
-class PropertyCheckRecord:
+class PropertyCheckRecord(NamedTuple):
     """Outcome of a single inequality check.
 
     ``margin = rhs - lhs`` oriented so that ``margin >= 0`` is the asserted

@@ -27,13 +27,12 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .entropy import EntropyParams, is_finite, sharma_mittal
 from .properties import PropertyCheckRecord, PropertyKind, json_float, run_check
-from .simplex import ProbabilityDistribution, make_distribution
+from .simplex import FrozenValue, ProbabilityDistribution, _set, make_distribution
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,8 +83,7 @@ class Verdict(Enum):
     THEOREM_GUARANTEED = "theorem-guaranteed"
 
 
-@dataclass(frozen=True)
-class ReferencePair:
+class ReferencePair(NamedTuple):
     """A hard-coded pair with known check values at (2, 3)."""
 
     name: str
@@ -172,8 +170,7 @@ def sample_simplex(n: int, stream: np.random.Generator) -> ProbabilityDistributi
     return make_distribution((draws / draws.sum()).tolist())
 
 
-@dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(NamedTuple):
     """A violating check with enough provenance to replay it exactly.
 
     ``source`` is ``"random"`` for sampled pairs (then seed, cell and trial
@@ -299,8 +296,7 @@ def _check_ascending(name: str, values: tuple) -> None:
         raise SweepConfigError(f"{name} must be strictly ascending: {values}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(FrozenValue):
     """Grid description for :func:`sweep`.
 
     Grids are finite ascending sequences stored as ``float``, and dims the
@@ -310,46 +306,43 @@ class SweepConfig:
     a config is validated; :func:`parse_sweep_config` only converts text.
     """
 
-    alpha_grid: tuple[float, ...]
-    beta_grid: tuple[float, ...]
-    dims: tuple[int, ...] = (2, 3, 4, 6, 8)
-    trials_per_cell: int = 10_000
-    seed: int = DEFAULT_SEED
-    properties: tuple[PropertyKind, ...] = (
-        PropertyKind.SUBADDITIVE,
-        PropertyKind.SUPERADDITIVE,
-        PropertyKind.GENERALIZED_SUB_SUPER,
-        PropertyKind.SUPERMODULAR,
-        PropertyKind.SUBMODULAR,
-    )
+    __slots__ = ("alpha_grid", "beta_grid", "dims", "trials_per_cell", "seed", "properties")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_grid", "beta_grid"):
-            grid = getattr(self, name)
+    def __init__(
+        self,
+        alpha_grid: tuple[float, ...],
+        beta_grid: tuple[float, ...],
+        dims: tuple[int, ...] = (2, 3, 4, 6, 8),
+        trials_per_cell: int = 10_000,
+        seed: int = DEFAULT_SEED,
+        properties: tuple[PropertyKind, ...] = tuple(PropertyKind),
+    ) -> None:
+        for name, grid in (("alpha_grid", alpha_grid), ("beta_grid", beta_grid)):
             _check_ascending(name, grid)
             if any(not is_finite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
-            object.__setattr__(self, name, tuple(map(float, grid)))
-        if any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in self.dims):
+            _set(self, name, tuple(map(float, grid)))
+        if any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in dims):
             raise SweepConfigError(
                 f"dims must be integers >= 2 and <= {MAX_DIM} (a batch of trials holds "
-                f"its pairs in memory at full width): {self.dims}"
+                f"its pairs in memory at full width): {dims}"
             )
-        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        _set(self, "dims", tuple(map(int, dims)))
         _check_ascending("dims", self.dims)
-        trials = self.trials_per_cell
+        trials = trials_per_cell
         if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
-        _check_word("seed", self.seed, 64, SweepConfigError)
-        if not self.properties:
+        _check_word("seed", seed, 64, SweepConfigError)
+        if not properties:
             raise SweepConfigError("properties must not be empty")
-        canonical = tuple(k for k in PropertyKind if k in set(self.properties))
-        if canonical != self.properties:
-            object.__setattr__(self, "properties", canonical)
+        canonical = tuple(k for k in PropertyKind if k in set(properties))
+        _set(self, "properties", canonical)
         # A replay key holds the cell and the trial index in 32 bits each.
         _check_word("last trial index", trials - 1, 32, SweepConfigError)
         cells = len(self.alpha_grid) * len(self.beta_grid) * len(canonical)
         _check_word("last cell index", cells - 1, 32, SweepConfigError)
+        _set(self, "trials_per_cell", trials)
+        _set(self, "seed", seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -362,8 +355,7 @@ class SweepConfig:
         }
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     alpha: float
     beta: float
     kind: PropertyKind
@@ -400,8 +392,7 @@ class CellReport:
         }
 
 
-@dataclass(frozen=True)
-class RegionSweepReport:
+class RegionSweepReport(NamedTuple):
     """All cell outcomes of one sweep, plus the reproduction header."""
 
     config: SweepConfig

@@ -13,7 +13,6 @@ by their sum before constructing.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -67,8 +66,44 @@ class MajorizationOrder(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+#: Sets a field of a :class:`FrozenValue` from its ``__init__``.
+_set = object.__setattr__
+
+
+class FrozenValue:
+    """Value semantics for a record kept in ``__slots__``, set once by its
+    ``__init__`` through ``object.__setattr__``: equality and hash by the
+    fields in slot order, a ``Name(field=value, ...)`` repr, no assignment
+    or deletion afterwards, and copies and pickles rebuilt by ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ProbabilityDistribution(FrozenValue):
     """A probability vector, sorted non-increasingly.
 
     ``weights`` is the float representation used for all entropy
@@ -79,8 +114,13 @@ class ProbabilityDistribution:
     which validate.
     """
 
-    weights: tuple[float, ...]
-    exact: tuple[Fraction, ...] | None = None
+    __slots__ = ("weights", "exact")
+
+    def __init__(
+        self, weights: tuple[float, ...], exact: tuple[Fraction, ...] | None = None
+    ) -> None:
+        _set(self, "weights", weights)
+        _set(self, "exact", exact)
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: output text, exit codes, error mapping."""
+import ast
 import contextlib
 import io
 import json
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
 #: The modules whose import :func:`run_fresh` reports.
-WATCHED = ("numpy", "majent.search", "majent.engine")
+WATCHED = ("numpy", "majent.search", "majent.engine", "json", "dataclasses", "inspect")
 
 #: Runs main() on the given arguments, then lists on a last stderr line
 #: which of ``WATCHED`` were imported.
@@ -511,7 +512,7 @@ class TestImportOnUse:
     )
     def test_exact_and_parse_only_commands_do_not_import_numpy(self, argv, code):
         got, _, _, loaded = run_fresh(argv)
-        assert (got, "numpy" in loaded) == (code, False)
+        assert (got, loaded) == (code, set())
 
     def test_check_runs_without_numpy(self):
         got, out, _, loaded = run_fresh(
@@ -527,12 +528,18 @@ class TestImportOnUse:
             (["check", "--property", "supermodular", "--p", "0.5,0.5",
               "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], set()),
             (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], set()),
-            (["verify-paper"], {"majent.search"}),
+            (["verify-paper"], {"majent.search", "json"}),
+            (["meet", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], set()),
+            (["join", "--p", "0.5,0.15,0.15,0.1,0.1", "--q", "0.3,0.3,0.3,0.1"], set()),
+            (["check", "--property", "supermodular", "--p", "0.5,0.5", "--q", "0.6,0.4",
+              "--alpha", "2", "--beta", "3", "--format", "json"], {"json"}),
+            (["verify-paper", "--format", "json"], {"majent.search", "json"}),
         ],
     )
     def test_only_sweeps_and_searches_load_the_engine(self, argv, loaded):
         # A check and an entropy run in Python floats; verify-paper replays
-        # its pairs through run_check.
+        # its pairs through run_check.  No command loads dataclasses or
+        # inspect, and json is loaded where JSON is written and with search.
         got, _, _, imported = run_fresh(argv)
         assert (got, imported) == (EXIT_OK, loaded)
 
@@ -566,19 +573,33 @@ class TestImportOnUse:
         # loaded.
         got, out, err, loaded = run_fresh(argv, NO_NUMPY_MAIN)
         assert (got, out, err) == run(argv)
-        assert (got, loaded <= {"majent.search"}) == (code, True)
+        assert (got, loaded <= {"majent.search", "json"}) == (code, True)
 
     def test_sweep_loads_numpy_and_the_engine(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 3\ntrials_per_cell = 4\n")
         got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg)])
-        assert (got, err, loaded) == (EXIT_OK, "", set(WATCHED))
+        assert (got, err) == (EXIT_OK, "")
+        # numpy loads inspect itself; majent adds neither it nor dataclasses.
+        assert loaded - {"inspect"} == set(WATCHED) - {"dataclasses", "inspect"}
         assert out.startswith("# generator: philox4x64")
         # The same sweep where numpy cannot be imported fails, so the
         # commands above do run without it.
         got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)], NO_NUMPY_MAIN)
         assert (got, out) == (1, "")
         assert err.endswith("ModuleNotFoundError: import of numpy halted; None in sys.modules\n")
+
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        # numpy loads inspect, so for sweep only the sources can tell.
+        imported = set()
+        for path in (SRC / "majent").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module)
+        assert "numpy" in imported
+        assert not imported & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize(
         "text,code,message",

@@ -5,7 +5,6 @@ formulas (power sums of small decimal vectors are exact decimal
 arithmetic), so a regression in any branch shows up as a clean mismatch
 rather than a tolerance fight.
 """
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -578,7 +577,7 @@ def _engine_outcome(kind, p, q, params):
         batch = engine._Batch(None, grid, np.array([0]), np.array([2]))
     if not batch.failed[0]:
         check = batch.replay(grid, 0).check
-        return _check_outcome(lambda: dataclasses.replace(check, margin=float(batch.margin[0])))
+        return _check_outcome(lambda: check._replace(margin=float(batch.margin[0])))
     pairs = batch.classes[int(batch.width[0])]
     rows = np.concatenate([*pairs, *bound_rows(pairs, [_CHECKS[kind][0]])])
     _, errors = family_rows(rows, params.alpha, params.beta, np.full(len(rows), p.dim))

@@ -4,7 +4,6 @@ The two fixed pairs below are the ones every report in this package keeps
 coming back to: at (alpha, beta) = (2, 3) the first breaks supermodularity
 by 4e-4 and the second breaks submodularity by 5.7e-3.
 """
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -214,7 +213,7 @@ class TestExactInputs:
         fp, fq = make_distribution(p.weights), make_distribution(q.weights)
         params = EntropyParams.make(alpha, beta)
         exact, floats = run_check(kind, p, q, params), run_check(kind, fp, fq, params)
-        assert dataclasses.replace(exact, p=fp, q=fq) == floats
+        assert exact._replace(p=fp, q=fq) == floats
         assert exact.to_json_dict() == floats.to_json_dict()
 
 

@@ -1,6 +1,5 @@
 """Sampling determinism, counterexample search, sweeps and their reports."""
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -290,9 +289,7 @@ class TestReferenceVerification:
         assert len(REFERENCE_PAIRS) == 2
 
     def test_tampered_expectation_is_caught(self, monkeypatch):
-        broken = dataclasses.replace(
-            KNOWN_SUPERMODULARITY_VIOLATION, expected_margin=-0.0005
-        )
+        broken = KNOWN_SUPERMODULARITY_VIOLATION._replace(expected_margin=-0.0005)
         monkeypatch.setattr(
             majent.search, "REFERENCE_PAIRS", (broken, KNOWN_SUBMODULARITY_VIOLATION)
         )
@@ -345,17 +342,19 @@ class TestSweepConfig:
 
     def test_cells_and_trials_up_to_2_to_the_32(self):
         # The cell and trial indices of a replay key fill 32 bits each.
-        cfg = SweepConfig(
+        # Each config is built through the constructor, which validates.
+        fields = dict(
             alpha_grid=GRID_2_16,
             beta_grid=GRID_2_16,
             trials_per_cell=2**32,
             properties=(PropertyKind.SUBADDITIVE,),
         )
+        cfg = SweepConfig(**fields)
         assert (len(cfg.alpha_grid) * len(cfg.beta_grid), cfg.trials_per_cell) == (2**32, 2**32)
         with pytest.raises(SweepConfigError, match=rf"^last cell index .*: {2**16 * (2**16 + 1) - 1}$"):
-            dataclasses.replace(cfg, beta_grid=GRID_2_16 + (2.0**16,))
+            SweepConfig(**dict(fields, beta_grid=GRID_2_16 + (2.0**16,)))
         with pytest.raises(SweepConfigError, match=r"^last trial index .*: 4294967296$"):
-            dataclasses.replace(cfg, trials_per_cell=2**32 + 1)
+            SweepConfig(**dict(fields, trials_per_cell=2**32 + 1))
 
     def test_integral_float_dims_are_stored_as_ints(self):
         cfg = SweepConfig(
@@ -848,7 +847,7 @@ class TestBatchOrder:
         # ulp above the batch's.
         def nudged(*args):
             check = run_check(*args)
-            return dataclasses.replace(check, margin=math.nextafter(check.margin, math.inf))
+            return check._replace(margin=math.nextafter(check.margin, math.inf))
 
         monkeypatch.setattr(majent.engine, "run_check", nudged)
         with pytest.raises(RuntimeError, match="batched and the single-pair evaluation disagree"):
