@@ -14,7 +14,8 @@ first violation and first failure are those of a trial-by-trial loop over
 :func:`~majent.properties.run_check`.  The record of a cell's first
 violation is that loop's own: the engine runs the row's pair through
 ``run_check`` once, and margin bits that differ from the batch's are an
-error.
+error.  The kernels build no error: a row that ``family_rows`` flags runs
+through ``run_check`` the same way and raises the trial's error.
 
 The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
@@ -142,12 +143,12 @@ class _Batch:
             self.classes[width] = pairs
             self.index[at] = np.arange(len(at))
             owner = np.concatenate([at, at, at, at[joined]])
-            vals, errors = family_rows(
+            vals, failed = family_rows(
                 np.concatenate([p, q, meets, joins]), alpha[owner], beta[owner], self.dims[owner]
             )
             values[:3, at] = vals[: 3 * len(at)].reshape(3, -1)
             values[3, at[joined]] = vals[3 * len(at) :]
-            self.failed[owner[list(errors)]] = True
+            self.failed[owner[failed]] = True
         self.margin = np.empty(k)
         for i, kind in enumerate(grid.kinds):
             rows = kind_index == i

@@ -25,17 +25,17 @@ Float values come from two paths with the same operations in the same
 order.  The scalar functions here evaluate one distribution term by term in
 Python floats, and :func:`family_rows`, the row kernel behind sweeps,
 evaluates a (k, m) array of sorted distributions, each zero-padded past its
-own length, at one (alpha, beta) per row and returns the error each failing
-row raises.  Powers, logarithms and ``expm1`` come from the C library on
-both paths (Python's ``**`` and ``np.float_power`` both call its ``pow``),
-numpy does only correctly rounded arithmetic, and sums run one term at a
-time, smallest weight first, so a value has the same bits on either path,
-whatever k, the padding and the host's vector unit are.  Only the row
-kernel imports numpy.
+own length, at one (alpha, beta) per row.  The row kernel gives value bits
+and a mask of the rows that fail; every error comes from the scalar path,
+which a sweep runs again on a failing row to raise it.  Powers, logarithms
+and ``expm1`` come from the C library on both paths (Python's ``**`` and
+``np.float_power`` both call its ``pow``), numpy does only correctly
+rounded arithmetic, and sums run one term at a time, smallest weight first,
+so a value has the same bits on either path, whatever k, the padding and
+the host's vector unit are.  Only the row kernel imports numpy.
 """
 from __future__ import annotations
 
-import errno
 import math
 from typing import TYPE_CHECKING
 
@@ -155,25 +155,6 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1], terms
 
 
-def _power_errors(w, n, alpha: np.ndarray, x, terms) -> dict[int, Exception]:
-    """The errors of the power sums of the rows of ``w``, by row: a zero
-    weight at a negative order, else a term beyond the float range.  Rows
-    are non-increasing, so a zero weight ends its row's ``n`` entries (all
-    of them without ``n``)."""
-    import numpy as np
-
-    errors: dict[int, Exception] = {}
-    if np.isinf(x).any():
-        for i in np.flatnonzero(np.isinf(terms).any(axis=1)).tolist():
-            errors[i] = OverflowError(errno.ERANGE, "Numerical result out of range")
-    last = w[:, -1] if n is None else w[np.arange(len(w)), n - 1]
-    for i in np.flatnonzero((last == 0.0) & (alpha < 0.0)).tolist():
-        errors[i] = ZeroWeightNegativeAlphaError(
-            f"zero weight is outside the domain for alpha = {float(alpha[i])!r}"
-        )
-    return errors
-
-
 def _shannon_outer(x: float, alpha: float, beta: float) -> float:
     if not x >= 0.0:
         raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
@@ -233,17 +214,16 @@ def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
 
 
 def family_rows(
-    w: np.ndarray, alpha, beta, n: np.ndarray | None = None
-) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The family value of each row of ``w``, and by row the error that the
-    evaluation of a failing row raises (its value is nan).
+    w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, failed): the family value of each row of ``w``, and a mask
+    of the rows on which :func:`sharma_mittal` raises, whose values are nan.
 
     ``w`` is (k, m) and row i holds a non-increasing distribution in its
-    first ``n[i]`` entries, zero-padded past them; without ``n`` every row
-    is m long.  ``alpha`` and ``beta`` are two numbers, for every row, or
-    two arrays with one value per row.  The branches are those of
-    :func:`sharma_mittal`, chosen per row, and a row's error is the first
-    one that evaluating it term by term, smallest weight first, would meet.
+    first ``n[i]`` entries, zero-padded past them, evaluated at
+    ``(alpha[i], beta[i])``.  The branches are those of
+    :func:`sharma_mittal`, chosen per row.  The kernel builds no error: a
+    failing row's error is the one the scalar path raises for it.
 
     The padding cannot move a bit: no power or logarithm is taken of it,
     the smallest-first sums add its zero terms before any real term, and
@@ -251,31 +231,27 @@ def family_rows(
     ``n`` is for.
 
     The outer map from a row's power sum or Shannon entropy to its value
-    runs in bulk (:func:`_bulk_outer`), with the bits and errors of
+    runs in bulk (:func:`_bulk_outer`), with the bits and failures of
     ``_OUTER``.  The scalar functions are the same evaluation at k = 1, in
     Python floats.
     """
     import numpy as np
 
-    if not isinstance(alpha, np.ndarray):
-        alpha, beta = np.array([float(alpha)] * len(w)), np.array([float(beta)] * len(w))
     with np.errstate(all="ignore"):
         x, terms = _argument(w, alpha, alpha == 1.0)
         values, replay = _bulk_outer(x, alpha, beta)
-    errors = {}
+    # A zero weight at a negative order, and a power beyond the float range.
+    failed = (w[np.arange(len(w)), n - 1] == 0.0) & (alpha < 0.0)
+    if np.isinf(x).any():
+        failed |= np.isinf(terms).any(axis=1)
     for i in replay:
         a, b = alpha.item(i), beta.item(i)
         try:
             values[i] = _OUTER[(a != 1.0) * 2 + (b != 1.0)](x.item(i), a, b)
-        except (ValueError, OverflowError) as err:
-            values[i] = math.nan
-            errors[i] = err
-    # A power sum's error comes before any error of the outer map.
-    power = _power_errors(w, n, alpha, x, terms)
-    for i in power:
-        values[i] = math.nan
-    errors.update(power)
-    return values, errors
+        except (ValueError, OverflowError):
+            failed[i] = True
+    values[failed] = math.nan
+    return values, failed
 
 
 def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
@@ -375,7 +351,7 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
 
     Negative alpha with a zero weight raises.  Rows of many distributions,
     each at its own (alpha, beta), go through :func:`family_rows`, which
-    gives each row this function's value bits or error.
+    gives this function's value bits and flags the rows where it raises.
     """
     alpha, beta = params.alpha, params.beta
     x = shannon(p) if alpha == 1.0 else g_alpha(p, alpha)

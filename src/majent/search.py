@@ -22,9 +22,7 @@ the reference pairs in Python floats without either.
 """
 from __future__ import annotations
 
-import io
 import itertools
-import json
 import math
 import numbers
 from enum import Enum
@@ -413,18 +411,21 @@ class RegionSweepReport(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# generator: {self.algorithm}; seed: {self.seed}\n")
-        out.write("alpha,beta,property,verdict,worst_margin,trials,seed\n")
+        lines = [
+            f"# generator: {self.algorithm}; seed: {self.seed}\n",
+            "alpha,beta,property,verdict,worst_margin,trials,seed\n",
+        ]
         for c in self.cells:
-            out.write(
+            lines.append(
                 f"{c.alpha!r},{c.beta!r},{c.kind.value},{c.verdict.value},"
                 f"{c.worst_margin!r},{c.trials},{c.seed}\n"
             )
-        return out.getvalue()
+        return "".join(lines)
 
 
 def sweep(config: SweepConfig) -> RegionSweepReport:
@@ -480,8 +481,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             f"grid range {text!r} spans {span:g} steps; at most {MAX_GRID_POINTS - 1} are allowed"
         )
     count = round(span) + 1
-    values = (start + i * step for i in range(count))
-    return tuple(v for v in values if v <= end + 1e-9)
+    last = end + 4 * math.ulp(max(abs(start), abs(end)))  # rounding slack of start + i * step
+    return tuple(v for v in (start + i * step for i in range(count)) if v <= last)
 
 
 def _parse_int(text: str) -> int:

@@ -528,7 +528,7 @@ class TestImportOnUse:
             (["check", "--property", "supermodular", "--p", "0.5,0.5",
               "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], set()),
             (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], set()),
-            (["verify-paper"], {"majent.search", "json"}),
+            (["verify-paper"], {"majent.search"}),
             (["meet", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], set()),
             (["join", "--p", "0.5,0.15,0.15,0.1,0.1", "--q", "0.3,0.3,0.3,0.1"], set()),
             (["check", "--property", "supermodular", "--p", "0.5,0.5", "--q", "0.6,0.4",
@@ -539,7 +539,7 @@ class TestImportOnUse:
     def test_only_sweeps_and_searches_load_the_engine(self, argv, loaded):
         # A check and an entropy run in Python floats; verify-paper replays
         # its pairs through run_check.  No command loads dataclasses or
-        # inspect, and json is loaded where JSON is written and with search.
+        # inspect, and json is loaded only where JSON is written.
         got, _, _, imported = run_fresh(argv)
         assert (got, imported) == (EXIT_OK, loaded)
 
@@ -580,9 +580,13 @@ class TestImportOnUse:
         cfg.write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 3\ntrials_per_cell = 4\n")
         got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg)])
         assert (got, err) == (EXIT_OK, "")
-        # numpy loads inspect itself; majent adds neither it nor dataclasses.
-        assert loaded - {"inspect"} == set(WATCHED) - {"dataclasses", "inspect"}
+        # numpy loads inspect itself; majent adds neither it nor dataclasses,
+        # and a CSV report loads no json.
+        assert loaded - {"inspect"} == set(WATCHED) - {"dataclasses", "inspect", "json"}
         assert out.startswith("# generator: philox4x64")
+        got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg), "--format", "json"])
+        assert (got, err, "json" in loaded) == (EXIT_OK, "", True)
+        assert out.startswith("{")
         # The same sweep where numpy cannot be imported fails, so the
         # commands above do run without it.
         got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)], NO_NUMPY_MAIN)

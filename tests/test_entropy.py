@@ -34,8 +34,8 @@ from majent.entropy import (
     tsallis,
 )
 from majent.lattice import bound_rows, join, meet
-from majent.properties import _CHECKS, PropertyKind, run_check
-from majent.search import sample_simplex, trial_stream
+from majent.properties import PropertyKind, run_check
+from majent.search import TrialEvaluationError, sample_simplex, trial_stream
 from majent.simplex import make_distribution, tensor_product
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
@@ -398,16 +398,22 @@ class TestRowKernelBits:
                         alphas.append(alpha)
                         betas.append(beta)
                         expected.append(ref)
-            values, errors = family_rows(np.array(rows), np.array(alphas), np.array(betas))
-            assert errors == {}
+            values, failed = family_rows(
+                np.array(rows), np.array(alphas), np.array(betas), np.full(len(rows), n)
+            )
+            assert failed.tolist() == [False] * len(rows)  # no sharma_mittal raised
             assert values.tolist() == expected
 
     def test_failing_rows_report_their_own_errors(self):
+        # The kernel flags the rows; the scalar path raises their errors.
         rows = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
-        values, errors = family_rows(rows, np.array([2.0, -1.0, 1.0, -1023.0]), np.array([3.0] * 4))
-        assert sorted(errors) == [1, 3]
-        assert isinstance(errors[1], ZeroWeightNegativeAlphaError)
-        assert isinstance(errors[3], OverflowError)
+        alphas = np.array([2.0, -1.0, 1.0, -1023.0])
+        values, failed = family_rows(rows, alphas, np.array([3.0] * 4), np.full(4, 3))
+        assert failed.tolist() == [False, True, False, True]
+        with pytest.raises(ZeroWeightNegativeAlphaError):
+            sharma_mittal(make_distribution(rows[1].tolist()), EntropyParams(-1.0, 3.0))
+        with pytest.raises(OverflowError):
+            sharma_mittal(make_distribution(rows[3].tolist()), EntropyParams(-1023.0, 3.0))
         assert math.isnan(values[1]) and math.isnan(values[3])
         assert values[0] == _term_by_term(make_distribution([0.5, 0.5, 0.0]), 2.0, 3.0)
         assert values[2] == 0.0
@@ -415,8 +421,8 @@ class TestRowKernelBits:
     def test_bulk_errors_equal_the_per_row_errors(self):
         # Each failure of the outer map, and a finite row whose expm1
         # argument lies in (709, 709.78], among ordinary rows: the bulk
-        # pass must give each row the value bits, error type and message
-        # of the scalar sharma_mittal, whose outer map is _OUTER's.
+        # pass must give each row the value bits of the scalar sharma_mittal,
+        # whose outer map is _OUTER's, and flag exactly the rows it raises on.
         special = [
             ([0.5, 0.5, 0.0], 2000.0, 3.0),  # power sum underflows to 0
             ([0.5, 0.5, 0.0], 2000.0, 1.0),  # log(0): math domain error
@@ -436,12 +442,14 @@ class TestRowKernelBits:
         for i, case in enumerate(special * 2):
             cases.insert(4 * i + 1, case)
         rows, alphas, betas = (np.array(column) for column in zip(*cases))
-        values, errors = family_rows(rows, alphas, betas)
-        assert [_kernel_outcome(values, errors, i) for i in range(len(cases))] == [
-            _outcome(sharma_mittal, make_distribution(w), EntropyParams(a, b))
-            for w, a, b in cases
+        values, failed = family_rows(rows, alphas, betas, np.full(len(rows), 3))
+        scalar = [
+            _outcome(sharma_mittal, make_distribution(w), EntropyParams(a, b)) for w, a, b in cases
         ]
-        kinds = sorted(type(e).__name__ for e in errors.values())
+        assert [_kernel_outcome(values, failed, i) for i in range(len(cases))] == [
+            _flagged(outcome) for outcome in scalar
+        ]
+        kinds = sorted(outcome[0].__name__ for outcome in scalar if isinstance(outcome, tuple))
         assert kinds == sorted(
             ["ValueError"] * 4 + ["OverflowError"] * 6 + ["ZeroWeightNegativeAlphaError"] * 2
         )
@@ -459,9 +467,15 @@ def _outcome(fn, *args):
     return [w.hex() for w in value.weights] if hasattr(value, "weights") else value.hex()
 
 
-def _kernel_outcome(values, errors, i):
-    """Row ``i`` of a :func:`family_rows` result, as :func:`_outcome` gives it."""
-    return (type(errors[i]), str(errors[i])) if i in errors else values[i].hex()
+def _flagged(outcome):
+    """An :func:`_outcome` of the family value as the row kernel reports
+    it: whether the evaluation raised, and the value bits, nan if it did."""
+    return (True, "nan") if isinstance(outcome, tuple) else (False, outcome)
+
+
+def _kernel_outcome(values, failed, i):
+    """Row ``i`` of a :func:`family_rows` result, as :func:`_flagged` gives it."""
+    return bool(failed[i]), values[i].hex()
 
 
 # Weights that are zero, ordinary, or small enough that a negative order
@@ -500,8 +514,9 @@ def _pairs_of_one_dimension(draw):
 
 class TestScalarPathBits:
     """The one-pair path in Python floats against the row kernels behind
-    sweeps: the same value bits, or the same error type and message, for
-    the same rows, whatever the rows evaluated with them."""
+    sweeps: for the same rows, whatever the rows evaluated with them, the
+    same value bits, and a flag on exactly the rows where the scalar path
+    raises.  A sweep's error is the scalar path's, type and message."""
 
     @given(_any_dists, _any_dists, _params())
     @example(make_distribution([0.999, 0.001]), make_distribution([1.0]), EntropyParams(-300.0, 2.0))
@@ -510,10 +525,11 @@ class TestScalarPathBits:
         n = max(p.dim, q.dim)
         rows = np.zeros((2, n))
         rows[0, : p.dim], rows[1, : q.dim] = p.weights, q.weights
-        padded = family_rows(rows, params.alpha, params.beta, np.array([p.dim, q.dim]))
+        alphas, betas = np.full(2, params.alpha), np.full(2, params.beta)
+        padded = family_rows(rows, alphas, betas, np.array([p.dim, q.dim]))
         for i, d in enumerate((p, q)):
-            alone = family_rows(np.array([d.weights]), params.alpha, params.beta)
-            want = _outcome(sharma_mittal, d, params)
+            alone = family_rows(np.array([d.weights]), alphas[:1], betas[:1], np.array([d.dim]))
+            want = _flagged(_outcome(sharma_mittal, d, params))
             assert want == _kernel_outcome(*alone, 0) == _kernel_outcome(*padded, i)
             # The arguments of the outer map: a power sum, at alpha = 1 too,
             # and the Shannon sum.
@@ -567,19 +583,20 @@ def _engine_outcome(kind, p, q, params):
     """The sweep engine's record of the pair (p, q), of one dimension, as
     :func:`_check_outcome` gives it: a batch of one row, which draws that
     pair, replayed at trial 2 so that no reference pair stands in for it,
-    with the batch's margin.  A failing row gives the first error of its
-    kernel rows, rebuilt from the batch's pair, in the order of the sides."""
+    with the batch's margin.  The batch must flag the row exactly when
+    ``run_check`` raises on the pair, and a failing row gives the error
+    that the replay's TrialEvaluationError was raised from."""
     grid = engine._Grid(
         np.array([params.alpha]), np.array([params.beta]), (kind,), np.array([p.dim]), 3, 0
     )
     draw = lambda *args: (np.array([p.weights]), np.array([q.weights]))  # noqa: E731
     with mock.patch.object(engine, "draw_pairs", draw):
         batch = engine._Batch(None, grid, np.array([0]), np.array([2]))
-    if not batch.failed[0]:
-        check = batch.replay(grid, 0).check
-        return _check_outcome(lambda: check._replace(margin=float(batch.margin[0])))
-    pairs = batch.classes[int(batch.width[0])]
-    rows = np.concatenate([*pairs, *bound_rows(pairs, [_CHECKS[kind][0]])])
-    _, errors = family_rows(rows, params.alpha, params.beta, np.full(len(rows), p.dim))
-    err = errors[min(errors, key=None if len(rows) == 4 else (2, 0, 1).index)]
-    return type(err), str(err)
+    try:
+        record, raised = batch.replay(grid, 0), None
+    except TrialEvaluationError as err:
+        record, raised = None, err.__cause__  # what run_check raised
+    assert bool(batch.failed[0]) == (raised is not None)
+    if raised is not None:
+        return type(raised), str(raised)
+    return _check_outcome(lambda: record.check._replace(margin=float(batch.margin[0])))

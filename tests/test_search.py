@@ -405,6 +405,17 @@ class TestConfigParsing:
             PropertyKind.SUPERMODULAR,
         )
 
+    def test_a_range_ends_at_its_end_whatever_the_step(self):
+        # Rounding slack scaled to the endpoints: a step below 1e-9 must not
+        # let a point past the inclusive end through.
+        def grid(text):
+            return parse_sweep_config(f"alpha_grid = {text}\nbeta_grid = 2\n").alpha_grid
+
+        assert grid("0:1e-12:1.06e-11") == tuple(i * 1e-12 for i in range(11))
+        assert grid("0:1e-10:2.6e-10") == (0.0, 1e-10, 2e-10)
+        # The last point may still exceed the end by rounding.
+        assert grid("0.1:0.1:0.3") == (0.1, 0.2, 0.30000000000000004)
+
     def test_seed_precedence(self):
         file_with = "alpha_grid = 1\nbeta_grid = 2\nseed = 7\n"
         file_without = "alpha_grid = 1\nbeta_grid = 2\n"
@@ -688,9 +699,8 @@ class TestBatchedEngine:
     def test_padding_hides_no_zero_weight(self):
         # Row 0 holds a real zero weight; row 1 is (0.5, 0.5) zero-padded.
         rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
-        values, errors = family_rows(rows, -1.0, 2.0, np.array([3, 2]))
-        assert list(errors) == [0]
-        assert isinstance(errors[0], ZeroWeightNegativeAlphaError)
+        values, failed = family_rows(rows, np.full(2, -1.0), np.full(2, 2.0), np.array([3, 2]))
+        assert failed.tolist() == [True, False]
         params = EntropyParams.make(-1.0, 2.0)
         assert values[1] == sharma_mittal(make_distribution([0.5, 0.5]), params)
         with pytest.raises(ZeroWeightNegativeAlphaError):
@@ -708,9 +718,11 @@ class TestBatchedEngine:
         lengths = np.array([d.dim for d in dists])
         for alpha in (-2.5, 0.0, 0.5, 1.0, 3.0):
             for beta in (-1.0, 1.0, 2.0):
-                values, errors = family_rows(rows, alpha, beta, lengths)
+                values, failed = family_rows(
+                    rows, np.full(len(rows), alpha), np.full(len(rows), beta), lengths
+                )
                 params = EntropyParams.make(alpha, beta)
-                assert errors == {}
+                assert failed.tolist() == [False] * len(rows)  # no sharma_mittal raised
                 assert values.tolist() == [sharma_mittal(d, params) for d in dists]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
