@@ -11,11 +11,13 @@ Each command loads only the modules it runs.  ``meet --exact`` and
 ``join``, ``entropy``, ``check`` and ``verify-paper`` evaluate their one
 pair or distribution in Python floats.  None of these, nor ``--help`` or a
 usage error found while parsing, imports numpy: only ``sweep`` loads it,
-with the batched engine.  Only ``verify-paper`` and ``sweep`` load
-:mod:`majent.search`, and :mod:`json` is loaded only where JSON is
-written.  The records are NamedTuples or slotted classes, so no command
-pays for :mod:`inspect` and the class generation of the standard record
-decorator (numpy itself loads :mod:`inspect` for ``sweep``).
+with the batched engine and :mod:`majent.search`.  :mod:`majent.lattice`
+loads where a meet or a join is taken, :mod:`fractions` only for rational
+input, :mod:`json` only where JSON is written, and ``verify-paper`` loads
+:mod:`majent.reference`.  The records are NamedTuples or slotted classes,
+so no command pays for :mod:`inspect` and the class generation of the
+standard record decorator (numpy itself loads :mod:`inspect` for
+``sweep``).
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import math
 import os
 import sys
 
-from . import lattice
 from .properties import CHECK_TOL, PropertyKind, run_check
 from .simplex import (
     ProbabilityDistribution,
@@ -137,6 +138,8 @@ def _cmd_entropy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_meet_join(args: argparse.Namespace) -> int:
+    from . import lattice
+
     p = parse_distribution(args.p, exact=args.exact)
     q = parse_distribution(args.q, exact=args.exact)
     op = lattice.meet if args.command == "meet" else lattice.join
@@ -192,7 +195,7 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    from .search import ReproductionError, verify_paper_counterexamples
+    from .reference import ReproductionError, verify_paper_counterexamples
 
     try:
         records = verify_paper_counterexamples()
@@ -221,7 +224,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return EXIT_USAGE
     env_seed = os.environ.get("MAJENT_SEED")
@@ -256,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.digits < 0:
         parser.error(f"--digits must be >= 0, got {args.digits}")
+    # No float's exact decimal expansion has more significant digits.
+    args.digits = min(args.digits, 767)
     try:
         if args.command == "entropy":
             return _cmd_entropy(args, parser)

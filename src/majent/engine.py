@@ -32,7 +32,8 @@ import numpy as np
 from .entropy import EntropyParams, family_rows
 from .lattice import bound_rows, row_distribution, sorted_rows
 from .properties import _CHECKS, CHECK_TOL, PropertyKind, oriented_sides, run_check
-from .search import REFERENCE_PAIRS, CounterexampleRecord, TrialEvaluationError, trial_key
+from .reference import REFERENCE_PAIRS, CounterexampleRecord
+from .search import TrialEvaluationError, trial_key
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -197,7 +198,7 @@ def run_cells(
     alpha x beta x kinds, in that order.
 
     Cell ``i`` of that order has cell index ``i``.  The pairs of
-    ``search.REFERENCE_PAIRS`` are its leading trials whenever the order is
+    ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
     non-negative (they may contain a zero weight, so negative orders skip
     them); the rest are fresh samples with the dimension cycling through
     ``dims``.  A cell without a violation has None for its counterexample.

@@ -8,9 +8,9 @@ margin drops below ``-CHECK_TOL``; margins inside the window count as a
 tight hold, so rounding noise cannot masquerade as a counterexample.  The
 checks never refuse a parameter region: outside the guaranteed regions they
 simply report whatever the numbers say.  A check runs in Python floats;
-:mod:`majent.entropy` is imported where it evaluates, so the kinds and the
-tolerance can be read without loading it, and nothing here imports numpy
-except the sweep engine's array branch of :func:`oriented_sides`.
+:mod:`majent.lattice` and :mod:`majent.entropy` are imported where it
+evaluates, so the kinds and the tolerance read without them, and only the
+sweep engine's array branch of :func:`oriented_sides` imports numpy.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import lattice
 from .simplex import ProbabilityDistribution
 
 if TYPE_CHECKING:
@@ -26,6 +25,9 @@ if TYPE_CHECKING:
 
 #: Margin below which a check counts as violated.
 CHECK_TOL = 1e-9
+
+#: :mod:`majent.lattice`, bound by the first :func:`run_check`.
+_lattice = None
 
 
 def json_float(value: float) -> float | None:
@@ -144,12 +146,15 @@ def run_check(
     to fail, in the order of the sides, raises.  A sweep row of the same
     pair gives the same record bit for bit.
     """
+    global _lattice
+    if _lattice is None:
+        from . import lattice as _lattice
     from .entropy import sharma_mittal
 
     fp, fq = ProbabilityDistribution(p.weights), ProbabilityDistribution(q.weights)
-    meet = lattice.meet(fp, fq)
+    meet = _lattice.meet(fp, fq)
     if _CHECKS[kind][0]:
-        join = lattice.join(fp, fq)
+        join = _lattice.join(fp, fq)
         sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
         sm, sj = sharma_mittal(meet, params), sharma_mittal(join, params)
     else:  # the meet-only kinds take the meet first

@@ -5,6 +5,7 @@ all comparisons act on prefix sums (the discrete Lorenz curve).  Construction
 from integers or :class:`fractions.Fraction` weights keeps an exact rational
 copy of the vector alongside the float one, which lets the lattice
 operations downstream run without rounding when the caller wants that.
+:mod:`fractions` (and :mod:`decimal`) loads only where a Fraction is made.
 
 Weights are validated, never repaired: a vector whose sum is off by more
 than ``SUM_TOL`` is rejected, so a caller with unnormalized weights divides
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 import numbers
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-Weight = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Weight = Union[int, float, "Fraction"]
 
 #: Acceptance window for |sum(weights) - 1| at construction.
 SUM_TOL = 1e-9
@@ -149,6 +152,8 @@ def make_distribution(raw: Sequence[Weight]) -> ProbabilityDistribution:
             raise NegativeWeightError(f"weight {w!r} at position {i} is not >= 0")
 
     exact = all(isinstance(w, numbers.Rational) for w in ws)
+    if exact:
+        from fractions import Fraction
     vals = sorted(map(Fraction if exact else float, ws), reverse=True)
     total = sum(vals)
     if abs(float(total) - 1.0) > SUM_TOL:
@@ -219,6 +224,7 @@ def parse_weights(text: str, *, exact: bool = False) -> list[Weight]:
     for tok in tokens:
         try:
             if "/" in tok or exact:
+                from fractions import Fraction
                 value: Weight = Fraction(tok)
                 if not exact:
                     value = float(value)

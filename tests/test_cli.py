@@ -29,7 +29,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
 #: The modules whose import :func:`run_fresh` reports.
-WATCHED = ("numpy", "majent.search", "majent.engine", "json", "dataclasses", "inspect")
+WATCHED = (
+    "numpy", "majent.search", "majent.engine", "majent.reference", "majent.lattice",
+    "fractions", "json", "dataclasses", "inspect",
+)
 
 #: Runs main() on the given arguments, then lists on a last stderr line
 #: which of ``WATCHED`` were imported.
@@ -315,6 +318,13 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "cannot read config" in err
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"alpha_grid = 2\xff\n")
+        code, out, err = run(["sweep", "--config", str(cfg)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("cannot read config: 'utf-8' codec can't decode byte 0xff")
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("alpha_grid = 2\n")  # beta_grid missing
@@ -485,6 +495,13 @@ class TestErrorMapping:
             run(["--digits", "-1", "entropy", "--dist", "0.5,0.5", "--family", "shannon"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_digits_past_a_floats_expansion_print_the_same(self):
+        # 767 significant digits hold any float's exact decimal expansion.
+        argv = ["entropy", "--dist", "0.5,0.3,0.2", "--family", "shannon"]
+        code, out, err = run(["--digits", str(2**31), *argv])
+        assert (code, out, err) == run(["--digits", "767", *argv])
+        assert (code, len(out) > 50) == (EXIT_OK, True)
+
     def test_zero_digits_is_valid(self):
         code, out, _ = run(["--digits", "0", "entropy", "--dist", "0.5,0.5",
                             "--family", "shannon"])
@@ -499,20 +516,22 @@ class TestErrorMapping:
 
 class TestImportOnUse:
     @pytest.mark.parametrize(
-        "argv,code",
+        "argv,code,loaded",
         [
-            (["compare", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], EXIT_OK),
-            (["meet", "--exact", "--p", "1/2,1/2", "--q", "3/4,1/4"], EXIT_OK),
+            (["compare", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], EXIT_OK, set()),
+            (["meet", "--exact", "--p", "1/2,1/2", "--q", "3/4,1/4"], EXIT_OK,
+             {"majent.lattice", "fractions"}),
             (["join", "--exact", "--p", "1/2,3/20,3/20,1/10,1/10",
-              "--q", "3/10,3/10,3/10,1/10,0"], EXIT_OK),
-            (["--help"], EXIT_OK),
-            ([], EXIT_USAGE),
-            (["compare", "--p", "0.5,x", "--q", "0.5,0.5"], EXIT_USAGE),
+              "--q", "3/10,3/10,3/10,1/10,0"], EXIT_OK, {"majent.lattice", "fractions"}),
+            (["--help"], EXIT_OK, set()),
+            ([], EXIT_USAGE, set()),
+            (["compare", "--p", "0.5,x", "--q", "0.5,0.5"], EXIT_USAGE, set()),
         ],
     )
-    def test_exact_and_parse_only_commands_do_not_import_numpy(self, argv, code):
-        got, _, _, loaded = run_fresh(argv)
-        assert (got, loaded) == (code, set())
+    def test_exact_and_parse_only_commands_do_not_import_numpy(self, argv, code, loaded):
+        # Only exact arithmetic loads fractions, and a compare takes no meet.
+        got, _, _, imported = run_fresh(argv)
+        assert (got, imported) == (code, loaded)
 
     def test_check_runs_without_numpy(self):
         got, out, _, loaded = run_fresh(
@@ -526,20 +545,24 @@ class TestImportOnUse:
         "argv,loaded",
         [
             (["check", "--property", "supermodular", "--p", "0.5,0.5",
-              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], set()),
+              "--q", "0.6,0.4", "--alpha", "2", "--beta", "3"], {"majent.lattice"}),
             (["entropy", "--dist", "0.5,0.3,0.2", "--alpha", "2", "--beta", "3"], set()),
-            (["verify-paper"], {"majent.search"}),
-            (["meet", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], set()),
-            (["join", "--p", "0.5,0.15,0.15,0.1,0.1", "--q", "0.3,0.3,0.3,0.1"], set()),
+            (["verify-paper"], {"majent.reference", "majent.lattice"}),
+            (["meet", "--p", "0.5,0.3,0.2", "--q", "0.4,0.4,0.2"], {"majent.lattice"}),
+            (["join", "--p", "0.5,0.15,0.15,0.1,0.1", "--q", "0.3,0.3,0.3,0.1"],
+             {"majent.lattice"}),
             (["check", "--property", "supermodular", "--p", "0.5,0.5", "--q", "0.6,0.4",
-              "--alpha", "2", "--beta", "3", "--format", "json"], {"json"}),
-            (["verify-paper", "--format", "json"], {"majent.search", "json"}),
+              "--alpha", "2", "--beta", "3", "--format", "json"], {"majent.lattice", "json"}),
+            (["verify-paper", "--format", "json"], {"majent.reference", "majent.lattice", "json"}),
+            (["entropy", "--dist", "1/2,1/4,1/4", "--family", "shannon"], {"fractions"}),
         ],
     )
     def test_only_sweeps_and_searches_load_the_engine(self, argv, loaded):
         # A check and an entropy run in Python floats; verify-paper replays
-        # its pairs through run_check.  No command loads dataclasses or
-        # inspect, and json is loaded only where JSON is written.
+        # its pairs through run_check without the search.  The lattice is
+        # loaded where a meet or a join is taken, fractions only by rational
+        # weights, and json only where JSON is written.  No command loads
+        # dataclasses or inspect.
         got, _, _, imported = run_fresh(argv)
         assert (got, imported) == (EXIT_OK, loaded)
 
@@ -573,7 +596,7 @@ class TestImportOnUse:
         # loaded.
         got, out, err, loaded = run_fresh(argv, NO_NUMPY_MAIN)
         assert (got, out, err) == run(argv)
-        assert (got, loaded <= {"majent.search", "json"}) == (code, True)
+        assert (got, loaded <= {"majent.reference", "majent.lattice", "json"}) == (code, True)
 
     def test_sweep_loads_numpy_and_the_engine(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -581,8 +604,8 @@ class TestImportOnUse:
         got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg)])
         assert (got, err) == (EXIT_OK, "")
         # numpy loads inspect itself; majent adds neither it nor dataclasses,
-        # and a CSV report loads no json.
-        assert loaded - {"inspect"} == set(WATCHED) - {"dataclasses", "inspect", "json"}
+        # a CSV report loads no json, and float weights load no fractions.
+        assert loaded - {"inspect"} == set(WATCHED) - {"dataclasses", "inspect", "json", "fractions"}
         assert out.startswith("# generator: philox4x64")
         got, out, err, loaded = run_fresh(["sweep", "--config", str(cfg), "--format", "json"])
         assert (got, err, "json" in loaded) == (EXIT_OK, "", True)

@@ -17,7 +17,8 @@ from majent.properties import (
     PropertyKind,
     run_check,
 )
-from majent.search import REFERENCE_PAIRS, find_counterexample, sample_simplex, trial_stream
+from majent.reference import REFERENCE_PAIRS
+from majent.search import find_counterexample, sample_simplex, trial_stream
 from majent.simplex import make_distribution
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])

@@ -10,13 +10,8 @@ import pytest
 
 from majent.entropy import DegenerateParamsError, EntropyParams
 from majent.properties import PropertyCheckRecord, PropertyKind, run_check
-from majent.search import (
-    CellReport,
-    CounterexampleRecord,
-    ReferencePair,
-    RegionSweepReport,
-    SweepConfig,
-)
+from majent.reference import CounterexampleRecord, ReferencePair
+from majent.search import CellReport, RegionSweepReport, SweepConfig
 from majent.simplex import ProbabilityDistribution, make_distribution
 
 

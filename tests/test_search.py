@@ -22,16 +22,19 @@ from majent.entropy import (
     sharma_mittal,
 )
 from majent.properties import PropertyKind, run_check
-from majent.search import (
-    DEFAULT_SEED,
+from majent.reference import (
     KNOWN_SUBMODULARITY_VIOLATION,
     KNOWN_SUPERMODULARITY_VIOLATION,
-    MAX_DIM,
     REFERENCE_PAIRS,
-    STREAM_ALGORITHM,
     CounterexampleRecord,
-    GuaranteeViolationError,
     ReproductionError,
+    verify_paper_counterexamples,
+)
+from majent.search import (
+    DEFAULT_SEED,
+    MAX_DIM,
+    STREAM_ALGORITHM,
+    GuaranteeViolationError,
     SweepConfig,
     SweepConfigError,
     TrialEvaluationError,
@@ -42,11 +45,10 @@ from majent.search import (
     sweep,
     theorem_guaranteed,
     trial_stream,
-    verify_paper_counterexamples,
 )
 from majent.simplex import make_distribution
 import majent.engine
-import majent.search
+import majent.reference
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 SRC = DOCS.parent / "src"
@@ -291,14 +293,14 @@ class TestReferenceVerification:
     def test_tampered_expectation_is_caught(self, monkeypatch):
         broken = KNOWN_SUPERMODULARITY_VIOLATION._replace(expected_margin=-0.0005)
         monkeypatch.setattr(
-            majent.search, "REFERENCE_PAIRS", (broken, KNOWN_SUBMODULARITY_VIOLATION)
+            majent.reference, "REFERENCE_PAIRS", (broken, KNOWN_SUBMODULARITY_VIOLATION)
         )
         with pytest.raises(ReproductionError, match="reference-pair-1"):
             verify_paper_counterexamples()
 
     def test_tolerance_is_honored(self, monkeypatch):
         # The replayed floats are close to the stored values, not equal.
-        monkeypatch.setattr(majent.search, "REPRODUCTION_TOL", 1e-18)
+        monkeypatch.setattr(majent.reference, "REPRODUCTION_TOL", 1e-18)
         with pytest.raises(ReproductionError):
             verify_paper_counterexamples()
 
