@@ -9,13 +9,14 @@ order, at most ``BATCH_ROWS`` at a time, groups a batch by width class
 arrays and sends each class through the row kernels of ``lattice`` and
 ``entropy`` once, with one dimension and one (alpha, beta) per row.  The
 padding is exact: the kernels leave a row's bits as they are at its own
-length.  The margins go back into row order, so each cell's worst margin,
-first violation and first failure are those of a trial-by-trial loop over
-:func:`~majent.properties.run_check`.  The record of a cell's first
-violation is that loop's own: the engine runs the row's pair through
-``run_check`` once, and margin bits that differ from the batch's are an
-error.  The kernels build no error: a row that ``family_rows`` flags runs
-through ``run_check`` the same way and raises the trial's error.
+length.  A batch keeps only its margins, in row order, and which rows
+failed, so each cell's worst margin, first violation and first failure are
+those of a trial-by-trial loop over :func:`~majent.properties.run_check`.
+The record of a cell's first violation is that loop's own: the engine
+rebuilds the row's pair from its replay key (seed, cell, trial) and runs
+it through ``run_check`` once; margin bits that differ from the batch's
+are an error.  The kernels build no error: a row that ``family_rows``
+flags is replayed the same way and raises the trial's error.
 
 The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
@@ -30,10 +31,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .entropy import EntropyParams, family_rows
-from .lattice import bound_rows, row_distribution, sorted_rows
+from .lattice import bound_rows, sorted_rows
 from .properties import _CHECKS, CHECK_TOL, PropertyKind, oriented_sides, run_check
 from .reference import REFERENCE_PAIRS, CounterexampleRecord
-from .search import TrialEvaluationError, trial_key
+from .search import TrialEvaluationError, sample_simplex, trial_key, trial_stream
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -62,11 +63,6 @@ class _Grid(NamedTuple):
         """(index into ``kinds``, alpha, beta) of a cell index or an array of them."""
         k, b = len(self.kinds), len(self.betas)
         return cell % k, self.alphas[cell // (k * b)], self.betas[cell // k % b]
-
-    def check(self, c: int) -> tuple[PropertyKind, EntropyParams]:
-        """The kind and params of cell ``c``."""
-        i, alpha, beta = self.columns(c)
-        return self.kinds[i], EntropyParams(float(alpha), float(beta))
 
 
 def draw_pairs(
@@ -102,88 +98,90 @@ def draw_pairs(
     )
 
 
-class _Batch:
-    """Consecutive (cell, trial) rows, evaluated at once.
+def _is_reference(alpha, trial):
+    """Whether a trial at order ``alpha`` takes ``REFERENCE_PAIRS[trial]``."""
+    return (alpha >= 0.0) & (trial < len(REFERENCE_PAIRS))
 
-    ``margin`` and ``failed`` are in row order; :meth:`replay` runs one row
-    through :func:`~majent.properties.run_check`.  Rows are evaluated in
-    width classes: a row of dimension n is zero-padded to n rounded up to
-    ``CLASS_WIDTH``, and the rows of a class, joined or not, go through the
-    kernels as one array.
-    """
 
-    def __init__(self, gen, grid: _Grid, cell, trial):
-        self.cell, self.trial = cell, trial
-        k = len(cell)
-        kind_index, alpha, beta = grid.columns(cell)
-        self.ref = (alpha >= 0.0) & (trial < len(REFERENCE_PAIRS))
-        self.dims = grid.dims[trial % len(grid.dims)]
-        for t, ref in enumerate(REFERENCE_PAIRS):
-            self.dims[self.ref & (trial == t)] = ref.p.dim
-        joined_rows = np.array([_CHECKS[kind][0] for kind in grid.kinds])[kind_index]
-        self.width = -(-self.dims // CLASS_WIDTH) * CLASS_WIDTH
-        values = np.full((4, k), np.nan)  # S(p), S(q), S(meet), S(join)
-        self.failed = np.zeros(k, dtype=bool)
-        self.classes = {}
-        self.index = np.empty(k, dtype=np.intp)  # each row's index in its class
-        for width in sorted(set(self.width.tolist())):
-            at = np.flatnonzero(self.width == width)
-            n, joined = self.dims[at], joined_rows[at]
-            pairs = np.zeros((2, len(at), width))
-            p, q = pairs
-            drawn = ~self.ref[at]
-            for d in sorted(set(n[drawn].tolist())):
-                rows = np.flatnonzero(drawn & (n == d))
-                p[rows, :d], q[rows, :d] = draw_pairs(
-                    gen, grid.seed, cell[at[rows]], trial[at[rows]], d
-                )
-            for t, ref in enumerate(REFERENCE_PAIRS):
-                rows = ~drawn & (trial[at] == t)
-                p[rows, : ref.p.dim], q[rows, : ref.q.dim] = ref.p.weights, ref.q.weights
-            meets, joins = bound_rows(pairs, joined)
-            self.classes[width] = pairs
-            self.index[at] = np.arange(len(at))
-            owner = np.concatenate([at, at, at, at[joined]])
-            vals, failed = family_rows(
-                np.concatenate([p, q, meets, joins]), alpha[owner], beta[owner], self.dims[owner]
-            )
-            values[:3, at] = vals[: 3 * len(at)].reshape(3, -1)
-            values[3, at[joined]] = vals[3 * len(at) :]
-            self.failed[owner[failed]] = True
-        self.margin = np.empty(k)
-        for i, kind in enumerate(grid.kinds):
-            rows = kind_index == i
-            if rows.any():
-                with np.errstate(all="ignore"):  # inf - inf is a nan margin
-                    _, _, self.margin[rows] = oriented_sides(
-                        kind, alpha[rows], beta[rows], *values[:, rows]
-                    )
+def evaluate(pairs, dims, alpha, beta, joined) -> tuple[np.ndarray, np.ndarray]:
+    """S(p), S(q), S(p meet q) and, where ``joined``, S(p join q) (else nan)
+    for each row of (2, k, m) pairs zero-padded past ``dims``, at the row's
+    alpha and beta, as a (4, k) array; and which rows ``family_rows`` flags."""
+    k = len(dims)
+    meets, joins = bound_rows(pairs, joined)
+    at = np.arange(k)
+    owner = np.concatenate([at, at, at, at[joined]])
+    vals, flagged = family_rows(
+        np.concatenate([*pairs, meets, joins]), alpha[owner], beta[owner], dims[owner]
+    )
+    values = np.full((4, k), np.nan)
+    values[:3] = vals[: 3 * k].reshape(3, -1)
+    values[3, joined] = vals[3 * k :]
+    failed = np.zeros(k, dtype=bool)
+    failed[owner[flagged]] = True
+    return values, failed
 
-    def replay(self, grid: _Grid, r: int) -> CounterexampleRecord:
-        """Row ``r``'s check, as :func:`~majent.properties.run_check` gives
-        it for the row's pair, with its replay key.
 
-        The error of a failing row comes out as
-        :class:`~majent.search.TrialEvaluationError`.  A replay that
-        disagrees with the batch, a failed row that evaluates or other
-        margin bits, raises RuntimeError.
-        """
-        c, t = int(self.cell[r]), int(self.trial[r])
-        kind, params = grid.check(c)
-        p, q = self.classes[int(self.width[r])][:, self.index[r], : self.dims[r]]
-        try:
-            check = run_check(kind, row_distribution(p), row_distribution(q), params)
-        except (ValueError, OverflowError) as err:
-            # A C library error carries (errno, message).
-            raise TrialEvaluationError(
-                f"evaluation failed: {kind.value} at alpha={params.alpha}, "
-                f"beta={params.beta}, seed {grid.seed}, cell {c}, trial {t}: {err.args[-1]}"
-            ) from err
-        # .hex() spells every nan alike, so a nan margin matches a nan margin.
-        if self.failed[r] or check.margin.hex() != self.margin[r].hex():
-            raise RuntimeError("the batched and the single-pair evaluation disagree")
-        source = REFERENCE_PAIRS[t].name if self.ref[r] else "random"
-        return CounterexampleRecord(check, grid.seed, c, t, source)
+def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarray]:
+    """The margin of each (cell, trial) row, and which rows failed.  A row of
+    dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and each
+    width class goes through :func:`evaluate` once, joined or not."""
+    kind_index, alpha, beta = grid.columns(cell)
+    ref = _is_reference(alpha, trial)
+    dims = grid.dims[trial % len(grid.dims)]
+    for t, pair in enumerate(REFERENCE_PAIRS):
+        dims[ref & (trial == t)] = pair.p.dim
+    joined_rows = np.array([_CHECKS[kind][0] for kind in grid.kinds])[kind_index]
+    width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
+    values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)
+    failed = np.empty(len(cell), dtype=bool)
+    for w in sorted(set(width.tolist())):
+        at = np.flatnonzero(width == w)
+        n = dims[at]
+        pairs = np.zeros((2, len(at), w))
+        p, q = pairs
+        drawn = ~ref[at]
+        for d in sorted(set(n[drawn].tolist())):
+            rows = np.flatnonzero(drawn & (n == d))
+            p[rows, :d], q[rows, :d] = draw_pairs(gen, grid.seed, cell[at[rows]], trial[at[rows]], d)
+        for t, pair in enumerate(REFERENCE_PAIRS):
+            rows = ~drawn & (trial[at] == t)
+            p[rows, : pair.p.dim], q[rows, : pair.q.dim] = pair.p.weights, pair.q.weights
+        values[:, at], failed[at] = evaluate(pairs, n, alpha[at], beta[at], joined_rows[at])
+    margin = np.empty(len(cell))
+    for i, kind in enumerate(grid.kinds):
+        rows = kind_index == i
+        if rows.any():
+            with np.errstate(all="ignore"):  # inf - inf is a nan margin
+                _, _, margin[rows] = oriented_sides(kind, alpha[rows], beta[rows], *values[:, rows])
+    return margin, failed
+
+
+def _replay(grid: _Grid, c: int, t: int, margin: float, failed: bool) -> CounterexampleRecord:
+    """The :func:`~majent.properties.run_check` record of trial ``t`` of cell
+    ``c``, on the pair rebuilt from its replay key, with that key.  A failing
+    check raises :class:`~majent.search.TrialEvaluationError`; a check that
+    disagrees with the batch's row, ``failed`` or other margin bits, raises
+    RuntimeError."""
+    i, alpha, beta = grid.columns(c)
+    kind, params = grid.kinds[i], EntropyParams(float(alpha), float(beta))
+    if _is_reference(params.alpha, t):
+        source, p, q = REFERENCE_PAIRS[t].name, REFERENCE_PAIRS[t].p, REFERENCE_PAIRS[t].q
+    else:
+        n, stream = int(grid.dims[t % len(grid.dims)]), trial_stream(grid.seed, c, t)
+        source, p, q = "random", sample_simplex(n, stream), sample_simplex(n, stream)
+    try:
+        check = run_check(kind, p, q, params)
+    except (ValueError, OverflowError) as err:
+        # A C library error carries (errno, message).
+        raise TrialEvaluationError(
+            f"evaluation failed: {kind.value} at alpha={params.alpha}, "
+            f"beta={params.beta}, seed {grid.seed}, cell {c}, trial {t}: {err.args[-1]}"
+        ) from err
+    # .hex() spells every nan alike, so a nan margin matches a nan margin.
+    if failed or check.margin.hex() != margin.hex():
+        raise RuntimeError("the batched and the single-pair evaluation disagree")
+    return CounterexampleRecord(check, grid.seed, c, t, source)
 
 
 def run_cells(
@@ -202,11 +200,12 @@ def run_cells(
     non-negative (they may contain a zero weight, so negative orders skip
     them); the rest are fresh samples with the dimension cycling through
     ``dims``.  A cell without a violation has None for its counterexample.
-    A trial whose evaluation fails is replayed through
-    :func:`~majent.properties.run_check`, and the error it raises comes out
-    as :class:`~majent.search.TrialEvaluationError`; as in a trial-by-trial
-    loop, the first failing trial of a cell raises before the cell is
-    yielded.
+    A flagged row, a cell's first violation or a trial whose evaluation
+    fails, is rebuilt from its replay key and run through
+    :func:`~majent.properties.run_check`; the error a failing trial raises
+    comes out as :class:`~majent.search.TrialEvaluationError`, and as in a
+    trial-by-trial loop, the first failing trial of a cell raises before
+    the cell is yielded.
 
     The cells of a batch are tallied at once: ``np.minimum.reduceat``
     gives each cell's least margin (nan ranked as inf, and the first of
@@ -230,27 +229,28 @@ def run_cells(
     worst, first = math.inf, None
     for start in range(0, total, BATCH_ROWS):
         cell, trial = np.divmod(np.arange(start, min(start + BATCH_ROWS, total)), trials)
-        batch = _Batch(gen, grid, cell, trial)
+        margin, failed = _evaluate_batch(gen, grid, cell, trial)
         # Cell c0 + j holds the batch's rows lo[j] to hi[j] - 1.
         c0 = int(cell[0])
         lo = np.maximum(np.arange(c0, int(cell[-1]) + 1) * trials - start, 0)
         hi = np.append(lo[1:], len(cell)).tolist()
         # Each cell's first row with its least margin, nan ranked as inf.
-        ranked = np.where(np.isnan(batch.margin), math.inf, batch.margin)
+        ranked = np.where(np.isnan(margin), math.inf, margin)
         least = np.flatnonzero(ranked == np.minimum.reduceat(ranked, lo)[cell - c0])
-        worsts = batch.margin[least[np.searchsorted(least, lo)]].tolist()
+        worsts = margin[least[np.searchsorted(least, lo)]].tolist()
         # Each cell's first row that does not hold; len(cell) stands for none.
-        hits = np.append(np.flatnonzero(~(batch.margin >= -CHECK_TOL)), len(cell))
+        hits = np.append(np.flatnonzero(~(margin >= -CHECK_TOL)), len(cell))
         firsts = hits[np.searchsorted(hits, lo)].tolist()
-        failed = np.flatnonzero(batch.failed)
-        failed_cell = int(cell[failed[0]]) if failed.size else -1
-        for c, margin, r, end in zip(range(c0, c0 + len(lo)), worsts, firsts, hi):
+        flagged = np.flatnonzero(failed)
+        failed_cell = int(cell[flagged[0]]) if flagged.size else -1
+        for c, least_margin, r, end in zip(range(c0, c0 + len(lo)), worsts, firsts, hi):
             if c == failed_cell:
-                batch.replay(grid, int(failed[0]))  # raises: the row failed
-            if margin < worst:
-                worst = margin
+                f = flagged[0]  # the replay raises: the row failed
+                _replay(grid, c, int(trial[f]), float(margin[f]), True)
+            if least_margin < worst:
+                worst = least_margin
             if first is None and r < end:
-                first = batch.replay(grid, r)
+                first = _replay(grid, c, int(trial[r]), float(margin[r]), bool(failed[r]))
             if start + end == (c + 1) * trials:
                 yield worst, first
                 worst, first = math.inf, None

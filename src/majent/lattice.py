@@ -90,11 +90,6 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     return meets, joins
 
 
-def row_distribution(row: np.ndarray) -> ProbabilityDistribution:
-    """The distribution whose weights are ``row``, sorted non-increasingly."""
-    return ProbabilityDistribution(tuple(row.tolist()))
-
-
 def meet(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:

@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 #: Margin below which a check counts as violated.
 CHECK_TOL = 1e-9
 
-#: :mod:`majent.lattice`, bound by the first :func:`run_check`.
-_lattice = None
+#: :mod:`majent.entropy` and :mod:`majent.lattice`, bound by the first :func:`run_check`.
+_entropy = _lattice = None
 
 
 def json_float(value: float) -> float | None:
@@ -146,10 +146,10 @@ def run_check(
     to fail, in the order of the sides, raises.  A sweep row of the same
     pair gives the same record bit for bit.
     """
-    global _lattice
+    global _entropy, _lattice
     if _lattice is None:
-        from . import lattice as _lattice
-    from .entropy import sharma_mittal
+        from . import entropy as _entropy, lattice as _lattice
+    sharma_mittal = _entropy.sharma_mittal
 
     fp, fq = ProbabilityDistribution(p.weights), ProbabilityDistribution(q.weights)
     meet = _lattice.meet(fp, fq)

@@ -15,9 +15,9 @@ known violations at (2, 3) are found regardless of seed.
 Sweeps and searches run on the batched engine of :mod:`majent.engine`,
 which draws the same numbers as :func:`trial_stream` and finds the same
 worst margins, first counterexamples and first errors as a trial-by-trial
-loop over :func:`~majent.properties.run_check`.  numpy is imported where a
-stream is made and the engine where it runs, so a config parses without
-either.
+loop over :func:`~majent.properties.run_check`, and rebuilds every row it
+flags from its replay key.  numpy is imported where a stream is made and
+the engine where it runs, so a config parses without either.
 """
 from __future__ import annotations
 

@@ -8,7 +8,6 @@ rather than a tolerance fight.
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +33,8 @@ from majent.entropy import (
     tsallis,
 )
 from majent.lattice import bound_rows, join, meet
-from majent.properties import PropertyKind, run_check
-from majent.search import TrialEvaluationError, sample_simplex, trial_stream
+from majent.properties import _CHECKS, PropertyKind, oriented_sides, run_check
+from majent.search import sample_simplex, trial_stream
 from majent.simplex import make_distribution, tensor_product
 
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
@@ -580,23 +579,25 @@ def _check_outcome(fn, *args):
 
 
 def _engine_outcome(kind, p, q, params):
-    """The sweep engine's record of the pair (p, q), of one dimension, as
-    :func:`_check_outcome` gives it: a batch of one row, which draws that
-    pair, replayed at trial 2 so that no reference pair stands in for it,
-    with the batch's margin.  The batch must flag the row exactly when
-    ``run_check`` raises on the pair, and a failing row gives the error
-    that the replay's TrialEvaluationError was raised from."""
-    grid = engine._Grid(
-        np.array([params.alpha]), np.array([params.beta]), (kind,), np.array([p.dim]), 3, 0
-    )
-    draw = lambda *args: (np.array([p.weights]), np.array([q.weights]))  # noqa: E731
-    with mock.patch.object(engine, "draw_pairs", draw):
-        batch = engine._Batch(None, grid, np.array([0]), np.array([2]))
+    """The sweep engine's evaluation of the pair (p, q), of one dimension,
+    as :func:`_check_outcome` gives it: :func:`engine.evaluate` on the pair,
+    zero-padded to its width class, with the lhs, rhs and margin that
+    ``oriented_sides`` takes from its family values in ``run_check``'s
+    record.  The row must be flagged exactly when ``run_check`` raises on
+    the pair, and a failing row gives what ``run_check`` raised."""
     try:
-        record, raised = batch.replay(grid, 0), None
-    except TrialEvaluationError as err:
-        record, raised = None, err.__cause__  # what run_check raised
-    assert bool(batch.failed[0]) == (raised is not None)
+        record, raised = run_check(kind, p, q, params), None
+    except (ValueError, OverflowError) as err:
+        record, raised = None, err
+    width = -(-p.dim // engine.CLASS_WIDTH) * engine.CLASS_WIDTH
+    pairs = np.zeros((2, 1, width))
+    pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
+    alpha, beta = np.array([params.alpha]), np.array([params.beta])
+    joined = np.array([_CHECKS[kind][0]])
+    values, failed = engine.evaluate(pairs, np.array([p.dim]), alpha, beta, joined)
+    assert bool(failed[0]) == (raised is not None)
     if raised is not None:
         return type(raised), str(raised)
-    return _check_outcome(lambda: record.check._replace(margin=float(batch.margin[0])))
+    with np.errstate(all="ignore"):
+        lhs, rhs, margin = (float(v[0]) for v in oriented_sides(kind, alpha, beta, *values))
+    return _check_outcome(lambda: record._replace(lhs=lhs, rhs=rhs, margin=margin))

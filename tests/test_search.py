@@ -583,7 +583,7 @@ class TestFrozenReports:
 class TestBatchedEngine:
     """The sweep engine against a trial-by-trial loop over the public API."""
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 32, 64])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 32, 64, 129, 4096])
     def test_draws_match_trial_stream(self, n):
         cells = np.array([0, 0, 5, 2**32 - 1, 17])
         trials = np.array([0, 1, 3, 2**32 - 1, 12345])
@@ -881,6 +881,18 @@ class TestBatchOrder:
         rec = find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
         assert (rec.trial_index, len(calls)) == (10, 1)
 
+    def test_a_draw_off_its_key_is_caught(self, monkeypatch):
+        # The batch draws at the wrong seed; the replay rebuilds the first
+        # violation's pair from its key, and the margins disagree.
+        draw_pairs = majent.engine.draw_pairs
+
+        def off_key(gen, seed, *args):
+            return draw_pairs(gen, seed + 1, *args)
+
+        monkeypatch.setattr(majent.engine, "draw_pairs", off_key)
+        with pytest.raises(RuntimeError, match="evaluation disagree"):
+            find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
+
     def test_a_sweep_after_an_aborted_one_gives_the_same_report(self):
         config = TestBatchedEngine.CONFIGS["c4"]
         want = outcome(sweep, config)
@@ -898,7 +910,7 @@ class TestBatchOrder:
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(majent.engine, "_Batch", interrupted)
+            patch.setattr(majent.engine, "_evaluate_batch", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 sweep(TestBatchedEngine.CONFIGS["mixed"])
         assert outcome(sweep, config) == want
