@@ -222,7 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .search import GuaranteeViolationError, SweepConfigError, parse_sweep_config, sweep
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read config: {err}", file=sys.stderr)

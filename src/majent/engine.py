@@ -1,8 +1,8 @@
 """Batched evaluation of check cells: the engine behind sweeps and searches.
 
-A cell is one (kind, alpha, beta) check run on ``trials`` pairs.  The cells
-of a run are those of a grid, alpha points x beta points x kinds in that
-order, and a batch works out its cells from their indices, so a run holds
+A run is a validated :class:`~majent.search.SweepConfig`, and a cell one
+(kind, alpha, beta) check of its grid, alpha x beta x properties in that
+order, on ``trials_per_cell`` pairs.  Cells are found by index; a run holds
 no list of them.  The engine takes the (cell, trial) rows of the grid in
 order, at most ``BATCH_ROWS`` at a time, groups a batch by width class
 (the dimension rounded up to ``CLASS_WIDTH``) into zero-padded (k, m)
@@ -26,15 +26,15 @@ those of ``search.trial_stream`` and ``search.sample_simplex``.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .entropy import EntropyParams, family_rows
 from .lattice import bound_rows, sorted_rows
-from .properties import _CHECKS, CHECK_TOL, PropertyKind, oriented_sides, run_check
+from .properties import _CHECKS, CHECK_TOL, oriented_sides, run_check
 from .reference import REFERENCE_PAIRS, CounterexampleRecord
-from .search import TrialEvaluationError, sample_simplex, trial_key, trial_stream
+from .search import SweepConfig, TrialEvaluationError, sample_simplex, trial_key, trial_stream
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -48,27 +48,25 @@ CLASS_WIDTH = 8
 
 
 class _Grid(NamedTuple):
-    """The cells, trials and seed of a run.  With K kinds and B beta points,
-    cell c checks ``kinds[c % K]`` at alpha ``alphas[c // (B * K)]`` and beta
-    ``betas[c // K % B]``."""
+    """A run's config and the arrays of its grid and dims.  With K kinds and
+    B beta points, cell c checks ``config.properties[c % K]`` at alpha
+    ``alphas[c // (B * K)]`` and beta ``betas[c // K % B]``."""
 
+    config: SweepConfig
     alphas: np.ndarray
     betas: np.ndarray
-    kinds: tuple[PropertyKind, ...]
     dims: np.ndarray
-    trials: int
-    seed: int
 
     def columns(self, cell):
-        """(index into ``kinds``, alpha, beta) of a cell index or an array of them."""
-        k, b = len(self.kinds), len(self.betas)
+        """(index into the kinds, alpha, beta) of a cell index or an array of them."""
+        k, b = len(self.config.properties), len(self.betas)
         return cell % k, self.alphas[cell // (k * b)], self.betas[cell // k % b]
 
 
 def draw_pairs(
     gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs that two ``sample_simplex(n, trial_stream(seed, c, t))``
+    """The pairs that two ``sample_simplex(n, trial_stream(grid.config.seed, c, t))``
     calls draw for each (c, t), as two (k, n) arrays of sorted rows.
 
     ``gen`` runs on a Philox bit generator.  Each trial sets its key, with
@@ -131,7 +129,8 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     dims = grid.dims[trial % len(grid.dims)]
     for t, pair in enumerate(REFERENCE_PAIRS):
         dims[ref & (trial == t)] = pair.p.dim
-    joined_rows = np.array([_CHECKS[kind][0] for kind in grid.kinds])[kind_index]
+    kinds, seed = grid.config.properties, grid.config.seed
+    joined_rows = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
     values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)
     failed = np.empty(len(cell), dtype=bool)
@@ -143,13 +142,13 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
         drawn = ~ref[at]
         for d in sorted(set(n[drawn].tolist())):
             rows = np.flatnonzero(drawn & (n == d))
-            p[rows, :d], q[rows, :d] = draw_pairs(gen, grid.seed, cell[at[rows]], trial[at[rows]], d)
+            p[rows, :d], q[rows, :d] = draw_pairs(gen, seed, cell[at[rows]], trial[at[rows]], d)
         for t, pair in enumerate(REFERENCE_PAIRS):
             rows = ~drawn & (trial[at] == t)
             p[rows, : pair.p.dim], q[rows, : pair.q.dim] = pair.p.weights, pair.q.weights
         values[:, at], failed[at] = evaluate(pairs, n, alpha[at], beta[at], joined_rows[at])
     margin = np.empty(len(cell))
-    for i, kind in enumerate(grid.kinds):
+    for i, kind in enumerate(kinds):
         rows = kind_index == i
         if rows.any():
             with np.errstate(all="ignore"):  # inf - inf is a nan margin
@@ -164,11 +163,11 @@ def _replay(grid: _Grid, c: int, t: int, margin: float, failed: bool) -> Counter
     disagrees with the batch's row, ``failed`` or other margin bits, raises
     RuntimeError."""
     i, alpha, beta = grid.columns(c)
-    kind, params = grid.kinds[i], EntropyParams(float(alpha), float(beta))
+    kind, params = grid.config.properties[i], EntropyParams(float(alpha), float(beta))
     if _is_reference(params.alpha, t):
         source, p, q = REFERENCE_PAIRS[t].name, REFERENCE_PAIRS[t].p, REFERENCE_PAIRS[t].q
     else:
-        n, stream = int(grid.dims[t % len(grid.dims)]), trial_stream(grid.seed, c, t)
+        n, stream = int(grid.dims[t % len(grid.dims)]), trial_stream(grid.config.seed, c, t)
         source, p, q = "random", sample_simplex(n, stream), sample_simplex(n, stream)
     try:
         check = run_check(kind, p, q, params)
@@ -176,24 +175,17 @@ def _replay(grid: _Grid, c: int, t: int, margin: float, failed: bool) -> Counter
         # A C library error carries (errno, message).
         raise TrialEvaluationError(
             f"evaluation failed: {kind.value} at alpha={params.alpha}, "
-            f"beta={params.beta}, seed {grid.seed}, cell {c}, trial {t}: {err.args[-1]}"
+            f"beta={params.beta}, seed {grid.config.seed}, cell {c}, trial {t}: {err.args[-1]}"
         ) from err
     # .hex() spells every nan alike, so a nan margin matches a nan margin.
     if failed or check.margin.hex() != margin.hex():
         raise RuntimeError("the batched and the single-pair evaluation disagree")
-    return CounterexampleRecord(check, grid.seed, c, t, source)
+    return CounterexampleRecord(check, grid.config.seed, c, t, source)
 
 
-def run_cells(
-    alpha_grid: Sequence[float],
-    beta_grid: Sequence[float],
-    kinds: Sequence[PropertyKind],
-    dims: Sequence[int],
-    trials: int,
-    seed: int,
-) -> Iterator[tuple[float, CounterexampleRecord | None]]:
-    """Yield (worst margin, first counterexample) for each cell of the grid
-    alpha x beta x kinds, in that order.
+def run_cells(config: SweepConfig) -> Iterator[tuple[float, CounterexampleRecord | None]]:
+    """Yield (worst margin, first counterexample) for each cell of the
+    grid of ``config``, alpha x beta x properties, in that order.
 
     Cell ``i`` of that order has cell index ``i``.  The pairs of
     ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
@@ -217,15 +209,9 @@ def run_cells(
     """
     # Every trial sets its own key; a fixed one here draws no OS entropy.
     gen = np.random.Generator(np.random.Philox(key=0))
-    grid = _Grid(
-        np.array(alpha_grid, dtype=float),
-        np.array(beta_grid, dtype=float),
-        tuple(kinds),
-        np.array(dims),
-        trials,
-        seed,
-    )
-    total = len(grid.alphas) * len(grid.betas) * len(grid.kinds) * trials
+    grid = _Grid(config, np.array(config.alpha_grid), np.array(config.beta_grid), np.array(config.dims))
+    trials = config.trials_per_cell
+    total = grid.alphas.size * grid.betas.size * len(config.properties) * trials
     worst, first = math.inf, None
     for start in range(0, total, BATCH_ROWS):
         cell, trial = np.divmod(np.arange(start, min(start + BATCH_ROWS, total)), trials)

@@ -151,17 +151,13 @@ def find_counterexample(
 
     Returns the first violating pair found, or None.  The reference pairs
     lead the trial order, so the known breakdowns at (2, 3) are found
-    independent of seed.
+    independent of seed.  It runs ``SweepConfig((alpha,), (beta,), (n,),
+    trials, seed, (kind,))``, which validates the arguments.
     """
-    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValueError(f"need an integer trials >= 1, got {trials!r}")
-    _check_word("last trial index", trials - 1, 32)
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
-        raise ValueError(f"need an integer n from 1 to {MAX_DIM}, got {n!r}")
-    _check_word("seed", seed, 64)
     from .engine import run_cells
 
-    return next(run_cells((params.alpha,), (params.beta,), (kind,), (int(n),), trials, seed))[1]
+    config = SweepConfig((params.alpha,), (params.beta,), (n,), trials, seed, (kind,))
+    return next(run_cells(config))[1]
 
 
 def _check_ascending(name: str, values: tuple) -> None:
@@ -178,7 +174,7 @@ class SweepConfig(FrozenValue):
     pair dimensions the trials cycle through, integral numbers stored as
     ``int``.  Properties are stored in a canonical order so that equal
     configs always produce identical reports.  This is the one place where
-    a config is validated; :func:`parse_sweep_config` only converts text.
+    a run is validated; :func:`parse_sweep_config` only converts text.
     """
 
     __slots__ = ("alpha_grid", "beta_grid", "dims", "trials_per_cell", "seed", "properties")
@@ -197,7 +193,8 @@ class SweepConfig(FrozenValue):
             if any(not is_finite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
             _set(self, name, tuple(map(float, grid)))
-        if any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in dims):
+        real = all(isinstance(d, numbers.Real) for d in dims)
+        if not real or any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in dims):
             raise SweepConfigError(
                 f"dims must be integers >= 2 and <= {MAX_DIM} (a batch of trials holds "
                 f"its pairs in memory at full width): {dims}"
@@ -210,14 +207,17 @@ class SweepConfig(FrozenValue):
         _check_word("seed", seed, 64, SweepConfigError)
         if not properties:
             raise SweepConfigError("properties must not be empty")
-        canonical = tuple(k for k in PropertyKind if k in set(properties))
+        unknown = [k for k in properties if not isinstance(k, PropertyKind)]
+        if unknown:
+            raise SweepConfigError(f"properties must be PropertyKind members: {unknown!r}")
+        canonical = tuple(k for k in PropertyKind if k in properties)
         _set(self, "properties", canonical)
         # A replay key holds the cell and the trial index in 32 bits each.
         _check_word("last trial index", trials - 1, 32, SweepConfigError)
         cells = len(self.alpha_grid) * len(self.beta_grid) * len(canonical)
         _check_word("last cell index", cells - 1, 32, SweepConfigError)
-        _set(self, "trials_per_cell", trials)
-        _set(self, "seed", seed)
+        _set(self, "trials_per_cell", int(trials))
+        _set(self, "seed", int(seed))
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,8 +317,7 @@ def sweep(config: SweepConfig) -> RegionSweepReport:
 
     grid = (config.alpha_grid, config.beta_grid, config.properties)
     reports: list[CellReport] = []
-    outcomes = run_cells(*grid, config.dims, config.trials_per_cell, config.seed)
-    for (alpha, beta, kind), (worst, found) in zip(itertools.product(*grid), outcomes):
+    for (alpha, beta, kind), (worst, found) in zip(itertools.product(*grid), run_cells(config)):
         cell = CellReport(alpha, beta, kind, worst, config.trials_per_cell, config.seed, found)
         if found is not None and cell.guaranteed:
             raise GuaranteeViolationError(

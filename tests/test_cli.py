@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import majent.reference
 import majent.search
 from majent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -209,6 +210,17 @@ class TestVerifyPaperCommand:
         assert [d["source"] for d in data] == ["reference-pair-1", "reference-pair-2"]
         assert all(d["seed"] is None for d in data)
 
+    def test_a_reference_pair_that_does_not_reproduce_exits_1(self, monkeypatch):
+        pair = majent.reference.KNOWN_SUPERMODULARITY_VIOLATION
+        broken = pair._replace(expected_margin=-0.0005)
+        monkeypatch.setattr(
+            majent.reference, "REFERENCE_PAIRS", (broken, majent.reference.KNOWN_SUBMODULARITY_VIOLATION)
+        )
+        code, out, err = run(["verify-paper"])
+        assert (code, out) == (EXIT_VIOLATION, "")
+        assert err.startswith("reproduction failed: reference-pair-1: margin = ")
+        assert err.endswith(", expected -0.0005\n")
+
 
 GOOD_CONFIG = """\
 alpha_grid = 2
@@ -324,6 +336,15 @@ class TestSweepCommand:
         code, out, err = run(["sweep", "--config", str(cfg)])
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("cannot read config: 'utf-8' codec can't decode byte 0xff")
+
+    def test_a_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(GOOD_CONFIG, encoding="utf-8")
+        marked.write_text(GOOD_CONFIG, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run(["sweep", "--config", str(plain)])
+        assert want[0] == EXIT_OK
+        assert run(["sweep", "--config", str(marked)]) == want
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

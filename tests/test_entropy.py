@@ -176,6 +176,8 @@ class TestScalarMaps:
     def test_phi_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             phi_beta(-0.1, 2.0)
+        with pytest.raises(ValueError, match="phi_beta is defined for x >= 0, got -1.0"):
+            phi_beta(-1.0, 1.0)  # the beta = 1 map
 
     def test_phi_continuous_in_beta(self):
         assert phi_beta(1.5, 1 + 1e-10) == pytest.approx(LN2 * 1.5, abs=1e-9)

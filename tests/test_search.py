@@ -183,20 +183,20 @@ class TestFindCounterexample:
 
     def test_requires_trials(self):
         for trials in (0, 2.5, True):
-            with pytest.raises(ValueError, match="need an integer trials >= 1"):
+            with pytest.raises(ValueError, match="trials_per_cell must be an integer >= 1"):
                 find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), 4, trials)
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, True, MAX_DIM + 1])
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.5, True, MAX_DIM + 1, None, "4"])
     def test_requires_an_integer_dimension_up_to_the_cap(self, n):
-        with pytest.raises(ValueError, match="need an integer n from 1 to"):
+        with pytest.raises(ValueError, match=f"dims must be integers >= 2 and <= {MAX_DIM}"):
             find_counterexample(PropertyKind.SUBADDITIVE, EntropyParams.make(2, 3), n, 10)
 
     def test_trials_up_to_2_to_the_32(self, monkeypatch):
         # A cell's trial indices fill 32 bits of its replay key.
         calls = []
 
-        def run_cells(alphas, betas, kinds, dims, trials, seed):
-            calls.append(trials)
+        def run_cells(config):
+            calls.append(config.trials_per_cell)
             yield 0.0, None
 
         monkeypatch.setattr(majent.engine, "run_cells", run_cells)
@@ -207,6 +207,14 @@ class TestFindCounterexample:
             ValueError, match=r"last trial index must be an integer in \[0, 2\*\*32\): 4294967296"
         ):
             find_counterexample(PropertyKind.SUBADDITIVE, params, 4, 2**32 + 1)
+
+    def test_a_numpy_integer_seed_gives_a_json_record(self):
+        params = EntropyParams.make(2, 3)
+        rec = find_counterexample(PropertyKind.SUPERMODULAR, params, 4, 10, np.uint64(5))
+        assert type(rec.seed) is int
+        assert json.dumps(rec.to_json_dict()) == json.dumps(
+            find_counterexample(PropertyKind.SUPERMODULAR, params, 4, 10, 5).to_json_dict()
+        )
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 5 - 2**64, 2**64 + 5, 1.5])
     def test_requires_a_seed_that_fits_64_bits(self, seed):
@@ -298,6 +306,17 @@ class TestReferenceVerification:
         with pytest.raises(ReproductionError, match="reference-pair-1"):
             verify_paper_counterexamples()
 
+    def test_a_pair_whose_check_holds_is_caught(self, monkeypatch):
+        # Pair 1 is subadditive at (2, 3), a guaranteed region.
+        holds = KNOWN_SUPERMODULARITY_VIOLATION._replace(violates=PropertyKind.SUBADDITIVE)
+        monkeypatch.setattr(
+            majent.reference, "REFERENCE_PAIRS", (holds, KNOWN_SUBMODULARITY_VIOLATION)
+        )
+        with pytest.raises(
+            ReproductionError, match=r"^reference-pair-1: .*expected a violation of subadditive, margin "
+        ):
+            verify_paper_counterexamples()
+
     def test_tolerance_is_honored(self, monkeypatch):
         # The replayed floats are close to the stored values, not equal.
         monkeypatch.setattr(majent.reference, "REPRODUCTION_TOL", 1e-18)
@@ -374,6 +393,21 @@ class TestSweepConfig:
         )
         assert ints == floats
         assert sweep(ints).to_json() == sweep(floats).to_json()
+
+    def test_numpy_integer_trials_and_seed_are_stored_as_ints(self):
+        kinds = (PropertyKind.SUPERMODULAR,)
+        cfg = SweepConfig((2.0,), (3.0,), (4,), np.int64(3), np.uint64(7), kinds)
+        assert (type(cfg.trials_per_cell), type(cfg.seed)) == (int, int)
+        assert sweep(cfg).to_json() == sweep(SweepConfig((2.0,), (3.0,), (4,), 3, 7, kinds)).to_json()
+
+    @pytest.mark.parametrize(
+        "properties, named",
+        [(("subadditive",), "['subadditive']"), ((PropertyKind.SUBADDITIVE, "bogus"), "['bogus']")],
+    )
+    def test_properties_that_are_not_kinds_are_named(self, properties, named):
+        with pytest.raises(SweepConfigError) as err:
+            SweepConfig((1.0,), (2.0,), properties=properties)
+        assert str(err.value) == f"properties must be PropertyKind members: {named}"
 
     def test_properties_canonicalized(self):
         cfg = SweepConfig(
@@ -459,6 +493,10 @@ class TestConfigParsing:
     def test_malformed_files_rejected(self, text):
         with pytest.raises(SweepConfigError):
             parse_sweep_config(text)
+
+    def test_a_range_with_a_non_number_is_a_bad_range(self):
+        with pytest.raises(SweepConfigError, match=r"^bad grid range '0:x:1'$"):
+            parse_sweep_config("alpha_grid = 0:x:1\nbeta_grid = 2\n")
 
 
 SMALL = SweepConfig(
@@ -736,11 +774,13 @@ class TestBatchedEngine:
             "import os, resource\n"
             "from majent.engine import run_cells\n"
             "from majent.properties import PropertyKind\n"
+            "from majent.search import SweepConfig\n"
             "grid = tuple(map(float, range(2**16)))\n"
             "pages = int(open('/proc/self/statm').read().split()[0])\n"
             "cap = pages * os.sysconf('SC_PAGE_SIZE') + 2**29\n"
             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-            "worst, first = next(run_cells(grid, grid, (PropertyKind.SUBADDITIVE,), (2,), 1, 5))\n"
+            "config = SweepConfig(grid, grid, (2,), 1, 5, (PropertyKind.SUBADDITIVE,))\n"
+            "worst, first = next(run_cells(config))\n"
             "print(repr(worst), first)\n"
         )
         proc = subprocess.run(
@@ -748,7 +788,7 @@ class TestBatchedEngine:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        worst, first = next(run_cells((0.0,), (0.0,), (PropertyKind.SUBADDITIVE,), (2,), 1, 5))
+        worst, first = next(run_cells(SweepConfig((0.0,), (0.0,), (2,), 1, 5, (PropertyKind.SUBADDITIVE,))))
         assert proc.stdout == f"{worst!r} {first}\n"
 
 
@@ -919,16 +959,16 @@ class TestBatchOrder:
         # Two runs of several batches each, consumed in turn.
         monkeypatch.setattr(majent.engine, "BATCH_ROWS", 300)
         runs = [
-            (config.alpha_grid, config.beta_grid, config.properties, config.dims, 30, 7)
+            SweepConfig(config.alpha_grid, config.beta_grid, config.dims, 30, 7, config.properties)
             for config in (TestBatchedEngine.CONFIGS["c3"], TestBatchedEngine.CONFIGS["c4"])
         ]
 
         def cells(outcomes):
             return [(worst.hex(), json.dumps(found and found.to_json_dict())) for worst, found in outcomes]
 
-        want = [cells(run_cells(*run)) for run in runs]
+        want = [cells(run_cells(run)) for run in runs]
         got = [[], []]
-        for row in itertools.zip_longest(*(run_cells(*run) for run in runs)):
+        for row in itertools.zip_longest(*(run_cells(run) for run in runs)):
             for out, cell in zip(got, row):
                 if cell is not None:
                     out.append(cell)
