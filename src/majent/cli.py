@@ -121,14 +121,10 @@ def _cmd_entropy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     family = args.family
     if family == "shannon":
         value = shannon(d)
-    elif family == "renyi":
+    elif family in ("renyi", "tsallis"):
         if args.alpha is None:
-            parser.error("--family renyi requires --alpha")
-        value = renyi(d, args.alpha)
-    elif family == "tsallis":
-        if args.alpha is None:
-            parser.error("--family tsallis requires --alpha")
-        value = tsallis(d, args.alpha)
+            parser.error(f"--family {family} requires --alpha")
+        value = (renyi if family == "renyi" else tsallis)(d, args.alpha)
     else:
         if args.alpha is None or args.beta is None:
             parser.error("--family sharma-mittal requires --alpha and --beta")

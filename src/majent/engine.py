@@ -2,21 +2,23 @@
 
 A run is a validated :class:`~majent.search.SweepConfig`, and a cell one
 (kind, alpha, beta) check of its grid, alpha x beta x properties in that
-order, on ``trials_per_cell`` pairs.  Cells are found by index; a run holds
-no list of them.  The engine takes the (cell, trial) rows of the grid in
-order, at most ``BATCH_ROWS`` at a time, groups a batch by width class
-(the dimension rounded up to ``CLASS_WIDTH``) into zero-padded (k, m)
-arrays and sends each class through the row kernels of ``lattice`` and
-``entropy`` once, with one dimension and one (alpha, beta) per row.  The
-padding is exact: the kernels leave a row's bits as they are at its own
-length.  A batch keeps only its margins, in row order, and which rows
-failed, so each cell's worst margin, first violation and first failure are
-those of a trial-by-trial loop over :func:`~majent.properties.run_check`.
-The record of a cell's first violation is that loop's own: the engine
-rebuilds the row's pair from its replay key (seed, cell, trial) and runs
-it through ``run_check`` once; margin bits that differ from the batch's
-are an error.  The kernels build no error: a row that ``family_rows``
-flags is replayed the same way and raises the trial's error.
+order, on ``trials_per_cell`` pairs.  Cells are found by index, and
+``_Grid.columns`` alone states that order; a run holds no list of them,
+and yields each finished :class:`~majent.search.CellReport`.  The engine
+takes the (cell, trial) rows of the grid in order, at most ``BATCH_ROWS``
+at a time, groups a batch by width class (the dimension rounded up to
+``CLASS_WIDTH``) into zero-padded (k, m) arrays and sends each class
+through the row kernels of ``lattice`` and ``entropy`` once, with one
+dimension and one (alpha, beta) per row.  The padding is exact: the
+kernels leave a row's bits as they are at its own length.  A batch keeps
+only its margins, in row order, and which rows failed, so each cell's
+worst margin, first violation and first failure are those of a
+trial-by-trial loop over :func:`~majent.properties.run_check`.  The record
+of a cell's first violation is that loop's own: the engine rebuilds the
+row's pair from its replay key (seed, cell, trial) and runs it through
+``run_check`` once; margin bits that differ from the batch's are an error.
+The kernels build no error: a row that ``family_rows`` flags is replayed
+the same way and raises the trial's error.
 
 The draws come from one Philox bit generator per :func:`run_cells` call.
 Each trial resets its key to ``search.trial_key``, with counter 0 and an
@@ -34,7 +36,9 @@ from .entropy import EntropyParams, family_rows
 from .lattice import bound_rows, sorted_rows
 from .properties import _CHECKS, CHECK_TOL, oriented_sides, run_check
 from .reference import REFERENCE_PAIRS, CounterexampleRecord
-from .search import SweepConfig, TrialEvaluationError, sample_simplex, trial_key, trial_stream
+from .search import (
+    CellReport, SweepConfig, TrialEvaluationError, sample_simplex, trial_key, trial_stream,
+)
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -66,8 +70,8 @@ class _Grid(NamedTuple):
 def draw_pairs(
     gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs that two ``sample_simplex(n, trial_stream(grid.config.seed, c, t))``
-    calls draw for each (c, t), as two (k, n) arrays of sorted rows.
+    """The pairs that two ``sample_simplex(n, trial_stream(seed, c, t))`` calls
+    draw for each (c, t), as two (k, n) arrays of sorted rows.
 
     ``gen`` runs on a Philox bit generator.  Each trial sets its key, with
     counter 0 and an empty buffer, and draws its 2n exponentials in one
@@ -183,11 +187,14 @@ def _replay(grid: _Grid, c: int, t: int, margin: float, failed: bool) -> Counter
     return CounterexampleRecord(check, grid.config.seed, c, t, source)
 
 
-def run_cells(config: SweepConfig) -> Iterator[tuple[float, CounterexampleRecord | None]]:
-    """Yield (worst margin, first counterexample) for each cell of the
-    grid of ``config``, alpha x beta x properties, in that order.
+def run_cells(config: SweepConfig) -> Iterator[CellReport]:
+    """Yield the :class:`~majent.search.CellReport` of each cell of the grid
+    of ``config``, alpha x beta x properties, in that order.
 
-    Cell ``i`` of that order has cell index ``i``.  The pairs of
+    Cell ``i`` of that order has cell index ``i``.  Its report takes its
+    alpha, beta and kind from :meth:`_Grid.columns` of ``i``, as Python
+    floats and a member of ``config.properties``, and its trials and seed
+    from ``config``.  The pairs of
     ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
     non-negative (they may contain a zero weight, so negative orders skip
     them); the rest are fresh samples with the dimension cycling through
@@ -238,5 +245,7 @@ def run_cells(config: SweepConfig) -> Iterator[tuple[float, CounterexampleRecord
             if first is None and r < end:
                 first = _replay(grid, c, int(trial[r]), float(margin[r]), bool(failed[r]))
             if start + end == (c + 1) * trials:
-                yield worst, first
+                i, alpha, beta = grid.columns(c)
+                kind = config.properties[i]
+                yield CellReport(float(alpha), float(beta), kind, worst, trials, config.seed, first)
                 worst, first = math.inf, None

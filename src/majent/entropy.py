@@ -65,10 +65,11 @@ def _kind(value: float) -> str:
 
 
 def is_finite(value) -> bool:
-    """``math.isfinite``, False for an int too large for a float."""
+    """``math.isfinite``, False for an int too large for a float and for a
+    value it refuses as not a number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -112,11 +113,6 @@ class EntropyParams(FrozenValue):
         }
 
 
-# Branches of the family, numbered (alpha != 1) * 2 + (beta != 1): ln(2)
-# times Shannon, phi_beta of Shannon, ln(2) times Renyi, h_alpha_beta.
-_SHANNON, _PHI, _RENYI, _H = range(4)
-
-
 def _mapped(f, x: np.ndarray) -> np.ndarray:
     """``f`` of each entry of the 1-d ``x``, called on Python floats."""
     import numpy as np
@@ -155,44 +151,34 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1], terms
 
 
-def _shannon_outer(x: float, alpha: float, beta: float) -> float:
-    if not x >= 0.0:
-        raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
-    return LN2 * x
-
-
-def _phi_outer(x: float, alpha: float, beta: float) -> float:
-    if not x >= 0.0:
-        raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
-    return math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
-
-
-def _renyi_outer(x: float, alpha: float, beta: float) -> float:
-    return math.log(x) / (1.0 - alpha)
-
-
-def _h_outer(x: float, alpha: float, beta: float) -> float:
+def _outer(x: float, alpha: float, beta: float) -> float:
+    """The family value from its argument: the Shannon entropy in bits at
+    alpha = 1, else the power sum.  Python floats, which raise where the C
+    library signals an error.  The branches are ln(2) times Shannon,
+    phi_beta of Shannon, ln(2) times Renyi and h_alpha_beta."""
+    if alpha == 1.0:
+        if not x >= 0.0:
+            raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
+        return LN2 * x if beta == 1.0 else math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
+    if beta == 1.0:
+        return math.log(x) / (1.0 - alpha)
     if not x > 0.0:
         raise ValueError(f"h_alpha_beta needs x > 0, got {x!r}")
     return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(x)) / (1.0 - beta)
 
 
-#: Per branch, the map from a row's argument to its family value, in Python
-#: floats, which raise where the C library signals an error.
-_OUTER = (_shannon_outer, _phi_outer, _renyi_outer, _h_outer)
-
 #: Largest ``expm1`` argument the bulk pass settles.  ``math.expm1``
 #: overflows just past log(DBL_MAX) = 709.78, so the rows beyond this bound
-#: go through ``_OUTER``, which gives math's value or its OverflowError.
+#: go through :func:`_outer`, which gives math's value or its OverflowError.
 _EXPM1_BOUND = 709.0
 
 
 def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """(values, replay): the outer map of every row, with numpy doing the
-    arithmetic of ``_OUTER``'s expressions in their own order (elementwise
+    arithmetic of :func:`_outer`'s expressions in their own order (elementwise
     IEEE operations give Python's float bits) and ``map`` calling
     ``math.log`` and ``math.expm1``; and the rows whose value this pass
-    cannot settle, which go through ``_OUTER``: an argument outside the
+    cannot settle, which go through :func:`_outer`: an argument outside the
     domain of the log or of the Shannon forms, and an ``expm1`` argument
     above ``_EXPM1_BOUND``.
     """
@@ -232,7 +218,7 @@ def family_rows(
 
     The outer map from a row's power sum or Shannon entropy to its value
     runs in bulk (:func:`_bulk_outer`), with the bits and failures of
-    ``_OUTER``.  The scalar functions are the same evaluation at k = 1, in
+    :func:`_outer`.  The scalar functions are the same evaluation at k = 1, in
     Python floats.
     """
     import numpy as np
@@ -245,9 +231,8 @@ def family_rows(
     if np.isinf(x).any():
         failed |= np.isinf(terms).any(axis=1)
     for i in replay:
-        a, b = alpha.item(i), beta.item(i)
         try:
-            values[i] = _OUTER[(a != 1.0) * 2 + (b != 1.0)](x.item(i), a, b)
+            values[i] = _outer(x.item(i), alpha.item(i), beta.item(i))
         except (ValueError, OverflowError):
             failed[i] = True
     values[failed] = math.nan
@@ -322,8 +307,7 @@ def phi_beta(x: float, beta: float) -> float:
     Composing it with the Renyi entropy of matching order gives the family
     value; at beta = 1 it degenerates to ln(2) x.  Defined for x >= 0.
     """
-    x, beta = float(x), float(beta)
-    return _OUTER[_SHANNON if beta == 1.0 else _PHI](x, 1.0, beta)
+    return _outer(float(x), 1.0, float(beta))
 
 
 def h_alpha_beta(x: float, params: EntropyParams) -> float:
@@ -334,7 +318,7 @@ def h_alpha_beta(x: float, params: EntropyParams) -> float:
     """
     if params.alpha == 1.0 or params.beta == 1.0:
         raise DegenerateParamsError("h_alpha_beta needs alpha and beta away from 1")
-    return _h_outer(float(x), params.alpha, params.beta)
+    return _outer(float(x), params.alpha, params.beta)
 
 
 def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
@@ -355,7 +339,7 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
     """
     alpha, beta = params.alpha, params.beta
     x = shannon(p) if alpha == 1.0 else g_alpha(p, alpha)
-    return _OUTER[(alpha != 1.0) * 2 + (beta != 1.0)](x, alpha, beta)
+    return _outer(x, alpha, beta)
 
 
 def sharma_mittal_partial(
@@ -373,16 +357,12 @@ def sharma_mittal_partial(
     if not 0 <= i < p.dim:
         raise IndexOutOfRangeError(f"index {i} outside dimension {p.dim}")
     alpha, beta = params.alpha, params.beta
+    power = g_alpha(p, alpha)  # raises at a zero weight for alpha < 0
     pi = p.weights[i]
     if pi == 0.0:
-        if alpha < 0.0:
-            raise ZeroWeightNegativeAlphaError(
-                f"zero weight is outside the domain for alpha = {alpha!r}"
-            )
         if alpha < 1.0:
             raise ValueError("partial derivative diverges at a zero weight for alpha < 1")
         return 0.0
-    power = g_alpha(p, alpha)
     scale = power ** ((alpha - beta) / (1.0 - alpha))
     return (alpha / (1.0 - alpha)) * scale * pi ** (alpha - 1.0)
 

@@ -21,7 +21,6 @@ the engine where it runs, so a config parses without either.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from enum import Enum
@@ -152,12 +151,21 @@ def find_counterexample(
     Returns the first violating pair found, or None.  The reference pairs
     lead the trial order, so the known breakdowns at (2, 3) are found
     independent of seed.  It runs ``SweepConfig((alpha,), (beta,), (n,),
-    trials, seed, (kind,))``, which validates the arguments.
+    trials, seed, (kind,))``, which validates the arguments, and returns the
+    counterexample of that run's one cell.
     """
     from .engine import run_cells
 
     config = SweepConfig((params.alpha,), (params.beta,), (n,), trials, seed, (kind,))
-    return next(run_cells(config))[1]
+    return next(run_cells(config)).counterexample
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """``values`` read once into a tuple; SweepConfigError if not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise SweepConfigError(f"{name} must be a sequence: {values!r}") from None
 
 
 def _check_ascending(name: str, values: tuple) -> None:
@@ -170,8 +178,9 @@ def _check_ascending(name: str, values: tuple) -> None:
 class SweepConfig(FrozenValue):
     """Grid description for :func:`sweep`.
 
-    Grids are finite ascending sequences stored as ``float``, and dims the
-    pair dimensions the trials cycle through, integral numbers stored as
+    Grids and dims are read once, from any iterable.  Grids are finite
+    ascending real numbers stored as ``float``, and dims the pair
+    dimensions the trials cycle through, integral numbers stored as
     ``int``.  Properties are stored in a canonical order so that equal
     configs always produce identical reports.  This is the one place where
     a run is validated; :func:`parse_sweep_config` only converts text.
@@ -189,10 +198,14 @@ class SweepConfig(FrozenValue):
         properties: tuple[PropertyKind, ...] = tuple(PropertyKind),
     ) -> None:
         for name, grid in (("alpha_grid", alpha_grid), ("beta_grid", beta_grid)):
+            grid = _as_tuple(name, grid)
+            if not all(isinstance(v, numbers.Real) for v in grid):
+                raise SweepConfigError(f"{name} must be real numbers: {grid}")
             _check_ascending(name, grid)
             if any(not is_finite(v) for v in grid):
                 raise SweepConfigError(f"{name} must be finite: {grid}")
             _set(self, name, tuple(map(float, grid)))
+        dims = _as_tuple("dims", dims)
         real = all(isinstance(d, numbers.Real) for d in dims)
         if not real or any(not is_finite(d) or int(d) != d or not 2 <= d <= MAX_DIM for d in dims):
             raise SweepConfigError(
@@ -308,25 +321,26 @@ class RegionSweepReport(NamedTuple):
 def sweep(config: SweepConfig) -> RegionSweepReport:
     """Run every (alpha, beta, property) cell of the grid.
 
-    Cells are enumerated in grid order with a stable cell index, and each
-    trial's randomness is keyed by (seed, cell, trial), so the report is
-    deterministic no matter how the work would be scheduled.  A violation
-    inside a guaranteed region aborts with :class:`GuaranteeViolationError`.
+    The engine yields the cells in grid order, each a finished
+    :class:`CellReport` with a stable cell index, and each trial's
+    randomness is keyed by (seed, cell, trial), so the report is
+    deterministic no matter how the work would be scheduled.  This function
+    only guards the guarantee table over that stream: a violation inside a
+    guaranteed region aborts with :class:`GuaranteeViolationError`.
     """
     from .engine import run_cells
 
-    grid = (config.alpha_grid, config.beta_grid, config.properties)
-    reports: list[CellReport] = []
-    for (alpha, beta, kind), (worst, found) in zip(itertools.product(*grid), run_cells(config)):
-        cell = CellReport(alpha, beta, kind, worst, config.trials_per_cell, config.seed, found)
+    cells = []
+    for cell in run_cells(config):
+        found = cell.counterexample
         if found is not None and cell.guaranteed:
             raise GuaranteeViolationError(
-                f"violation in guaranteed region: {kind.value} at alpha={cell.alpha}, "
+                f"violation in guaranteed region: {cell.kind.value} at alpha={cell.alpha}, "
                 f"beta={cell.beta}, trial {found.trial_index}, margin {found.check.margin!r}; "
                 "either the implementation or the guarantee table is wrong"
             )
-        reports.append(cell)
-    return RegionSweepReport(config, tuple(reports))
+        cells.append(cell)
+    return RegionSweepReport(config, tuple(cells))
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

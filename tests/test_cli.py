@@ -35,8 +35,12 @@ WATCHED = (
     "fractions", "json", "dataclasses", "inspect",
 )
 
-#: Runs main() on the given arguments, then lists on a last stderr line
-#: which of ``WATCHED`` were imported.
+#: Lists on a last stderr line which of ``WATCHED`` were imported.
+PRINT_IMPORTED = (
+    f"print('imported:', *(m for m in {WATCHED!r} if sys.modules.get(m)), file=sys.stderr)\n"
+)
+
+#: Runs main() on the given arguments, then prints ``PRINT_IMPORTED``.
 FRESH_MAIN = (
     "import sys\n"
     "from majent.cli import main\n"
@@ -44,8 +48,8 @@ FRESH_MAIN = (
     "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    f"print('imported:', *(m for m in {WATCHED!r} if sys.modules.get(m)), file=sys.stderr)\n"
-    "sys.exit(code)\n"
+    + PRINT_IMPORTED
+    + "sys.exit(code)\n"
 )
 
 
@@ -636,6 +640,22 @@ class TestImportOnUse:
         got, out, err, _ = run_fresh(["sweep", "--config", str(cfg)], NO_NUMPY_MAIN)
         assert (got, out) == (1, "")
         assert err.endswith("ModuleNotFoundError: import of numpy halted; None in sys.modules\n")
+
+    def test_a_config_parses_without_numpy_or_the_engine(self):
+        # The search module's own promise, outside the CLI: grid ranges,
+        # lists and a property list parse and validate with neither loaded.
+        script = (
+            "import sys\n"
+            "from majent.search import parse_sweep_config\n"
+            "text = 'alpha_grid = 0:0.5:1\\nbeta_grid = 1, 3\\ndims = 2:2:6\\n"
+            "properties = supermodular, subadditive\\n'\n"
+            "config = parse_sweep_config(text)\n"
+            "print(config.alpha_grid, config.beta_grid, config.dims, len(config.properties))\n"
+            + PRINT_IMPORTED
+        )
+        got, out, err, loaded = run_fresh([], script)
+        assert (got, out, err) == (EXIT_OK, "(0.0, 0.5, 1.0) (1.0, 3.0) (2, 4, 6) 2\n", "")
+        assert not loaded & {"numpy", "majent.engine"}
 
     def test_no_module_imports_dataclasses_or_inspect(self):
         # numpy loads inspect, so for sweep only the sources can tell.

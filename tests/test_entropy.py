@@ -87,6 +87,10 @@ class TestEntropyParams:
         # OverflowError of its conversion.
         with pytest.raises(DegenerateParamsError, match="alpha and beta must be finite"):
             EntropyParams(10**400, 1)
+        # So is an order that is not a real number at all.
+        for alpha, beta in ((None, 1.0), (2.0, "3"), (1j, 2.0), (np.array([1.0, 2.0]), 2.0)):
+            with pytest.raises(DegenerateParamsError, match="alpha and beta must be finite"):
+                EntropyParams(alpha, beta)
 
     def test_json_dict(self):
         assert EntropyParams.make(2, 1).to_json_dict() == {
@@ -423,7 +427,7 @@ class TestRowKernelBits:
         # Each failure of the outer map, and a finite row whose expm1
         # argument lies in (709, 709.78], among ordinary rows: the bulk
         # pass must give each row the value bits of the scalar sharma_mittal,
-        # whose outer map is _OUTER's, and flag exactly the rows it raises on.
+        # whose outer map is _outer's, and flag exactly the rows it raises on.
         special = [
             ([0.5, 0.5, 0.0], 2000.0, 3.0),  # power sum underflows to 0
             ([0.5, 0.5, 0.0], 2000.0, 1.0),  # log(0): math domain error

@@ -34,6 +34,7 @@ from majent.search import (
     DEFAULT_SEED,
     MAX_DIM,
     STREAM_ALGORITHM,
+    CellReport,
     GuaranteeViolationError,
     SweepConfig,
     SweepConfigError,
@@ -197,7 +198,8 @@ class TestFindCounterexample:
 
         def run_cells(config):
             calls.append(config.trials_per_cell)
-            yield 0.0, None
+            kind, trials, seed = config.properties[0], config.trials_per_cell, config.seed
+            yield CellReport(2.0, 3.0, kind, 0.0, trials, seed, None)
 
         monkeypatch.setattr(majent.engine, "run_cells", run_cells)
         params = EntropyParams.make(2, 3)
@@ -355,11 +357,40 @@ class TestSweepConfig:
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=5 - 2**64),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=5.0),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), seed=True),
+            # Not iterable, or entries that are not real numbers: refused
+            # before they are compared, converted or counted.
+            dict(alpha_grid=("a",), beta_grid=(1.0,)),
+            dict(alpha_grid=(1.0, "a"), beta_grid=(1.0,)),
+            dict(alpha_grid=(0.0,), beta_grid=(None,)),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0, 1j)),
+            dict(alpha_grid=1.0, beta_grid=(1.0,)),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=4),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(SweepConfigError):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(alpha_grid=(1.0, "a"), beta_grid=(1.0,)), "alpha_grid must be real numbers: (1.0, 'a')"),
+            (dict(alpha_grid=1.0, beta_grid=(1.0,)), "alpha_grid must be a sequence: 1.0"),
+            (dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=4), "dims must be a sequence: 4"),
+        ],
+    )
+    def test_malformed_grids_are_named(self, kwargs, message):
+        with pytest.raises(SweepConfigError) as err:
+            SweepConfig(**kwargs)
+        assert str(err.value) == message
+
+    def test_grids_and_dims_are_read_once(self):
+        # A numpy array is a grid like any sequence, and a generator of dims
+        # is read once, by the conversion, not by a check before it.
+        cfg = SweepConfig(np.array([1.0, 2.0]), (1.0,), dims=(d for d in (2, 3)))
+        assert (cfg.alpha_grid, cfg.dims) == ((1.0, 2.0), (2, 3))
+        assert all(type(a) is float for a in cfg.alpha_grid)
+        assert cfg == SweepConfig((1.0, 2.0), (1.0,), dims=(2, 3))
 
     def test_cells_and_trials_up_to_2_to_the_32(self):
         # The cell and trial indices of a replay key fill 32 bits each.
@@ -634,7 +665,8 @@ class TestBatchedEngine:
 
     @staticmethod
     def plain_loop(config):
-        """(worst margin, first counterexample) per cell, one run_check per trial."""
+        """(alpha, beta, kind, worst margin, first counterexample) per cell, in
+        nested loops over the grid, one run_check per trial."""
         out = []
         cell_index = 0
         for alpha in config.alpha_grid:
@@ -657,7 +689,7 @@ class TestBatchedEngine:
                             worst = check.margin
                         if found is None and not check.holds:
                             found = CounterexampleRecord(check, config.seed, cell_index, t, source)
-                    out.append((worst, found))
+                    out.append((alpha, beta, kind, worst, found))
                     cell_index += 1
         return out
 
@@ -692,7 +724,11 @@ class TestBatchedEngine:
     }
 
     def assert_matches_plain_loop(self, report, config):
-        for cell, (worst, found) in zip(report.cells, self.plain_loop(config), strict=True):
+        for cell, (alpha, beta, kind, worst, found) in zip(
+            report.cells, self.plain_loop(config), strict=True
+        ):
+            assert (type(cell.alpha), type(cell.beta)) == (float, float)
+            assert (cell.alpha, cell.beta, cell.kind) == (alpha, beta, kind)
             assert cell.worst_margin.hex() == worst.hex()
             want = Verdict.VIOLATION_FOUND if found else (
                 Verdict.THEOREM_GUARANTEED if cell.guaranteed else Verdict.NO_VIOLATION_FOUND
@@ -780,15 +816,16 @@ class TestBatchedEngine:
             "cap = pages * os.sysconf('SC_PAGE_SIZE') + 2**29\n"
             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
             "config = SweepConfig(grid, grid, (2,), 1, 5, (PropertyKind.SUBADDITIVE,))\n"
-            "worst, first = next(run_cells(config))\n"
-            "print(repr(worst), first)\n"
+            "cell = next(run_cells(config))\n"
+            "print(repr(cell.worst_margin), cell.counterexample)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        worst, first = next(run_cells(SweepConfig((0.0,), (0.0,), (2,), 1, 5, (PropertyKind.SUBADDITIVE,))))
+        cell = next(run_cells(SweepConfig((0.0,), (0.0,), (2,), 1, 5, (PropertyKind.SUBADDITIVE,))))
+        worst, first = cell.worst_margin, cell.counterexample
         assert proc.stdout == f"{worst!r} {first}\n"
 
 
@@ -892,7 +929,7 @@ class TestBatchOrder:
             alpha_grid=(-1.0,), beta_grid=(1.0,), dims=(3,), trials_per_cell=1000, seed=0,
             properties=(PropertyKind.SUPERMODULAR,),
         )
-        _, want = TestBatchedEngine.plain_loop(config)[0]
+        *_, want = TestBatchedEngine.plain_loop(config)[0]
         assert rec.trial_index == 10
         assert json.dumps(rec.to_json_dict()) == json.dumps(want.to_json_dict())
 
@@ -963,8 +1000,11 @@ class TestBatchOrder:
             for config in (TestBatchedEngine.CONFIGS["c3"], TestBatchedEngine.CONFIGS["c4"])
         ]
 
-        def cells(outcomes):
-            return [(worst.hex(), json.dumps(found and found.to_json_dict())) for worst, found in outcomes]
+        def cells(reports):
+            return [
+                (c.worst_margin.hex(), json.dumps(c.counterexample and c.counterexample.to_json_dict()))
+                for c in reports
+            ]
 
         want = [cells(run_cells(run)) for run in runs]
         got = [[], []]
