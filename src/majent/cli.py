@@ -53,8 +53,8 @@ def _fmt_vector(dist: ProbabilityDistribution, digits: int) -> str:
     return ",".join(_fmt(w, digits) for w in dist.weights)
 
 
-def _add_vector_args(sub: argparse.ArgumentParser, names=("--p", "--q")) -> None:
-    for name in names:
+def _add_vector_args(sub: argparse.ArgumentParser) -> None:
+    for name in ("--p", "--q"):
         sub.add_argument(name, required=True, metavar="WEIGHTS", help="comma-separated weights, decimals or rationals like 1/2")
 
 
@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ent.add_argument("--alpha", type=float, default=None)
     p_ent.add_argument("--beta", type=float, default=None)
+    p_ent.set_defaults(run=_cmd_entropy)
 
     for name, help_text in (
         ("meet", "greatest lower bound in the majorization order"),
@@ -83,9 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p_op = sub.add_parser(name, help=help_text)
         _add_vector_args(p_op)
         p_op.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+        p_op.set_defaults(run=_cmd_meet_join)
 
     p_cmp = sub.add_parser("compare", help="compare two distributions under majorization")
     _add_vector_args(p_cmp)
+    p_cmp.set_defaults(run=_cmd_compare)
 
     p_chk = sub.add_parser("check", help="check one inequality on one pair")
     p_chk.add_argument("--property", required=True, choices=sorted(k.value for k in PropertyKind))
@@ -94,16 +97,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--beta", type=float, required=True)
     p_chk.add_argument("--tolerance", type=float, default=CHECK_TOL)
     p_chk.add_argument("--format", choices=["text", "json"], default="text")
+    p_chk.set_defaults(run=_cmd_check)
 
     p_ver = sub.add_parser(
         "verify-paper", help="replay the built-in reference counterexamples at (2, 3)"
     )
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
+    p_ver.set_defaults(run=_cmd_verify_paper)
 
     p_swp = sub.add_parser("sweep", help="region sweep from a config file")
     p_swp.add_argument("--config", required=True, metavar="FILE")
     p_swp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_swp.add_argument("--out", metavar="FILE", default=None, help="write here instead of stdout")
+    p_swp.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -133,7 +139,7 @@ def _cmd_entropy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return EXIT_OK
 
 
-def _cmd_meet_join(args: argparse.Namespace) -> int:
+def _cmd_meet_join(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import lattice
 
     p = parse_distribution(args.p, exact=args.exact)
@@ -143,7 +149,7 @@ def _cmd_meet_join(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     p = parse_distribution(args.p)
     q = parse_distribution(args.q)
     print(compare(p, q).value)
@@ -190,7 +196,7 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_OK if record.holds else EXIT_VIOLATION
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> int:
+def _cmd_verify_paper(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .reference import ReproductionError, verify_paper_counterexamples
 
     try:
@@ -214,7 +220,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .search import GuaranteeViolationError, SweepConfigError, parse_sweep_config, sweep
 
     try:
@@ -258,17 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     # No float's exact decimal expansion has more significant digits.
     args.digits = min(args.digits, 767)
     try:
-        if args.command == "entropy":
-            return _cmd_entropy(args, parser)
-        if args.command in ("meet", "join"):
-            return _cmd_meet_join(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(args)
-        return _cmd_sweep(args)
+        return args.run(args, parser)
     except VectorParseError as err:
         return _error(err, EXIT_USAGE)
     except (ValueError, OverflowError) as err:

@@ -20,10 +20,8 @@ row's pair from its replay key (seed, cell, trial) and runs it through
 The kernels build no error: a row that ``family_rows`` flags is replayed
 the same way and raises the trial's error.
 
-The draws come from one Philox bit generator per :func:`run_cells` call.
-Each trial resets its key to ``search.trial_key``, with counter 0 and an
-empty buffer, the state a fresh keyed stream starts in, so the draws are
-those of ``search.trial_stream`` and ``search.sample_simplex``.
+The pairs come from :func:`~majent.search.draw_pairs` on one Philox
+generator per :func:`run_cells` call, so runs share no generator.
 """
 from __future__ import annotations
 
@@ -33,11 +31,11 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .entropy import EntropyParams, family_rows
-from .lattice import bound_rows, sorted_rows
+from .lattice import bound_rows
 from .properties import _CHECKS, CHECK_TOL, oriented_sides, run_check
 from .reference import REFERENCE_PAIRS, CounterexampleRecord
 from .search import (
-    CellReport, SweepConfig, TrialEvaluationError, sample_simplex, trial_key, trial_stream,
+    CellReport, SweepConfig, TrialEvaluationError, draw_pairs, sample_simplex, trial_stream,
 )
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
@@ -65,39 +63,6 @@ class _Grid(NamedTuple):
         """(index into the kinds, alpha, beta) of a cell index or an array of them."""
         k, b = len(self.config.properties), len(self.betas)
         return cell % k, self.alphas[cell // (k * b)], self.betas[cell // k % b]
-
-
-def draw_pairs(
-    gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs that two ``sample_simplex(n, trial_stream(seed, c, t))`` calls
-    draw for each (c, t), as two (k, n) arrays of sorted rows.
-
-    ``gen`` runs on a Philox bit generator.  Each trial sets its key, with
-    counter 0 and an empty buffer, and draws its 2n exponentials in one
-    call.  The rows are normalized at their own length: numpy's pairwise
-    ``sum`` associates differently on a longer row.
-    """
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": None},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
-    bit_generator, standard_exponential = gen.bit_generator, gen.standard_exponential
-    draws = np.empty((len(cells), 2 * n))
-    for row, word in zip(draws, words.tolist()):
-        state["state"]["key"] = [seed_word, word]
-        bit_generator.state = state
-        standard_exponential(out=row)
-    p, q = draws[:, :n], draws[:, n:]
-    return (
-        sorted_rows(p / p.sum(axis=1, keepdims=True)),
-        sorted_rows(q / q.sum(axis=1, keepdims=True)),
-    )
 
 
 def _is_reference(alpha, trial):
@@ -206,13 +171,13 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
     trial-by-trial loop, the first failing trial of a cell raises before
     the cell is yielded.
 
-    The cells of a batch are tallied at once: ``np.minimum.reduceat``
-    gives each cell's least margin (nan ranked as inf, and the first of
-    equal margins wins, as in a strict ``<`` loop) and ``np.searchsorted``
-    its first violating row, a nan margin counting as a violation.  A cell
-    that runs over several batches keeps its worst margin and first
-    violation from the earliest batch that set them, and replays at most
-    one row for its counterexample.
+    The cells of a batch are tallied in one scan, a reversed
+    ``np.minimum.accumulate`` of row indices under three masks: each cell's
+    first row of least margin (nan ranked as inf; of equal margins the
+    first, as a strict ``<`` loop keeps), failed row and violating row (a
+    nan margin violates).  A cell that runs over several batches keeps its
+    worst margin and first violation from the earliest batch that set
+    them, and replays at most one row for its counterexample.
     """
     # Every trial sets its own key; a fixed one here draws no OS entropy.
     gen = np.random.Generator(np.random.Philox(key=0))
@@ -227,23 +192,17 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
         c0 = int(cell[0])
         lo = np.maximum(np.arange(c0, int(cell[-1]) + 1) * trials - start, 0)
         hi = np.append(lo[1:], len(cell)).tolist()
-        # Each cell's first row with its least margin, nan ranked as inf.
+        # Each cell's first least (nan as inf), failed and violating row, or len(cell).
         ranked = np.where(np.isnan(margin), math.inf, margin)
-        least = np.flatnonzero(ranked == np.minimum.reduceat(ranked, lo)[cell - c0])
-        worsts = margin[least[np.searchsorted(least, lo)]].tolist()
-        # Each cell's first row that does not hold; len(cell) stands for none.
-        hits = np.append(np.flatnonzero(~(margin >= -CHECK_TOL)), len(cell))
-        firsts = hits[np.searchsorted(hits, lo)].tolist()
-        flagged = np.flatnonzero(failed)
-        failed_cell = int(cell[flagged[0]]) if flagged.size else -1
-        for c, least_margin, r, end in zip(range(c0, c0 + len(lo)), worsts, firsts, hi):
-            if c == failed_cell:
-                f = flagged[0]  # the replay raises: the row failed
-                _replay(grid, c, int(trial[f]), float(margin[f]), True)
-            if least_margin < worst:
-                worst = least_margin
+        marks = [ranked == np.minimum.reduceat(ranked, lo)[cell - c0], failed, ~(margin >= -CHECK_TOL)]
+        rows = np.where(marks, np.arange(len(cell)), len(cell))[:, ::-1]
+        least, fails, hits = np.minimum.accumulate(rows, axis=1)[:, ::-1][:, lo].tolist()
+        for c, w, f, r, end in zip(range(c0, c0 + len(lo)), least, fails, hits, hi):
+            if f < end:  # the replay raises: the row failed
+                _replay(grid, c, int(trial[f]), margin.item(f), True)
+            worst = min(worst, margin.item(w))
             if first is None and r < end:
-                first = _replay(grid, c, int(trial[r]), float(margin[r]), bool(failed[r]))
+                first = _replay(grid, c, int(trial[r]), margin.item(r), bool(failed[r]))
             if start + end == (c + 1) * trials:
                 i, alpha, beta = grid.columns(c)
                 kind = config.properties[i]

@@ -5,7 +5,11 @@ driven by a counter-based generator so that every trial is reproducible in
 isolation: the stream for a trial is keyed by (seed, cell index, trial
 index) and nothing else.  Reports are therefore byte-identical across runs
 and platforms that agree on the generator, whose identifier is stamped into
-every report header.
+every report header.  A replay draws one trial's pair with
+:func:`trial_stream` and :func:`sample_simplex`; :func:`draw_pairs` draws
+many trials' pairs on one reused Philox generator, reset for each trial to
+the key of :func:`trial_key`, counter 0 and an empty buffer, the state a
+fresh keyed stream starts in, so both paths draw the same numbers.
 
 The two reference pairs of :mod:`majent.reference` are injected as the
 leading trials of every cell whose order parameter admits them (one pair
@@ -13,7 +17,7 @@ carries a zero weight, so negative orders skip the injection), so their
 known violations at (2, 3) are found regardless of seed.
 
 Sweeps and searches run on the batched engine of :mod:`majent.engine`,
-which draws the same numbers as :func:`trial_stream` and finds the same
+which draws its pairs through :func:`draw_pairs` and finds the same
 worst margins, first counterexamples and first errors as a trial-by-trial
 loop over :func:`~majent.properties.run_check`, and rebuilds every row it
 flags from its replay key.  numpy is imported where a stream is made and
@@ -117,6 +121,42 @@ def sample_simplex(n: int, stream: np.random.Generator) -> ProbabilityDistributi
     return make_distribution((draws / draws.sum()).tolist())
 
 
+def draw_pairs(
+    gen: np.random.Generator, seed: int, cells: np.ndarray, trials: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs that two ``sample_simplex(n, trial_stream(seed, c, t))`` calls
+    draw for each (c, t), as two (k, n) arrays of sorted rows.
+
+    ``gen`` runs on a Philox bit generator, and each trial draws its 2n
+    exponentials in one call.  The rows are normalized at their own length:
+    numpy's pairwise ``sum`` associates differently on a longer row.
+    """
+    import numpy as np
+
+    from .lattice import sorted_rows
+
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
+    bit_generator, standard_exponential = gen.bit_generator, gen.standard_exponential
+    draws = np.empty((len(cells), 2 * n))
+    for row, word in zip(draws, words.tolist()):
+        state["state"]["key"] = [seed_word, word]
+        bit_generator.state = state
+        standard_exponential(out=row)
+    p, q = draws[:, :n], draws[:, n:]
+    return (
+        sorted_rows(p / p.sum(axis=1, keepdims=True)),
+        sorted_rows(q / q.sum(axis=1, keepdims=True)),
+    )
+
+
 def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:
     """Whether (alpha, beta) lies in a region where ``kind`` is proven.
 
@@ -178,9 +218,9 @@ def _check_ascending(name: str, values: tuple) -> None:
 class SweepConfig(FrozenValue):
     """Grid description for :func:`sweep`.
 
-    Grids and dims are read once, from any iterable.  Grids are finite
-    ascending real numbers stored as ``float``, and dims the pair
-    dimensions the trials cycle through, integral numbers stored as
+    Grids, dims and properties are read once, from any iterable.  Grids
+    are finite ascending real numbers stored as ``float``, and dims the
+    pair dimensions the trials cycle through, integral numbers stored as
     ``int``.  Properties are stored in a canonical order so that equal
     configs always produce identical reports.  This is the one place where
     a run is validated; :func:`parse_sweep_config` only converts text.
@@ -218,6 +258,7 @@ class SweepConfig(FrozenValue):
         if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
         _check_word("seed", seed, 64, SweepConfigError)
+        properties = _as_tuple("properties", properties)
         if not properties:
             raise SweepConfigError("properties must not be empty")
         unknown = [k for k in properties if not isinstance(k, PropertyKind)]

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: output text, exit codes, error mapping."""
+import argparse
 import ast
 import contextlib
 import io
@@ -14,7 +15,7 @@ import pytest
 
 import majent.reference
 import majent.search
-from majent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from majent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _build_parser, main
 
 
 def run(argv):
@@ -196,6 +197,14 @@ class TestCheckCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["join"] is None
+
+    def test_a_negative_order_in_exponent_form_attached_with_equals(self):
+        # argparse may take a bare -1e-5 for an option; attached, it is a value.
+        code, out, _ = run(
+            ["check", "--property", "subadditive", "--p", "0.5,0.5", "--q", "0.6,0.4",
+             "--alpha=-1e-5", "--beta", "3", "--format", "json"]
+        )
+        assert (code, json.loads(out)["params"]["alpha"]) == (EXIT_OK, -1e-5)
 
 
 class TestVerifyPaperCommand:
@@ -501,6 +510,20 @@ class TestErrorMapping:
         assert code == EXIT_VIOLATION
         data = json.loads(out)
         assert (data["holds"], data["verdict"]) == (False, "violated")
+
+    def test_every_subcommand_carries_its_handler(self):
+        # A subcommand without one would fall through to another's handler.
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {
+            "entropy", "meet", "join", "compare", "check", "verify-paper", "sweep",
+        }
+        for name, sub in commands.choices.items():
+            argv = [name]
+            for action in sub._actions:
+                if action.required:
+                    argv += [action.option_strings[0], str((action.choices or ["1"])[0])]
+            assert callable(parser.parse_args(argv).run), name
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

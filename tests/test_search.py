@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from majent.engine import draw_pairs, run_cells
+from majent.engine import run_cells
 from majent.entropy import (
     EntropyParams,
     ZeroWeightNegativeAlphaError,
@@ -40,6 +40,7 @@ from majent.search import (
     SweepConfigError,
     TrialEvaluationError,
     Verdict,
+    draw_pairs,
     find_counterexample,
     parse_sweep_config,
     sample_simplex,
@@ -365,6 +366,9 @@ class TestSweepConfig:
             dict(alpha_grid=(0.0,), beta_grid=(1.0, 1j)),
             dict(alpha_grid=1.0, beta_grid=(1.0,)),
             dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=4),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=PropertyKind.SUBADDITIVE),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=None),
+            dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=3),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -377,6 +381,7 @@ class TestSweepConfig:
             (dict(alpha_grid=(1.0, "a"), beta_grid=(1.0,)), "alpha_grid must be real numbers: (1.0, 'a')"),
             (dict(alpha_grid=1.0, beta_grid=(1.0,)), "alpha_grid must be a sequence: 1.0"),
             (dict(alpha_grid=(0.0,), beta_grid=(1.0,), dims=4), "dims must be a sequence: 4"),
+            (dict(alpha_grid=(0.0,), beta_grid=(1.0,), properties=None), "properties must be a sequence: None"),
         ],
     )
     def test_malformed_grids_are_named(self, kwargs, message):
@@ -386,11 +391,14 @@ class TestSweepConfig:
 
     def test_grids_and_dims_are_read_once(self):
         # A numpy array is a grid like any sequence, and a generator of dims
-        # is read once, by the conversion, not by a check before it.
-        cfg = SweepConfig(np.array([1.0, 2.0]), (1.0,), dims=(d for d in (2, 3)))
+        # or of kinds is read once, by the conversion, not by a check before it.
+        kinds = (PropertyKind.SUPERMODULAR, PropertyKind.SUBADDITIVE)
+        cfg = SweepConfig(
+            np.array([1.0, 2.0]), (1.0,), dims=(d for d in (2, 3)), properties=(k for k in kinds)
+        )
         assert (cfg.alpha_grid, cfg.dims) == ((1.0, 2.0), (2, 3))
         assert all(type(a) is float for a in cfg.alpha_grid)
-        assert cfg == SweepConfig((1.0, 2.0), (1.0,), dims=(2, 3))
+        assert cfg == SweepConfig((1.0, 2.0), (1.0,), dims=(2, 3), properties=kinds[::-1])
 
     def test_cells_and_trials_up_to_2_to_the_32(self):
         # The cell and trial indices of a replay key fill 32 bits each.
@@ -906,6 +914,21 @@ class TestBatchOrder:
         config, want = self.EVENTS[name]
         monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
         assert outcome(sweep, config) == want
+
+    @pytest.mark.parametrize("batch_rows", [1024, 7, 1])
+    def test_an_error_in_a_cell_wins_over_its_earlier_violation(self, batch_rows, monkeypatch):
+        # Superadditivity at (-60, 2) is not in the table.  With seed 5 and
+        # dims (2, 64), trial 0 violates and trial 3 overflows: a cell of
+        # three trials reports the violation, a cell of six raises the error.
+        monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
+        kinds = (PropertyKind.SUPERADDITIVE,)
+        (cell,) = sweep(SweepConfig((-60.0,), (2.0,), (2, 64), 3, 5, kinds)).cells
+        assert (cell.verdict, cell.counterexample.trial_index) == (Verdict.VIOLATION_FOUND, 0)
+        assert outcome(sweep, SweepConfig((-60.0,), (2.0,), (2, 64), 6, 5, kinds)) == (
+            TrialEvaluationError, OverflowError,
+            "evaluation failed: superadditive at alpha=-60.0, beta=2.0, seed 5, cell 0, "
+            "trial 3: Numerical result out of range",
+        )
 
     @pytest.mark.parametrize("kind", PropertyKind)
     def test_a_failed_trial_names_its_property(self, kind):
