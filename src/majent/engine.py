@@ -89,33 +89,43 @@ def evaluate(pairs, dims, alpha, beta, joined) -> tuple[np.ndarray, np.ndarray]:
     return values, failed
 
 
+def _runs(key: np.ndarray):
+    """(start, end) of each run of equal entries of the 1-d ``key``."""
+    edges = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]
+    return zip(edges, edges[1:])
+
+
 def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarray]:
     """The margin of each (cell, trial) row, and which rows failed.  A row of
     dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and each
-    width class goes through :func:`evaluate` once, joined or not."""
+    width class goes through :func:`evaluate` once, joined or not.  A class
+    takes its rows ordered by the source of their pair, so that each source
+    fills one slice of it."""
     kind_index, alpha, beta = grid.columns(cell)
     ref = _is_reference(alpha, trial)
     dims = grid.dims[trial % len(grid.dims)]
     for t, pair in enumerate(REFERENCE_PAIRS):
         dims[ref & (trial == t)] = pair.p.dim
+    # A pair's source: the dimension of a draw, or -1 - t for REFERENCE_PAIRS[t].
+    source = np.where(ref, -1 - trial, dims)
     kinds, seed = grid.config.properties, grid.config.seed
     joined_rows = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
+    order = np.lexsort((source, width))
     values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)
     failed = np.empty(len(cell), dtype=bool)
-    for w in sorted(set(width.tolist())):
-        at = np.flatnonzero(width == w)
-        n = dims[at]
-        pairs = np.zeros((2, len(at), w))
+    for a, b in _runs(width[order]):
+        at = order[a:b]
+        pairs = np.zeros((2, b - a, width[at[0]]))
         p, q = pairs
-        drawn = ~ref[at]
-        for d in sorted(set(n[drawn].tolist())):
-            rows = np.flatnonzero(drawn & (n == d))
-            p[rows, :d], q[rows, :d] = draw_pairs(gen, seed, cell[at[rows]], trial[at[rows]], d)
-        for t, pair in enumerate(REFERENCE_PAIRS):
-            rows = ~drawn & (trial[at] == t)
-            p[rows, : pair.p.dim], q[rows, : pair.q.dim] = pair.p.weights, pair.q.weights
-        values[:, at], failed[at] = evaluate(pairs, n, alpha[at], beta[at], joined_rows[at])
+        for lo, hi in _runs(source[at]):
+            s, rows = int(source[at[lo]]), at[lo:hi]
+            if s >= 0:
+                p[lo:hi, :s], q[lo:hi, :s] = draw_pairs(gen, seed, cell[rows], trial[rows], s)
+            else:
+                pair = REFERENCE_PAIRS[-1 - s]
+                p[lo:hi, : pair.p.dim], q[lo:hi, : pair.q.dim] = pair.p.weights, pair.q.weights
+        values[:, at], failed[at] = evaluate(pairs, dims[at], alpha[at], beta[at], joined_rows[at])
     margin = np.empty(len(cell))
     for i, kind in enumerate(kinds):
         rows = kind_index == i

@@ -129,9 +129,10 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     numpy's vector loops for ``log2`` and ``power`` round some results
     differently from the C library, so the logarithms come from
     :mod:`math` and the powers from ``np.float_power``, which calls the C
-    library's ``pow`` element by element, as Python's ``**`` does.  Each
-    row is summed from its last column to its first, one term at a time, so
-    a sum is the same float whatever the number of rows.
+    library's ``pow`` element by element, as Python's ``**`` does.  The rows
+    are summed a column at a time, from the last column to the first, so
+    each row's sum makes the additions of the scalar loop in its order and
+    is the same float whatever the number of rows.
     """
     import numpy as np
 
@@ -148,7 +149,10 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
         terms[at] = (0.0 - _mapped(math.log2, g)) * g
     if False in flags:
         np.float_power(w, alpha[:, None], out=terms, where=positive)
-    return np.add.accumulate(terms[:, ::-1], axis=1)[:, -1], terms
+    x = terms[:, -1].copy()
+    for column in terms.T[-2::-1]:
+        x += column
+    return x, terms
 
 
 def _outer(x: float, alpha: float, beta: float) -> float:

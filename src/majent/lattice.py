@@ -45,13 +45,6 @@ def _differences(curve: Sequence[Weight]) -> list[Weight]:
     return out
 
 
-def sorted_rows(values: np.ndarray) -> np.ndarray:
-    """Each row of ``values`` sorted non-increasingly: ``values`` sorted in
-    place, seen in reverse."""
-    values.sort(axis=1)
-    return values[:, ::-1]
-
-
 def _row_differences(curves: np.ndarray) -> np.ndarray:
     """First differences of each row, the first entry taken against 0."""
     out = curves.copy()
@@ -81,7 +74,9 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
 
     ca, cb = np.add.accumulate(pairs, axis=2)
     join = np.asarray(join)
-    meets = sorted_rows(_row_differences(np.minimum(ca, cb)))
+    meets = _row_differences(np.minimum(ca, cb))
+    meets.sort(axis=1)
+    meets = meets[:, ::-1]  # non-increasing
     if True not in join.tolist():
         return meets, ca[:0]
     joins = _row_differences(np.maximum(ca[join], cb[join]))

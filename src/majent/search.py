@@ -128,33 +128,33 @@ def draw_pairs(
     draw for each (c, t), as two (k, n) arrays of sorted rows.
 
     ``gen`` runs on a Philox bit generator, and each trial draws its 2n
-    exponentials in one call.  The rows are normalized at their own length:
-    numpy's pairwise ``sum`` associates differently on a longer row.
+    exponentials in one call.  One state, built per call, is set before
+    each trial with only its key's second word changed.  The rows are
+    normalized and sorted at their own length, p and q together on a
+    (k, 2, n) view: numpy's pairwise ``sum`` associates differently on a
+    longer row.
     """
     import numpy as np
 
-    from .lattice import sorted_rows
-
+    seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
+    key = [seed_word, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
     bit_generator, standard_exponential = gen.bit_generator, gen.standard_exponential
-    draws = np.empty((len(cells), 2 * n))
+    draws = np.empty((len(cells), 2, n))
     for row, word in zip(draws, words.tolist()):
-        state["state"]["key"] = [seed_word, word]
+        key[1] = word
         bit_generator.state = state
         standard_exponential(out=row)
-    p, q = draws[:, :n], draws[:, n:]
-    return (
-        sorted_rows(p / p.sum(axis=1, keepdims=True)),
-        sorted_rows(q / q.sum(axis=1, keepdims=True)),
-    )
+    draws /= draws.sum(axis=2, keepdims=True)
+    draws.sort(axis=2)
+    return draws[:, 0, ::-1], draws[:, 1, ::-1]
 
 
 def theorem_guaranteed(kind: PropertyKind, alpha: float, beta: float) -> bool:

@@ -607,3 +607,34 @@ def _engine_outcome(kind, p, q, params):
     with np.errstate(all="ignore"):
         lhs, rhs, margin = (float(v[0]) for v in oriented_sides(kind, alpha, beta, *values))
     return _check_outcome(lambda: record._replace(lhs=lhs, rhs=rhs, margin=margin))
+
+
+_wide_dists = st.integers(13, 64).flatmap(_dists)
+
+
+class TestRowSumBits:
+    """``_argument`` sums its rows a column at a time, from the last column
+    to the first.  On rows of up to 64 weights, zero-padded to the engine's
+    widths 16, 32 and 64 among other rows, and with power sums and Shannon
+    sums in one call, each sum has the bits of the scalar loop of
+    ``g_alpha`` or ``shannon``."""
+
+    @given(st.lists(st.one_of(_any_dists, _wide_dists), min_size=1, max_size=5), _orders)
+    @example([make_distribution([1.0 / 64] * 64), make_distribution([0.5, 0.5])], 2.0)
+    @example([make_distribution([0.5] + [0.5 / 31] * 31)], -1.0)
+    def test_sums_equal_the_scalar_loops(self, dists, alpha):
+        for width in (16, 32, 64):
+            fit = [d for d in dists if d.dim <= width]
+            k = len(fit)
+            rows = np.zeros((2 * k, width))
+            for row, d in zip(rows, fit * 2):
+                row[: d.dim] = d.weights
+            # The first k rows take the power sum, the last k the Shannon sum.
+            logged = np.arange(2 * k) >= k
+            with np.errstate(all="ignore"):
+                sums, _ = _argument(rows, np.where(logged, 1.0, alpha), logged)
+            for d, power, shannon_sum in zip(fit, sums[:k].tolist(), sums[k:].tolist()):
+                want = _outcome(g_alpha, d, alpha)
+                if not isinstance(want, tuple):  # unless g_alpha raises on the row
+                    assert power.hex() == want
+                assert shannon_sum.hex() == shannon(d).hex()

@@ -671,6 +671,29 @@ class TestBatchedEngine:
             assert tuple(p_row.tolist()) == sample_simplex(n, stream).weights
             assert tuple(q_row.tolist()) == sample_simplex(n, stream).weights
 
+    def test_calls_on_one_generator_leave_nothing_behind(self):
+        # One generator through calls that change the seed, the dimension
+        # and both key words, each at the ends of its range: no key word,
+        # counter, buffered value or sorted row of one trial or call reaches
+        # the next, so each row is a fresh stream's.
+        gen = np.random.Generator(np.random.Philox())
+        last = 2**32 - 1
+        calls = [
+            (DEFAULT_SEED, [0, last, 3, last], [last, 0, 7, last], 5),
+            (0, [last, last, 0], [last, last - 1, 0], 1),
+            (2**64 - 1, [1, 0, 1], [0, 0, 0], 64),
+            (12345, [9] * 4, [2, 1, 2, 1], 13),
+            (DEFAULT_SEED, [0, last, 3, last], [last, 0, 7, last], 5),
+            (DEFAULT_SEED, [last, 0], [0, last], 2),
+        ]
+        for seed, cells, trials, n in calls:
+            p_rows, q_rows = draw_pairs(gen, seed, np.array(cells), np.array(trials), n)
+            assert p_rows.shape == q_rows.shape == (len(cells), n)
+            for c, t, p_row, q_row in zip(cells, trials, p_rows, q_rows):
+                stream = trial_stream(seed, c, t)
+                assert tuple(p_row.tolist()) == sample_simplex(n, stream).weights
+                assert tuple(q_row.tolist()) == sample_simplex(n, stream).weights
+
     @staticmethod
     def plain_loop(config):
         """(alpha, beta, kind, worst margin, first counterexample) per cell, in
