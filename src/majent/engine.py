@@ -20,8 +20,12 @@ row's pair from its replay key (seed, cell, trial) and runs it through
 The kernels build no error: a row that ``family_rows`` flags is replayed
 the same way and raises the trial's error.
 
-The pairs come from :func:`~majent.search.draw_pairs` on one Philox
-generator per :func:`run_cells` call, so runs share no generator.
+The batch's pairs come from :func:`~majent.search.draw_pairs` and a
+replay's from :func:`~majent.search.trial_pair`, both on one Philox
+generator per :func:`run_cells` call, so runs share no generator.  A
+replay never draws through ``draw_pairs``: it would repeat a batch's
+draw off its key and agree with it, where ``trial_pair`` rebuilds the
+pair that the key names.
 """
 from __future__ import annotations
 
@@ -34,9 +38,7 @@ from .entropy import EntropyParams, family_rows
 from .lattice import bound_rows
 from .properties import _CHECKS, CHECK_TOL, oriented_sides, run_check
 from .reference import REFERENCE_PAIRS, CounterexampleRecord
-from .search import (
-    CellReport, SweepConfig, TrialEvaluationError, draw_pairs, sample_simplex, trial_stream,
-)
+from .search import CellReport, SweepConfig, TrialEvaluationError, draw_pairs, trial_pair
 
 #: Most (cell, trial) rows evaluated at once.  The arrays of a batch hold a
 #: few times this many rows of up to 2n floats, whatever the sweep's size.
@@ -52,7 +54,7 @@ CLASS_WIDTH = 8
 class _Grid(NamedTuple):
     """A run's config and the arrays of its grid and dims.  With K kinds and
     B beta points, cell c checks ``config.properties[c % K]`` at alpha
-    ``alphas[c // (B * K)]`` and beta ``betas[c // K % B]``."""
+    ``alpha_grid[c // (B * K)]`` and beta ``beta_grid[c // K % B]``."""
 
     config: SweepConfig
     alphas: np.ndarray
@@ -60,9 +62,10 @@ class _Grid(NamedTuple):
     dims: np.ndarray
 
     def columns(self, cell):
-        """(index into the kinds, alpha, beta) of a cell index or an array of them."""
+        """The indices into the kinds, the alpha grid and the beta grid of a
+        cell index or an array of them."""
         k, b = len(self.config.properties), len(self.betas)
-        return cell % k, self.alphas[cell // (k * b)], self.betas[cell // k % b]
+        return cell % k, cell // (k * b), cell // k % b
 
 
 def _is_reference(alpha, trial):
@@ -100,8 +103,11 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and each
     width class goes through :func:`evaluate` once, joined or not.  A class
     takes its rows ordered by the source of their pair, so that each source
-    fills one slice of it."""
-    kind_index, alpha, beta = grid.columns(cell)
+    fills one slice of it.  Each kind's margin is taken of every row, and
+    each row keeps its own kind's: a few operations on whole arrays cost
+    less than selecting each kind's rows."""
+    kind_index, a, b = grid.columns(cell)
+    alpha, beta = grid.alphas[a], grid.betas[b]
     ref = _is_reference(alpha, trial)
     dims = grid.dims[trial % len(grid.dims)]
     for t, pair in enumerate(REFERENCE_PAIRS):
@@ -126,40 +132,39 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
                 pair = REFERENCE_PAIRS[-1 - s]
                 p[lo:hi, : pair.p.dim], q[lo:hi, : pair.q.dim] = pair.p.weights, pair.q.weights
         values[:, at], failed[at] = evaluate(pairs, dims[at], alpha[at], beta[at], joined_rows[at])
-    margin = np.empty(len(cell))
-    for i, kind in enumerate(kinds):
-        rows = kind_index == i
-        if rows.any():
-            with np.errstate(all="ignore"):  # inf - inf is a nan margin
-                _, _, margin[rows] = oriented_sides(kind, alpha[rows], beta[rows], *values[:, rows])
-    return margin, failed
+    with np.errstate(all="ignore"):  # inf - inf is a nan margin
+        margins = [oriented_sides(kind, alpha, beta, *values)[2] for kind in kinds]
+    return np.choose(kind_index, margins), failed
 
 
-def _replay(grid: _Grid, c: int, t: int, margin: float, failed: bool) -> CounterexampleRecord:
+def _replay(gen, grid: _Grid, c: int, t: int, margin: float, failed: bool) -> CounterexampleRecord:
     """The :func:`~majent.properties.run_check` record of trial ``t`` of cell
-    ``c``, on the pair rebuilt from its replay key, with that key.  A failing
-    check raises :class:`~majent.search.TrialEvaluationError`; a check that
-    disagrees with the batch's row, ``failed`` or other margin bits, raises
-    RuntimeError."""
-    i, alpha, beta = grid.columns(c)
-    kind, params = grid.config.properties[i], EntropyParams(float(alpha), float(beta))
+    ``c``, on the pair rebuilt from its replay key, with that key.  A random
+    pair is drawn by :func:`~majent.search.trial_pair` on ``gen``, never by
+    ``draw_pairs``, so a batch drawn off its key disagrees with its replay.
+    A failing check raises :class:`~majent.search.TrialEvaluationError`; a
+    check that disagrees with the batch's row, ``failed`` or other margin
+    bits, raises RuntimeError."""
+    config = grid.config
+    i, a, b = grid.columns(c)
+    kind, params = config.properties[i], EntropyParams(config.alpha_grid[a], config.beta_grid[b])
     if _is_reference(params.alpha, t):
         source, p, q = REFERENCE_PAIRS[t].name, REFERENCE_PAIRS[t].p, REFERENCE_PAIRS[t].q
     else:
-        n, stream = int(grid.dims[t % len(grid.dims)]), trial_stream(grid.config.seed, c, t)
-        source, p, q = "random", sample_simplex(n, stream), sample_simplex(n, stream)
+        p, q = trial_pair(gen, config.seed, c, t, config.dims[t % len(config.dims)])
+        source = "random"
     try:
         check = run_check(kind, p, q, params)
     except (ValueError, OverflowError) as err:
         # A C library error carries (errno, message).
         raise TrialEvaluationError(
             f"evaluation failed: {kind.value} at alpha={params.alpha}, "
-            f"beta={params.beta}, seed {grid.config.seed}, cell {c}, trial {t}: {err.args[-1]}"
+            f"beta={params.beta}, seed {config.seed}, cell {c}, trial {t}: {err.args[-1]}"
         ) from err
     # .hex() spells every nan alike, so a nan margin matches a nan margin.
     if failed or check.margin.hex() != margin.hex():
         raise RuntimeError("the batched and the single-pair evaluation disagree")
-    return CounterexampleRecord(check, grid.config.seed, c, t, source)
+    return CounterexampleRecord(check, config.seed, c, t, source)
 
 
 def run_cells(config: SweepConfig) -> Iterator[CellReport]:
@@ -167,8 +172,8 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
     of ``config``, alpha x beta x properties, in that order.
 
     Cell ``i`` of that order has cell index ``i``.  Its report takes its
-    alpha, beta and kind from :meth:`_Grid.columns` of ``i``, as Python
-    floats and a member of ``config.properties``, and its trials and seed
+    alpha, beta and kind from the config's grids and properties, at the
+    indices :meth:`_Grid.columns` gives for ``i``, and its trials and seed
     from ``config``.  The pairs of
     ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
     non-negative (they may contain a zero weight, so negative orders skip
@@ -209,12 +214,12 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
         least, fails, hits = np.minimum.accumulate(rows, axis=1)[:, ::-1][:, lo].tolist()
         for c, w, f, r, end in zip(range(c0, c0 + len(lo)), least, fails, hits, hi):
             if f < end:  # the replay raises: the row failed
-                _replay(grid, c, int(trial[f]), margin.item(f), True)
+                _replay(gen, grid, c, int(trial[f]), margin.item(f), True)
             worst = min(worst, margin.item(w))
             if first is None and r < end:
-                first = _replay(grid, c, int(trial[r]), margin.item(r), bool(failed[r]))
+                first = _replay(gen, grid, c, int(trial[r]), margin.item(r), bool(failed[r]))
             if start + end == (c + 1) * trials:
-                i, alpha, beta = grid.columns(c)
-                kind = config.properties[i]
-                yield CellReport(float(alpha), float(beta), kind, worst, trials, config.seed, first)
+                i, a, b = grid.columns(c)
+                alpha, beta, kind = config.alpha_grid[a], config.beta_grid[b], config.properties[i]
+                yield CellReport(alpha, beta, kind, worst, trials, config.seed, first)
                 worst, first = math.inf, None

@@ -15,7 +15,10 @@ the least upper bound.
 both operands carry exact rational weights it runs in exact arithmetic (the
 pre-join list holds Fractions) and only converts to float at the boundary;
 that path is the oracle the float path is tested against.  Otherwise it
-runs in Python floats, as :func:`~majent.properties.run_check` does.
+runs in Python floats.  The body takes the pair's curves
+(:func:`curve_meet`, :func:`curve_join`), so that
+:func:`~majent.properties.run_check` takes a meet and a join from one
+pair of them.
 :func:`bound_rows`, the row kernel behind sweeps, takes k pairs of sorted
 distributions, zero-padded to a common width, as a (2, k, m) array and
 returns the k meets, and the joins of the rows that ask for one, from one
@@ -66,8 +69,9 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
     joins whose differences ascend somewhere go through the block averaging
-    of :func:`flatten`, without its check of the result, as the meets skip
-    it too: the differences of a max curve are >= 0 and sum to its end.
+    of :func:`flatten`, from the first ascent the row's scan found and
+    without the check of the result, as the meets skip it too: the
+    differences of a max curve are >= 0 and sum to its end.
     The others are already sorted.
     """
     import numpy as np
@@ -80,8 +84,13 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     if True not in join.tolist():
         return meets, ca[:0]
     joins = _row_differences(np.maximum(ca[join], cb[join]))
-    for i in np.flatnonzero((joins[:, :-1] < joins[:, 1:]).any(axis=1)).tolist():
-        joins[i] = _pool(joins[i].tolist())
+    ascents = joins[:, :-1] < joins[:, 1:]
+    repair = ascents.any(axis=1)
+    if True in repair.tolist():
+        rows = joins[repair].tolist()
+        for vals, a in zip(rows, ascents[repair].argmax(axis=1).tolist()):
+            _pool(vals, a)
+        joins[repair] = rows
     return meets, joins
 
 
@@ -91,11 +100,16 @@ def meet(
     """Greatest lower bound: differences of the pointwise-min curve.
 
     The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.  Exact when both operands are.  Rounding can
-    leave a float difference a hair above its left neighbour, so the
-    differences are sorted, and, as in :func:`bound_rows`, not validated.
+    majorized by the result.  Exact when both operands are.
     """
-    pa, pb, exact = paired_curves(p, q)
+    return curve_meet(*paired_curves(p, q))
+
+
+def curve_meet(pa: list, pb: list, exact: bool) -> ProbabilityDistribution:
+    """The meet of the operands whose :func:`~majent.simplex.paired_curves`
+    are ``pa``, ``pb`` and ``exact``.  Rounding can leave a float difference
+    a hair above its left neighbour, so the differences are sorted, and, as
+    in :func:`bound_rows`, not validated."""
     values = _differences(list(map(min, pa, pb)))
     if exact:
         return make_distribution(values)
@@ -108,16 +122,17 @@ def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Wei
     Entries are non-negative and sum to 1, but the non-increasing order can
     be violated, so this is deliberately a plain list and not a
     ProbabilityDistribution.  Entries are Fractions when both operands are
-    exact, floats otherwise.  This is the first step of :func:`join`, and
-    :func:`bound_rows` takes the same differences of float rows.
+    exact, floats otherwise.  :func:`curve_join` repairs these differences,
+    and :func:`bound_rows` takes the same differences of float rows.
     """
     pa, pb, _ = paired_curves(p, q)
     return _differences(list(map(max, pa, pb)))
 
 
-def _pool(vals: list) -> list:
+def _pool(vals: list, a: int = 0) -> list:
     """Average the violating blocks of ``vals`` in place, left to right, and
-    return it.
+    return it.  The scan starts at index ``a``, which a caller that already
+    knows the first ascent passes.
 
     Finds the first ascent, grows the surrounding block as long as a
     boundary entry would break the order against the running block average
@@ -130,7 +145,6 @@ def _pool(vals: list) -> list:
     before Python 3.12 compensated it, so no bit depends on the version.
     """
     n = len(vals)
-    a = 0
     while True:
         for a in range(a, n - 1):
             if vals[a] < vals[a + 1]:
@@ -170,7 +184,14 @@ def join(
 ) -> ProbabilityDistribution:
     """Least upper bound: the repaired pointwise-max curve.  Exact when both
     operands are."""
-    values = pre_join(p, q)
-    if p.exact is not None and q.exact is not None:
+    return curve_join(*paired_curves(p, q))
+
+
+def curve_join(pa: list, pb: list, exact: bool) -> ProbabilityDistribution:
+    """The join of the operands whose :func:`~majent.simplex.paired_curves`
+    are ``pa``, ``pb`` and ``exact``: the :func:`pre_join` differences,
+    repaired."""
+    values = _differences(list(map(max, pa, pb)))
+    if exact:
         return flatten(values)
     return ProbabilityDistribution(tuple(_pool(values)))

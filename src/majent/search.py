@@ -5,11 +5,12 @@ driven by a counter-based generator so that every trial is reproducible in
 isolation: the stream for a trial is keyed by (seed, cell index, trial
 index) and nothing else.  Reports are therefore byte-identical across runs
 and platforms that agree on the generator, whose identifier is stamped into
-every report header.  A replay draws one trial's pair with
-:func:`trial_stream` and :func:`sample_simplex`; :func:`draw_pairs` draws
-many trials' pairs on one reused Philox generator, reset for each trial to
-the key of :func:`trial_key`, counter 0 and an empty buffer, the state a
-fresh keyed stream starts in, so both paths draw the same numbers.
+every report header.  One trial's pair is two :func:`sample_simplex`
+draws from its :func:`trial_stream`.  :func:`trial_pair` draws that pair,
+and :func:`draw_pairs` many trials' pairs, on one reused Philox generator,
+reset for each trial to the key of :func:`trial_key`, counter 0 and an
+empty buffer, the state a fresh keyed stream starts in, so every path
+draws the same numbers.
 
 The two reference pairs of :mod:`majent.reference` are injected as the
 leading trials of every cell whose order parameter admits them (one pair
@@ -20,7 +21,9 @@ Sweeps and searches run on the batched engine of :mod:`majent.engine`,
 which draws its pairs through :func:`draw_pairs` and finds the same
 worst margins, first counterexamples and first errors as a trial-by-trial
 loop over :func:`~majent.properties.run_check`, and rebuilds every row it
-flags from its replay key.  numpy is imported where a stream is made and
+flags from its replay key with :func:`trial_pair`.  The replay must not
+draw through :func:`draw_pairs`, or a batch drawn off its key would be
+replayed off its key too and pass.  numpy is imported where a stream is made and
 the engine where it runs, so a config parses without either.
 """
 from __future__ import annotations
@@ -90,10 +93,38 @@ def trial_key(seed: int, cell_index, trial_index) -> list:
     return [seed, (cell_index << 32) | trial_index]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool.  ``type(value) is
+    int`` settles the common case without the slower ABC check."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_word(name: str, value, bits: int, error=ValueError) -> None:
     """Raise ``error`` unless ``value`` is an int, not a bool, in [0, 2**bits)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and 0 <= value < 2**bits):
+    if not (_is_int(value) and 0 <= value < 2**bits):
         raise error(f"{name} must be an integer in [0, 2**{bits}): {value!r}")
+
+
+def _checked_key(seed: int, cell_index: int, trial_index: int) -> list:
+    """The :func:`trial_key` of one trial; ValueError unless the seed fits
+    64 bits and each index 32."""
+    _check_word("seed", seed, 64)
+    _check_word("cell_index", cell_index, 32)
+    _check_word("trial_index", trial_index, 32)
+    return trial_key(int(seed), int(cell_index), int(trial_index))
+
+
+def _fresh_state(key: list) -> dict:
+    """The Philox state a stream keyed by ``key`` starts in: counter 0 and
+    an empty buffer."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
@@ -102,23 +133,46 @@ def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Gene
     imported here, so that only what samples loads it."""
     import numpy as np
 
-    _check_word("seed", seed, 64)
-    _check_word("cell_index", cell_index, 32)
-    _check_word("trial_index", trial_index, 32)
-    key = np.array(trial_key(int(seed), int(cell_index), int(trial_index)), dtype=np.uint64)
+    key = np.array(_checked_key(seed, cell_index, trial_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_dim(n) -> None:
+    """Raise ValueError unless ``n`` is an int, not a bool, of at least 1."""
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1: {n!r}")
 
 
 def sample_simplex(n: int, stream: np.random.Generator) -> ProbabilityDistribution:
     """One draw from the flat (uniform) distribution on the n-simplex.
 
     Normalized unit exponentials; ``make_distribution`` sorts them
-    non-increasingly.
+    non-increasingly.  ValueError unless n is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_dim(n)
     draws = stream.standard_exponential(n)
     return make_distribution((draws / draws.sum()).tolist())
+
+
+def trial_pair(
+    gen: np.random.Generator, seed: int, cell_index: int, trial_index: int, n: int
+) -> tuple[ProbabilityDistribution, ProbabilityDistribution]:
+    """The pair that two ``sample_simplex(n, trial_stream(seed, cell_index,
+    trial_index))`` calls draw, bit for bit, drawn on ``gen``.
+
+    ``gen`` runs on a Philox bit generator, set to the state a fresh keyed
+    stream starts in, so no ``SeedSequence`` is built and discarded.  The
+    trial's 2n exponentials come from one call, and p and q are each
+    normalized at their own n, as rows of a (2, n) view, which sums a row
+    as it sums a 1-d array.  ValueError as :func:`trial_stream` and
+    :func:`sample_simplex` raise it.
+    """
+    key = _checked_key(seed, cell_index, trial_index)
+    _check_dim(n)
+    gen.bit_generator.state = _fresh_state(key)
+    draws = gen.standard_exponential(2 * n).reshape(2, n)
+    p, q = (draws / draws.sum(axis=1, keepdims=True)).tolist()
+    return make_distribution(p), make_distribution(q)
 
 
 def draw_pairs(
@@ -138,14 +192,7 @@ def draw_pairs(
 
     seed_word, words = trial_key(seed, cells.astype(np.uint64), trials.astype(np.uint64))
     key = [seed_word, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = _fresh_state(key)
     bit_generator, standard_exponential = gen.bit_generator, gen.standard_exponential
     draws = np.empty((len(cells), 2, n))
     for row, word in zip(draws, words.tolist()):
@@ -255,7 +302,7 @@ class SweepConfig(FrozenValue):
         _set(self, "dims", tuple(map(int, dims)))
         _check_ascending("dims", self.dims)
         trials = trials_per_cell
-        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
+        if not (_is_int(trials) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
         _check_word("seed", seed, 64, SweepConfigError)
         properties = _as_tuple("properties", properties)

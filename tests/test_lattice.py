@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from majent.lattice import flatten, join, meet, pre_join
+from majent.lattice import _pool, flatten, join, meet, pre_join
 from majent.simplex import (
     MajorizationOrder,
     SumOutOfToleranceError,
@@ -105,6 +105,14 @@ class TestPreJoinAndFlatten:
             0.0729555526108383, 0.20416154219153632,
         ]
         assert flatten(raw).weights == (0.09090909090909091,) * 11
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    def test_a_repair_from_its_first_ascent_is_the_repair(self, vals):
+        # bound_rows hands each join row to _pool with the first ascent it
+        # found; the scan before it finds nothing, so the bits are the same.
+        ascents = [i for i in range(len(vals) - 1) if vals[i] < vals[i + 1]]
+        assume(ascents)
+        assert _pool(list(vals), ascents[0]) == _pool(list(vals))
 
 
 class TestJoin:

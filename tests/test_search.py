@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -46,6 +47,7 @@ from majent.search import (
     sample_simplex,
     sweep,
     theorem_guaranteed,
+    trial_pair,
     trial_stream,
 )
 from majent.simplex import make_distribution
@@ -99,6 +101,8 @@ class TestSampling:
         # one 64-bit word, the cell and trial index 32 bits each.
         with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*(64|32)\): "):
             trial_stream(*key)
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*(64|32)\): "):
+            trial_pair(np.random.Generator(np.random.Philox(key=0)), *key, 3)
 
     def test_keys_at_the_ends_of_their_words_name_distinct_trials(self):
         ends = [
@@ -119,6 +123,21 @@ class TestSampling:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_simplex(0, trial_stream(0, 0, 0))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, False, "3", None])
+    def test_a_dimension_that_is_not_a_positive_int_is_refused_by_name(self, n):
+        # numpy alone would end 2.5 and True in a bare TypeError, and "3"
+        # in a failed comparison of a str with an int.
+        message = re.escape(f"n must be an integer >= 1: {n!r}")
+        with pytest.raises(ValueError, match=message):
+            sample_simplex(n, trial_stream(0, 0, 0))
+        with pytest.raises(ValueError, match=message):
+            trial_pair(np.random.Generator(np.random.Philox(key=0)), 0, 0, 0, n)
+
+    def test_a_numpy_integer_dimension_draws_as_its_int(self):
+        gen = np.random.Generator(np.random.Philox(key=0))
+        assert sample_simplex(np.int64(3), trial_stream(0, 0, 0)) == sample_simplex(3, trial_stream(0, 0, 0))
+        assert trial_pair(gen, 0, 0, 0, np.uint8(3)) == trial_pair(gen, 0, 0, 0, 3)
 
     def test_samples_are_sorted_and_normalized(self):
         for t in range(50):
@@ -668,8 +687,9 @@ class TestBatchedEngine:
         p_rows, q_rows = draw_pairs(gen, DEFAULT_SEED, cells, trials, n)
         for c, t, p_row, q_row in zip(cells.tolist(), trials.tolist(), p_rows, q_rows):
             stream = trial_stream(DEFAULT_SEED, c, t)
-            assert tuple(p_row.tolist()) == sample_simplex(n, stream).weights
-            assert tuple(q_row.tolist()) == sample_simplex(n, stream).weights
+            p, q = sample_simplex(n, stream), sample_simplex(n, stream)
+            assert (tuple(p_row.tolist()), tuple(q_row.tolist())) == (p.weights, q.weights)
+            assert trial_pair(gen, DEFAULT_SEED, c, t, n) == (p, q)
 
     def test_calls_on_one_generator_leave_nothing_behind(self):
         # One generator through calls that change the seed, the dimension
@@ -691,8 +711,9 @@ class TestBatchedEngine:
             assert p_rows.shape == q_rows.shape == (len(cells), n)
             for c, t, p_row, q_row in zip(cells, trials, p_rows, q_rows):
                 stream = trial_stream(seed, c, t)
-                assert tuple(p_row.tolist()) == sample_simplex(n, stream).weights
-                assert tuple(q_row.tolist()) == sample_simplex(n, stream).weights
+                p, q = sample_simplex(n, stream), sample_simplex(n, stream)
+                assert (tuple(p_row.tolist()), tuple(q_row.tolist())) == (p.weights, q.weights)
+                assert trial_pair(gen, seed, c, t, n) == (p, q)
 
     @staticmethod
     def plain_loop(config):
@@ -1013,6 +1034,18 @@ class TestBatchOrder:
             return draw_pairs(gen, seed + 1, *args)
 
         monkeypatch.setattr(majent.engine, "draw_pairs", off_key)
+        with pytest.raises(RuntimeError, match="evaluation disagree"):
+            find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
+
+    def test_a_replay_drawn_off_its_key_is_caught(self, monkeypatch):
+        # The replay draws at the wrong seed while the batch draws on its
+        # key: the first violation's replayed margin disagrees.
+        trial_pair = majent.engine.trial_pair
+
+        def off_key(gen, seed, *args):
+            return trial_pair(gen, seed + 1, *args)
+
+        monkeypatch.setattr(majent.engine, "trial_pair", off_key)
         with pytest.raises(RuntimeError, match="evaluation disagree"):
             find_counterexample(PropertyKind.SUPERMODULAR, EntropyParams(-1.0, 1.0), 3, 1000, 0)
 
