@@ -101,40 +101,48 @@ def _runs(key: np.ndarray):
 def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarray]:
     """The margin of each (cell, trial) row, and which rows failed.  A row of
     dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and each
-    width class goes through :func:`evaluate` once, joined or not.  A class
-    takes its rows ordered by the source of their pair, so that each source
-    fills one slice of it.  Each kind's margin is taken of every row, and
-    each row keeps its own kind's: a few operations on whole arrays cost
-    less than selecting each kind's rows."""
+    width class goes through :func:`evaluate` once, joined or not.  The rows
+    are sorted by width and then by the source of their pair, so that each
+    class is one slice of the sorted rows and each source one slice of its
+    class.  Each kind's margin is taken of every row, and each row keeps its
+    own kind's: a few operations on whole arrays cost less than selecting
+    each kind's rows."""
     kind_index, a, b = grid.columns(cell)
-    alpha, beta = grid.alphas[a], grid.betas[b]
+    alpha = grid.alphas[a]
     ref = _is_reference(alpha, trial)
     dims = grid.dims[trial % len(grid.dims)]
     for t, pair in enumerate(REFERENCE_PAIRS):
         dims[ref & (trial == t)] = pair.p.dim
     # A pair's source: the dimension of a draw, or -1 - t for REFERENCE_PAIRS[t].
     source = np.where(ref, -1 - trial, dims)
-    kinds, seed = grid.config.properties, grid.config.seed
-    joined_rows = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
     order = np.lexsort((source, width))
+    cell, trial, dims, source, width = cell[order], trial[order], dims[order], source[order], width[order]
+    kind_index, alpha, beta = kind_index[order], alpha[order], grid.betas[b[order]]
+    kinds, seed = grid.config.properties, grid.config.seed
+    joined = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)
     failed = np.empty(len(cell), dtype=bool)
-    for a, b in _runs(width[order]):
-        at = order[a:b]
-        pairs = np.zeros((2, b - a, width[at[0]]))
+    sources = _runs(source)  # each source lies in one width class
+    for a, b in _runs(width):
+        pairs = np.zeros((2, b - a, width.item(a)))
         p, q = pairs
-        for lo, hi in _runs(source[at]):
-            s, rows = int(source[at[lo]]), at[lo:hi]
+        for lo, hi in sources:
+            s, at = source.item(lo), slice(lo - a, hi - a)
             if s >= 0:
-                p[lo:hi, :s], q[lo:hi, :s] = draw_pairs(gen, seed, cell[rows], trial[rows], s)
+                p[at, :s], q[at, :s] = draw_pairs(gen, seed, cell[lo:hi], trial[lo:hi], s)
             else:
                 pair = REFERENCE_PAIRS[-1 - s]
-                p[lo:hi, : pair.p.dim], q[lo:hi, : pair.q.dim] = pair.p.weights, pair.q.weights
-        values[:, at], failed[at] = evaluate(pairs, dims[at], alpha[at], beta[at], joined_rows[at])
+                p[at, : pair.p.dim], q[at, : pair.q.dim] = pair.p.weights, pair.q.weights
+            if hi == b:
+                break
+        values[:, a:b], failed[a:b] = evaluate(pairs, dims[a:b], alpha[a:b], beta[a:b], joined[a:b])
     with np.errstate(all="ignore"):  # inf - inf is a nan margin
         margins = [oriented_sides(kind, alpha, beta, *values)[2] for kind in kinds]
-    return np.choose(kind_index, margins), failed
+    # Back to row order.
+    margin, failed_rows = np.empty(len(cell)), np.empty(len(cell), dtype=bool)
+    margin[order], failed_rows[order] = np.choose(kind_index, margins), failed
+    return margin, failed_rows
 
 
 def _replay(gen, grid: _Grid, c: int, t: int, margin: float, failed: bool) -> CounterexampleRecord:

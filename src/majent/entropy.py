@@ -189,17 +189,18 @@ def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     import numpy as np
 
     a1, b1 = alpha == 1.0, beta == 1.0
+    one_a, one_b = 1.0 - alpha, 1.0 - beta
     replay = ~np.where(a1, x >= 0.0, x > 0.0)
     logs = np.zeros(len(x))
     at = ~(a1 | replay)
     logs[at] = _mapped(math.log, x[at])
-    one_b = 1.0 - beta
-    arg = np.where(a1, one_b * x * LN2, one_b / (1.0 - alpha) * logs)
+    arg = np.where(a1, one_b * x * LN2, one_b / one_a * logs)
     replay |= ~b1 & (arg > _EXPM1_BOUND)
-    grown = np.zeros(len(x))
+    # The beta = 1 values everywhere, then the others where settled; a
+    # replayed row's value is replaced.
+    values = np.where(a1, LN2 * x, logs / one_a)
     at = ~(b1 | replay)
-    grown[at] = _mapped(math.expm1, arg[at])
-    values = np.where(b1, np.where(a1, LN2 * x, logs / (1.0 - alpha)), grown / one_b)
+    values[at] = _mapped(math.expm1, arg[at]) / one_b[at]
     return values, np.flatnonzero(replay).tolist()
 
 
