@@ -107,8 +107,8 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     class.  Each kind's margin is taken of every row, and each row keeps its
     own kind's: a few operations on whole arrays cost less than selecting
     each kind's rows."""
-    kind_index, a, b = grid.columns(cell)
-    alpha = grid.alphas[a]
+    kind_index, alpha_at, beta_at = grid.columns(cell)
+    alpha = grid.alphas[alpha_at]
     ref = _is_reference(alpha, trial)
     dims = grid.dims[trial % len(grid.dims)]
     for t, pair in enumerate(REFERENCE_PAIRS):
@@ -118,7 +118,7 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
     order = np.lexsort((source, width))
     cell, trial, dims, source, width = cell[order], trial[order], dims[order], source[order], width[order]
-    kind_index, alpha, beta = kind_index[order], alpha[order], grid.betas[b[order]]
+    kind_index, alpha, beta = kind_index[order], alpha[order], grid.betas[beta_at[order]]
     kinds, seed = grid.config.properties, grid.config.seed
     joined = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)

@@ -23,8 +23,8 @@ worst margins, first counterexamples and first errors as a trial-by-trial
 loop over :func:`~majent.properties.run_check`, and rebuilds every row it
 flags from its replay key with :func:`trial_pair`.  The replay must not
 draw through :func:`draw_pairs`, or a batch drawn off its key would be
-replayed off its key too and pass.  numpy is imported where a stream is made and
-the engine where it runs, so a config parses without either.
+replayed off its key too and pass.  numpy is imported where a stream is
+made and the engine where it runs, so a config parses without either.
 """
 from __future__ import annotations
 
