@@ -114,10 +114,11 @@ class EntropyParams(FrozenValue):
 
 
 def _mapped(f, x: np.ndarray) -> np.ndarray:
-    """``f`` of each entry of the 1-d ``x``, called on Python floats."""
+    """``f`` of each entry of the 1-d ``x``, called on Python floats.  A
+    memoryview yields them one at a time, without ``tolist``'s list."""
     import numpy as np
 
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+    return np.fromiter(map(f, memoryview(x)), float, x.size)
 
 
 def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
