@@ -162,15 +162,15 @@ def trial_pair(
 
     ``gen`` runs on a Philox bit generator, set to the state a fresh keyed
     stream starts in, so no ``SeedSequence`` is built and discarded.  The
-    trial's 2n exponentials come from one call, and p and q are each
-    normalized at their own n, as rows of a (2, n) view, which sums a row
-    as it sums a 1-d array.  ValueError as :func:`trial_stream` and
+    trial's 2n exponentials come from one call, as the rows of a (2, n)
+    array, and p and q are each normalized at their own n: numpy sums a
+    row as it sums a 1-d array.  ValueError as :func:`trial_stream` and
     :func:`sample_simplex` raise it.
     """
     key = _checked_key(seed, cell_index, trial_index)
     _check_dim(n)
     gen.bit_generator.state = _fresh_state(key)
-    draws = gen.standard_exponential(2 * n).reshape(2, n)
+    draws = gen.standard_exponential((2, int(n)))
     p, q = (draws / draws.sum(axis=1, keepdims=True)).tolist()
     return make_distribution(p), make_distribution(q)
 

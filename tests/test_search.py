@@ -138,6 +138,8 @@ class TestSampling:
         gen = np.random.Generator(np.random.Philox(key=0))
         assert sample_simplex(np.int64(3), trial_stream(0, 0, 0)) == sample_simplex(3, trial_stream(0, 0, 0))
         assert trial_pair(gen, 0, 0, 0, np.uint8(3)) == trial_pair(gen, 0, 0, 0, 3)
+        # 2n in the dimension's own type would wrap at 256.
+        assert trial_pair(gen, 0, 0, 0, np.uint8(200)) == trial_pair(gen, 0, 0, 0, 200)
 
     def test_samples_are_sorted_and_normalized(self):
         for t in range(50):
