@@ -25,7 +25,10 @@ replay's from :func:`~majent.search.trial_pair`, both on one Philox
 generator per :func:`run_cells` call, so runs share no generator.  A
 replay never draws through ``draw_pairs``: it would repeat a batch's
 draw off its key and agree with it, where ``trial_pair`` rebuilds the
-pair that the key names.
+pair that the key names.  Both set the generator to a key's fresh state
+the same way, so a fault in that reset would pass the replay's check;
+only a comparison with a fresh :func:`~majent.search.trial_stream`
+catches it.
 """
 from __future__ import annotations
 

@@ -139,16 +139,16 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
 
     positive = w > 0.0
     terms = np.zeros(w.shape)
-    some, every = logged.any(), logged.all()
-    if some:
+    flags = logged.tolist()
+    if True in flags:
         at = positive
-        if not every:
+        if False in flags:
             at, positive = positive & logged[:, None], positive & ~logged[:, None]
         g = w[at]
         # -(g log2 g), negated exactly before the sum: the sum is then
         # 0.0 minus the sum of the g log2 g, bit for bit.
         terms[at] = (0.0 - _mapped(math.log2, g)) * g
-    if not every:
+    if False in flags:
         np.float_power(w, alpha[:, None], out=terms, where=positive)
     x = terms[:, -1].copy()
     for column in terms.T[-2::-1]:
@@ -233,9 +233,7 @@ def family_rows(
         x, terms = _argument(w, alpha, alpha == 1.0)
         values, replay = _bulk_outer(x, alpha, beta)
     # A zero weight at a negative order, and a power beyond the float range.
-    failed = alpha < 0.0
-    if failed.any():
-        failed &= w[np.arange(len(w)), n - 1] == 0.0
+    failed = (w[np.arange(len(w)), n - 1] == 0.0) & (alpha < 0.0)
     if np.isinf(x).any():
         failed |= np.isinf(terms).any(axis=1)
     for i in replay:

@@ -15,10 +15,7 @@ the least upper bound.
 both operands carry exact rational weights it runs in exact arithmetic (the
 pre-join list holds Fractions) and only converts to float at the boundary;
 that path is the oracle the float path is tested against.  Otherwise it
-runs in Python floats.  The body takes the pair's curves
-(:func:`curve_meet`, :func:`curve_join`), so that
-:func:`~majent.properties.run_check` takes a meet and a join from one
-pair of them.
+runs in Python floats, as :func:`~majent.properties.run_check` does.
 :func:`bound_rows`, the row kernel behind sweeps, takes k pairs of sorted
 distributions, zero-padded to a common width, as a (2, k, m) array and
 returns the k meets, and the joins of the rows that ask for one, from one
@@ -100,16 +97,11 @@ def meet(
     """Greatest lower bound: differences of the pointwise-min curve.
 
     The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.  Exact when both operands are.
+    majorized by the result.  Exact when both operands are.  Rounding can
+    leave a float difference a hair above its left neighbour, so the
+    differences are sorted, and, as in :func:`bound_rows`, not validated.
     """
-    return curve_meet(*paired_curves(p, q))
-
-
-def curve_meet(pa: list, pb: list, exact: bool) -> ProbabilityDistribution:
-    """The meet of the operands whose :func:`~majent.simplex.paired_curves`
-    are ``pa``, ``pb`` and ``exact``.  Rounding can leave a float difference
-    a hair above its left neighbour, so the differences are sorted, and, as
-    in :func:`bound_rows`, not validated."""
+    pa, pb, exact = paired_curves(p, q)
     values = _differences(list(map(min, pa, pb)))
     if exact:
         return make_distribution(values)
@@ -122,8 +114,8 @@ def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Wei
     Entries are non-negative and sum to 1, but the non-increasing order can
     be violated, so this is deliberately a plain list and not a
     ProbabilityDistribution.  Entries are Fractions when both operands are
-    exact, floats otherwise.  :func:`curve_join` repairs these differences,
-    and :func:`bound_rows` takes the same differences of float rows.
+    exact, floats otherwise.  This is the first step of :func:`join`, and
+    :func:`bound_rows` takes the same differences of float rows.
     """
     pa, pb, _ = paired_curves(p, q)
     return _differences(list(map(max, pa, pb)))
@@ -184,14 +176,7 @@ def join(
 ) -> ProbabilityDistribution:
     """Least upper bound: the repaired pointwise-max curve.  Exact when both
     operands are."""
-    return curve_join(*paired_curves(p, q))
-
-
-def curve_join(pa: list, pb: list, exact: bool) -> ProbabilityDistribution:
-    """The join of the operands whose :func:`~majent.simplex.paired_curves`
-    are ``pa``, ``pb`` and ``exact``: the :func:`pre_join` differences,
-    repaired."""
-    values = _differences(list(map(max, pa, pb)))
-    if exact:
+    values = pre_join(p, q)
+    if p.exact is not None and q.exact is not None:
         return flatten(values)
     return ProbabilityDistribution(tuple(_pool(values)))

@@ -18,7 +18,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .simplex import ProbabilityDistribution, paired_curves
+from .simplex import ProbabilityDistribution
 
 if TYPE_CHECKING:
     from .entropy import EntropyParams
@@ -151,13 +151,13 @@ def run_check(
         from . import entropy as _entropy, lattice as _lattice
     sharma_mittal = _entropy.sharma_mittal
 
-    # One pair of float curves for the meet and the join: an exact p is
-    # dropped to its float weights, and paired_curves then takes floats.
+    # An exact operand is dropped to its float weights; a float one is
+    # passed as it is.
     fp = p if p.exact is None else ProbabilityDistribution(p.weights)
-    curves = paired_curves(fp, q)
-    meet = _lattice.curve_meet(*curves)
+    fq = q if q.exact is None else ProbabilityDistribution(q.weights)
+    meet = _lattice.meet(fp, fq)
     if _CHECKS[kind][0]:
-        join = _lattice.curve_join(*curves)
+        join = _lattice.join(fp, fq)
         sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
         sm, sj = sharma_mittal(meet, params), sharma_mittal(join, params)
     else:  # the meet-only kinds take the meet first

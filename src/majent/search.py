@@ -23,7 +23,10 @@ worst margins, first counterexamples and first errors as a trial-by-trial
 loop over :func:`~majent.properties.run_check`, and rebuilds every row it
 flags from its replay key with :func:`trial_pair`.  The replay must not
 draw through :func:`draw_pairs`, or a batch drawn off its key would be
-replayed off its key too and pass.  numpy is imported where a stream is
+replayed off its key too and pass.  Both reset the generator through
+:func:`_fresh_state`, though, so that check does not cover the reset
+itself: a fault there would reach both paths alike, and only a comparison
+with a fresh :func:`trial_stream` shows it.  numpy is imported where a stream is
 made and the engine where it runs, so a config parses without either.
 """
 from __future__ import annotations
@@ -302,7 +305,7 @@ class SweepConfig(FrozenValue):
         _set(self, "dims", tuple(map(int, dims)))
         _check_ascending("dims", self.dims)
         trials = trials_per_cell
-        if not (_is_int(trials) and trials >= 1):
+        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
         _check_word("seed", seed, 64, SweepConfigError)
         properties = _as_tuple("properties", properties)

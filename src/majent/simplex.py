@@ -151,8 +151,7 @@ def make_distribution(raw: Sequence[Weight]) -> ProbabilityDistribution:
         if not w >= 0:  # also catches NaN
             raise NegativeWeightError(f"weight {w!r} at position {i} is not >= 0")
 
-    # A float is never Rational; testing its type first skips the ABC check.
-    exact = all(type(w) is not float and isinstance(w, numbers.Rational) for w in ws)
+    exact = all(isinstance(w, numbers.Rational) for w in ws)
     if exact:
         from fractions import Fraction
     vals = sorted(map(Fraction if exact else float, ws), reverse=True)
