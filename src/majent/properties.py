@@ -151,8 +151,6 @@ def run_check(
         from . import entropy as _entropy, lattice as _lattice
     sharma_mittal = _entropy.sharma_mittal
 
-    # An exact operand is dropped to its float weights; a float one is
-    # passed as it is.
     fp = p if p.exact is None else ProbabilityDistribution(p.weights)
     fq = q if q.exact is None else ProbabilityDistribution(q.weights)
     meet = _lattice.meet(fp, fq)
