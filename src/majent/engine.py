@@ -1,34 +1,18 @@
 """Batched evaluation of check cells: the engine behind sweeps and searches.
 
 A run is a validated :class:`~majent.search.SweepConfig`, and a cell one
-(kind, alpha, beta) check of its grid, alpha x beta x properties in that
-order, on ``trials_per_cell`` pairs.  Cells are found by index, and
-``_Grid.columns`` alone states that order; a run holds no list of them,
-and yields each finished :class:`~majent.search.CellReport`.  The engine
-takes the (cell, trial) rows of the grid in order, at most ``BATCH_ROWS``
-at a time, groups a batch by width class (the dimension rounded up to
-``CLASS_WIDTH``) into zero-padded (k, m) arrays and sends each class
-through the row kernels of ``lattice`` and ``entropy`` once, with one
-dimension and one (alpha, beta) per row.  The padding is exact: the
-kernels leave a row's bits as they are at its own length.  A batch keeps
-only its margins, in row order, and which rows failed, so each cell's
-worst margin, first violation and first failure are those of a
-trial-by-trial loop over :func:`~majent.properties.run_check`.  The record
-of a cell's first violation is that loop's own: the engine rebuilds the
-row's pair from its replay key (seed, cell, trial) and runs it through
-``run_check`` once; margin bits that differ from the batch's are an error.
-The kernels build no error: a row that ``family_rows`` flags is replayed
-the same way and raises the trial's error.
-
-The batch's pairs come from :func:`~majent.search.draw_pairs` and a
-replay's from :func:`~majent.search.trial_pair`, both on one Philox
-generator per :func:`run_cells` call, so runs share no generator.  A
-replay never draws through ``draw_pairs``: it would repeat a batch's
-draw off its key and agree with it, where ``trial_pair`` rebuilds the
-pair that the key names.  Both set the generator to a key's fresh state
-the same way, so a fault in that reset would pass the replay's check;
-only a comparison with a fresh :func:`~majent.search.trial_stream`
-catches it.
+(kind, alpha, beta) check of its grid on ``trials_per_cell`` pairs.  Cells
+are found by index in the order of :class:`_Grid`; a run holds no list of
+them, and yields each finished :class:`~majent.search.CellReport`.  The
+engine takes the (cell, trial) rows of the grid in order, at most
+``BATCH_ROWS`` at a time, and sends each width class of a batch through
+the row kernels of ``lattice`` and ``entropy`` once
+(:func:`_evaluate_batch`).  A batch keeps only its margins, in row order,
+and which rows failed, so each cell's worst margin, first violation and
+first failure are those of a trial-by-trial loop over
+:func:`~majent.properties.run_check`, and a cell's first violation or
+failed row is replayed from its key (:func:`_replay`).  Pairs are drawn
+on one Philox generator per :func:`run_cells` call, so runs share none.
 """
 from __future__ import annotations
 
@@ -55,9 +39,10 @@ CLASS_WIDTH = 8
 
 
 class _Grid(NamedTuple):
-    """A run's config and the arrays of its grid and dims.  With K kinds and
-    B beta points, cell c checks ``config.properties[c % K]`` at alpha
-    ``alpha_grid[c // (B * K)]`` and beta ``beta_grid[c // K % B]``."""
+    """A run's config and the arrays of its grid and dims.  Cells run alpha
+    x beta x properties: with K kinds and B beta points, cell c checks
+    ``config.properties[c % K]`` at alpha ``alpha_grid[c // (B * K)]`` and
+    beta ``beta_grid[c // K % B]``."""
 
     config: SweepConfig
     alphas: np.ndarray
@@ -105,11 +90,12 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     """The margin of each (cell, trial) row, and which rows failed.  A row of
     dimension n is zero-padded to n rounded up to ``CLASS_WIDTH``, and each
     width class goes through :func:`evaluate` once, joined or not.  The rows
-    are sorted by width and then by the source of their pair, so that each
+    are sorted by the source of their pair alone, reference pairs first:
+    none is wider than ``CLASS_WIDTH``, so the widths never descend, each
     class is one slice of the sorted rows and each source one slice of its
-    class.  Each kind's margin is taken of every row, and each row keeps its
-    own kind's: a few operations on whole arrays cost less than selecting
-    each kind's rows."""
+    class.  Each kind's margin is taken of every
+    row, and each row keeps its own kind's: a few operations on whole
+    arrays cost less than selecting each kind's rows."""
     kind_index, alpha_at, beta_at = grid.columns(cell)
     alpha = grid.alphas[alpha_at]
     ref = _is_reference(alpha, trial)
@@ -118,27 +104,24 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
         dims[ref & (trial == t)] = pair.p.dim
     # A pair's source: the dimension of a draw, or -1 - t for REFERENCE_PAIRS[t].
     source = np.where(ref, -1 - trial, dims)
-    width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
-    order = np.lexsort((source, width))
-    cell, trial, dims, source, width = cell[order], trial[order], dims[order], source[order], width[order]
+    order = np.argsort(source, kind="stable")
+    cell, trial, dims, source = cell[order], trial[order], dims[order], source[order]
     kind_index, alpha, beta = kind_index[order], alpha[order], grid.betas[beta_at[order]]
     kinds, seed = grid.config.properties, grid.config.seed
     joined = np.array([_CHECKS[kind][0] for kind in kinds])[kind_index]
     values = np.empty((4, len(cell)))  # S(p), S(q), S(meet), S(join)
     failed = np.empty(len(cell), dtype=bool)
-    sources = _runs(source)  # each source lies in one width class
+    width = -(-dims // CLASS_WIDTH) * CLASS_WIDTH
     for a, b in _runs(width):
         pairs = np.zeros((2, b - a, width.item(a)))
         p, q = pairs
-        for lo, hi in sources:
-            s, at = source.item(lo), slice(lo - a, hi - a)
+        for lo, hi in _runs(source[a:b]):
+            s, rows = source.item(a + lo), slice(a + lo, a + hi)
             if s >= 0:
-                p[at, :s], q[at, :s] = draw_pairs(gen, seed, cell[lo:hi], trial[lo:hi], s)
+                p[lo:hi, :s], q[lo:hi, :s] = draw_pairs(gen, seed, cell[rows], trial[rows], s)
             else:
                 pair = REFERENCE_PAIRS[-1 - s]
-                p[at, : pair.p.dim], q[at, : pair.q.dim] = pair.p.weights, pair.q.weights
-            if hi == b:
-                break
+                p[lo:hi, : pair.p.dim], q[lo:hi, : pair.q.dim] = pair.p.weights, pair.q.weights
         values[:, a:b], failed[a:b] = evaluate(pairs, dims[a:b], alpha[a:b], beta[a:b], joined[a:b])
     with np.errstate(all="ignore"):  # inf - inf is a nan margin
         margins = [oriented_sides(kind, alpha, beta, *values)[2] for kind in kinds]
@@ -150,12 +133,18 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
 
 def _replay(gen, grid: _Grid, c: int, t: int, margin: float, failed: bool) -> CounterexampleRecord:
     """The :func:`~majent.properties.run_check` record of trial ``t`` of cell
-    ``c``, on the pair rebuilt from its replay key, with that key.  A random
-    pair is drawn by :func:`~majent.search.trial_pair` on ``gen``, never by
-    ``draw_pairs``, so a batch drawn off its key disagrees with its replay.
-    A failing check raises :class:`~majent.search.TrialEvaluationError`; a
-    check that disagrees with the batch's row, ``failed`` or other margin
-    bits, raises RuntimeError."""
+    ``c``, on the pair rebuilt from its replay key, with that key.  A failing
+    check raises :class:`~majent.search.TrialEvaluationError`; a check that
+    disagrees with the batch's row, ``failed`` or other margin bits, raises
+    RuntimeError.
+
+    A random pair is drawn by :func:`~majent.search.trial_pair` on ``gen``,
+    never through ``draw_pairs``: a replay drawn by the batch's own code
+    would repeat a draw off its key and agree with it.  Both set ``gen`` to
+    the key's fresh state the same way, though, so a fault in that reset
+    (say, a numpy that handles a set Philox state differently) would reach
+    both alike; only the tests that compare them with a fresh
+    :func:`~majent.search.trial_stream` show it."""
     config = grid.config
     i, a, b = grid.columns(c)
     kind, params = config.properties[i], EntropyParams(config.alpha_grid[a], config.beta_grid[b])
@@ -182,20 +171,17 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
     """Yield the :class:`~majent.search.CellReport` of each cell of the grid
     of ``config``, alpha x beta x properties, in that order.
 
-    Cell ``i`` of that order has cell index ``i``.  Its report takes its
-    alpha, beta and kind from the config's grids and properties, at the
-    indices :meth:`_Grid.columns` gives for ``i``, and its trials and seed
-    from ``config``.  The pairs of
+    Cell ``i`` of that order has cell index ``i``, and its report reads its
+    alpha, beta and kind off ``i`` (:class:`_Grid`).  The pairs of
     ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
     non-negative (they may contain a zero weight, so negative orders skip
     them); the rest are fresh samples with the dimension cycling through
     ``dims``.  A cell without a violation has None for its counterexample.
     A flagged row, a cell's first violation or a trial whose evaluation
-    fails, is rebuilt from its replay key and run through
-    :func:`~majent.properties.run_check`; the error a failing trial raises
-    comes out as :class:`~majent.search.TrialEvaluationError`, and as in a
-    trial-by-trial loop, the first failing trial of a cell raises before
-    the cell is yielded.
+    fails, is replayed from its key (:func:`_replay`); the error a failing
+    trial raises comes out as :class:`~majent.search.TrialEvaluationError`,
+    and as in a trial-by-trial loop, the first failing trial of a cell
+    raises before the cell is yielded.
 
     The cells of a batch are tallied in one scan, a reversed
     ``np.minimum.accumulate`` of row indices under three masks: each cell's

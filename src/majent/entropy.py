@@ -24,15 +24,13 @@ error rather than an infinity.
 Float values come from two paths with the same operations in the same
 order.  The scalar functions here evaluate one distribution term by term in
 Python floats, and :func:`family_rows`, the row kernel behind sweeps,
-evaluates a (k, m) array of sorted distributions, each zero-padded past its
-own length, at one (alpha, beta) per row.  The row kernel gives value bits
-and a mask of the rows that fail; every error comes from the scalar path,
-which a sweep runs again on a failing row to raise it.  Powers, logarithms
-and ``expm1`` come from the C library on both paths (Python's ``**`` and
-``np.float_power`` both call its ``pow``), numpy does only correctly
-rounded arithmetic, and sums run one term at a time, smallest weight first,
-so a value has the same bits on either path, whatever k, the padding and
-the host's vector unit are.  Only the row kernel imports numpy.
+evaluates many rows at once, each at its own (alpha, beta).  Powers,
+logarithms and ``expm1`` come from the C library on both paths (Python's
+``**`` and ``np.float_power`` both call its ``pow``), numpy does only
+correctly rounded arithmetic, and sums run one term at a time, smallest
+weight first, so a value has the same bits on either path, whatever the
+number of rows and the host's vector unit are.  Only the row kernel
+imports numpy.
 """
 from __future__ import annotations
 
@@ -124,8 +122,8 @@ def _mapped(f, x: np.ndarray) -> np.ndarray:
 def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     """(x, terms): per row of ``w``, the Shannon entropy in bits where
     ``logged``, else the power sum at the row's ``alpha``, and the terms
-    summed.  No power or logarithm is taken of a zero weight, padding
-    included, so zero weights add nothing and call no C library function.
+    summed.  No power or logarithm is taken of a zero weight, so zero
+    weights add nothing and call no C library function.
 
     numpy's vector loops for ``log2`` and ``power`` round some results
     differently from the C library, so the logarithms come from
@@ -138,18 +136,13 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     import numpy as np
 
     positive = w > 0.0
+    logs, powers = positive & logged[:, None], positive & ~logged[:, None]
     terms = np.zeros(w.shape)
-    flags = logged.tolist()
-    if True in flags:
-        at = positive
-        if False in flags:
-            at, positive = positive & logged[:, None], positive & ~logged[:, None]
-        g = w[at]
-        # -(g log2 g), negated exactly before the sum: the sum is then
-        # 0.0 minus the sum of the g log2 g, bit for bit.
-        terms[at] = (0.0 - _mapped(math.log2, g)) * g
-    if False in flags:
-        np.float_power(w, alpha[:, None], out=terms, where=positive)
+    g = w[logs]
+    # -(g log2 g), negated exactly before the sum: the sum is then
+    # 0.0 minus the sum of the g log2 g, bit for bit.
+    terms[logs] = (0.0 - _mapped(math.log2, g)) * g
+    np.float_power(w, alpha[:, None], out=terms, where=powers)
     x = terms[:, -1].copy()
     for column in terms.T[-2::-1]:
         x += column
@@ -214,8 +207,9 @@ def family_rows(
     ``w`` is (k, m) and row i holds a non-increasing distribution in its
     first ``n[i]`` entries, zero-padded past them, evaluated at
     ``(alpha[i], beta[i])``.  The branches are those of
-    :func:`sharma_mittal`, chosen per row.  The kernel builds no error: a
-    failing row's error is the one the scalar path raises for it.
+    :func:`sharma_mittal`, chosen per row.  The kernel builds no error:
+    every error comes from the scalar path, which a sweep runs on a flagged
+    row to raise it.
 
     The padding cannot move a bit: no power or logarithm is taken of it,
     the smallest-first sums add its zero terms before any real term, and

@@ -16,13 +16,11 @@ both operands carry exact rational weights it runs in exact arithmetic (the
 pre-join list holds Fractions) and only converts to float at the boundary;
 that path is the oracle the float path is tested against.  Otherwise it
 runs in Python floats, as :func:`~majent.properties.run_check` does.
-:func:`bound_rows`, the row kernel behind sweeps, takes k pairs of sorted
-distributions, zero-padded to a common width, as a (2, k, m) array and
-returns the k meets, and the joins of the rows that ask for one, from one
-pair of curves.  Curves are running sums along each row, so every entry is
-summed in the same order as the scalar loop, whatever k and the padding
-are, and a row's meet and join equal the float :func:`meet` and
-:func:`join` bit for bit.  Only the row kernel imports numpy.
+:func:`bound_rows` is the row kernel behind sweeps.  Its curves are
+running sums along each row, so every entry is summed in the same order as
+the scalar loop, whatever the number of rows, and a row's meet and join
+equal the float :func:`meet` and :func:`join` bit for bit.  Only the row
+kernel imports numpy.
 """
 from __future__ import annotations
 

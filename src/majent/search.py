@@ -6,28 +6,18 @@ isolation: the stream for a trial is keyed by (seed, cell index, trial
 index) and nothing else.  Reports are therefore byte-identical across runs
 and platforms that agree on the generator, whose identifier is stamped into
 every report header.  One trial's pair is two :func:`sample_simplex`
-draws from its :func:`trial_stream`.  :func:`trial_pair` draws that pair,
-and :func:`draw_pairs` many trials' pairs, on one reused Philox generator,
-reset for each trial to the key of :func:`trial_key`, counter 0 and an
-empty buffer, the state a fresh keyed stream starts in, so every path
-draws the same numbers.
+draws from its :func:`trial_stream`; :func:`trial_pair` draws that pair,
+and :func:`draw_pairs` many trials' pairs, bit for bit, on one reused
+Philox generator set to each trial's key.
 
 The two reference pairs of :mod:`majent.reference` are injected as the
 leading trials of every cell whose order parameter admits them (one pair
 carries a zero weight, so negative orders skip the injection), so their
 known violations at (2, 3) are found regardless of seed.
 
-Sweeps and searches run on the batched engine of :mod:`majent.engine`,
-which draws its pairs through :func:`draw_pairs` and finds the same
-worst margins, first counterexamples and first errors as a trial-by-trial
-loop over :func:`~majent.properties.run_check`, and rebuilds every row it
-flags from its replay key with :func:`trial_pair`.  The replay must not
-draw through :func:`draw_pairs`, or a batch drawn off its key would be
-replayed off its key too and pass.  Both reset the generator through
-:func:`_fresh_state`, though, so that check does not cover the reset
-itself: a fault there would reach both paths alike, and only a comparison
-with a fresh :func:`trial_stream` shows it.  numpy is imported where a stream is
-made and the engine where it runs, so a config parses without either.
+Sweeps and searches run on the batched engine of :mod:`majent.engine`.
+numpy is imported where a stream is made and the engine where it runs, so
+a config parses without either.
 """
 from __future__ import annotations
 

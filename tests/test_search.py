@@ -799,6 +799,22 @@ class TestBatchedEngine:
         monkeypatch.setattr(majent.engine, "BATCH_ROWS", batch_rows)
         self.assert_matches_plain_loop(sweep(config), config)
 
+    def test_a_batch_evaluates_each_width_class_once(self, monkeypatch):
+        # The reference pairs (4 wide) and draws of dims 2 to 64 share one
+        # batch.  Its rows are ordered by pair source alone, so each width
+        # class must be one slice: a reference pair wider than CLASS_WIDTH
+        # would split a class in two.
+        widths, evaluate = [], majent.engine.evaluate
+
+        def counted(pairs, *args):
+            widths.append(pairs.shape[2])
+            return evaluate(pairs, *args)
+
+        monkeypatch.setattr(majent.engine, "evaluate", counted)
+        config = SweepConfig((0.0, 2.0), (3.0,), (2, 8, 9, 16, 17, 64), 14, 16)
+        self.assert_matches_plain_loop(sweep(config), config)
+        assert widths == [8, 16, 24, 64]
+
     def test_a_failed_row_that_replays_cleanly_is_an_error(self, monkeypatch):
         # alpha = -300 overflows the power sum of every 64-dimensional row;
         # the replay of the first failed row is made to return instead of
