@@ -64,17 +64,27 @@ def _is_reference(alpha, trial):
 def evaluate(pairs, dims, alpha, beta, joined) -> tuple[np.ndarray, np.ndarray]:
     """S(p), S(q), S(p meet q) and, where ``joined``, S(p join q) (else nan)
     for each row of (2, k, m) pairs zero-padded past ``dims``, at the row's
-    alpha and beta, as a (4, k) array; and which rows ``family_rows`` flags."""
+    alpha and beta, as a (4, k) array; and which rows ``family_rows`` flags.
+    An ordered row's meet and join are its operands (``bound_rows``), so
+    their values are copies of S(p) and S(q); only a crossing row's bounds
+    go through ``family_rows``."""
     k = len(dims)
-    meets, joins = bound_rows(pairs, joined)
+    order, meets, joins = bound_rows(pairs, joined, dims)
     at = np.arange(k)
-    owner = np.concatenate([at, at, at, at[joined]])
+    cross = order == 0
+    cross_joined = cross & joined
+    owner = np.concatenate([at, at, at[cross], at[cross_joined]])
     vals, flagged = family_rows(
         np.concatenate([*pairs, meets, joins]), alpha[owner], beta[owner], dims[owner]
     )
-    values = np.full((4, k), np.nan)
-    values[:3] = vals[: 3 * k].reshape(3, -1)
-    values[3, joined] = vals[3 * k :]
+    values = np.empty((4, k))
+    # An ordered row's meet is its lower operand and its join the upper one.
+    values[:2] = values[2:] = vals[: 2 * k].reshape(2, -1)
+    swap = order == 2
+    values[2:, swap] = values[1::-1, swap]
+    values[2, cross] = vals[2 * k : 2 * k + len(meets)]
+    values[3, cross_joined] = vals[2 * k + len(meets) :]
+    values[3, ~joined] = np.nan
     failed = np.zeros(k, dtype=bool)
     failed[owner[flagged]] = True
     return values, failed

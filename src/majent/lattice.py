@@ -15,17 +15,16 @@ the least upper bound.
 both operands carry exact rational weights it runs in exact arithmetic (the
 pre-join list holds Fractions) and only converts to float at the boundary;
 that path is the oracle the float path is tested against.  Otherwise it
-runs in Python floats, as :func:`~majent.properties.run_check` does.
-:func:`bound_rows` is the row kernel behind sweeps.  Its curves are
-running sums along each row, so every entry is summed in the same order as
-the scalar loop, whatever the number of rows, and a row's meet and join
-equal the float :func:`meet` and :func:`join` bit for bit.  Only the row
-kernel imports numpy.
+runs in Python floats, as :func:`~majent.properties.run_check` does, and an
+ordered pair skips the curves' differences: its meet is its lower operand
+and its join the upper one (:func:`_order`).  :func:`bound_rows` is the row
+kernel behind sweeps, with the same order test and, on crossing rows, the
+same differences bit for bit.  Only the row kernel imports numpy.
 """
 from __future__ import annotations
 
 from functools import reduce
-from operator import add
+from operator import add, ge, le
 from typing import TYPE_CHECKING, Sequence
 
 from .simplex import ProbabilityDistribution, Weight, make_distribution, paired_curves
@@ -50,16 +49,42 @@ def _row_differences(curves: np.ndarray) -> np.ndarray:
     return out
 
 
-def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
-    """(meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]`` of a
-    (2, k, m) array of sorted distributions, both from one pair of Lorenz
-    curves; ``joins`` holds the joins of the rows that the k booleans
-    ``join`` select, in row order.
+def _order(pa: list[float], pb: list[float]) -> int:
+    """1 when the float curve ``pa`` lies at or below ``pb`` at every point
+    but the last, 2 when ``pb`` lies at or below ``pa``, and 0 when they
+    cross or are equal at all those points.
 
-    A row may be zero-padded past its length, and its meet and join then
-    are too, exactly: past the length both curves stay at their last value,
-    so every difference there is 0, the sort keeps those zeros at the end
-    and the block averaging never grows a block into them.
+    The test is strict: the tie window of
+    :func:`~majent.simplex.compare` would also pick an operand for curves
+    that cross by less than its width.  The last point is left out, because
+    both curves end at 1 only up to rounding.  Equal curves take the
+    differences, which treat both operands alike, so the float meet and
+    join stay commutative bit for bit.
+    """
+    pa, pb = pa[:-1], pb[:-1]
+    if all(map(le, pa, pb)):
+        return 0 if pa == pb else 1
+    return 2 if all(map(ge, pa, pb)) else 0
+
+
+def bound_rows(
+    pairs: np.ndarray, join: Sequence[bool], n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]``
+    of a (2, k, m) array of sorted distributions, each of dimension ``n[i]``
+    and zero-padded past it.
+
+    ``order`` holds the :func:`_order` code of each row's two Lorenz curves,
+    tested at every point before the row's last real one: 1 when p's curve
+    is below, so the row's meet is p and its join q, 2 when q's is below,
+    and 0 when they cross or tie.  ``meets`` holds the meets of the
+    crossing rows and ``joins`` the joins of the crossing rows that the k
+    booleans ``join`` select, both in row order, from one pair of curves.
+
+    The padding is exact: the order test stops before each row's last real
+    point, past which both curves stay at their last value, so every
+    difference there is 0, the sort keeps those zeros at the end and the
+    block averaging never grows a block into them.
 
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
@@ -72,12 +97,19 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     import numpy as np
 
     ca, cb = np.add.accumulate(pairs, axis=2)
-    join = np.asarray(join)
-    meets = _row_differences(np.minimum(ca, cb))
+    pa, pb = ca[:, :-1], cb[:, :-1]
+    # Per tested point, 1 when p's curve is below and 2 when q's is.  A
+    # row's OR of them is its order code, and 3, curves that cross, turns 0.
+    point = (pa < pb).view(np.uint8) | (pa > pb).view(np.uint8) << 1
+    point[np.arange(1, pairs.shape[2]) >= n[:, None]] = 0
+    order = np.bitwise_or.reduce(point, axis=1) % 3
+    cross = order == 0
+    meets = _row_differences(np.minimum(ca, cb)[cross])
     meets.sort(axis=1)
     meets = meets[:, ::-1]  # non-increasing
+    join = cross & np.asarray(join)
     if True not in join.tolist():
-        return meets, ca[:0]
+        return order, meets, ca[:0]
     joins = _row_differences(np.maximum(ca[join], cb[join]))
     ascents = joins[:, :-1] < joins[:, 1:]
     repair = ascents.any(axis=1)
@@ -86,7 +118,15 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
         for vals, a in zip(rows, ascents[repair].argmax(axis=1).tolist()):
             _pool(vals, a)
         joins[repair] = rows
-    return meets, joins
+    return order, meets, joins
+
+
+def _padded(d: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
+    """The float operand ``d`` zero-padded to dimension ``n``: ``d`` itself
+    when it needs no padding and carries no exact weights."""
+    if d.dim == n and d.exact is None:
+        return d
+    return ProbabilityDistribution(d.weights + (0.0,) * (n - d.dim))
 
 
 def meet(
@@ -95,11 +135,15 @@ def meet(
     """Greatest lower bound: differences of the pointwise-min curve.
 
     The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.  Exact when both operands are.  Rounding can
+    majorized by the result.  Exact when both operands are.  In floats, an
+    ordered pair's meet is its lower operand (:func:`_order`).  Rounding can
     leave a float difference a hair above its left neighbour, so the
     differences are sorted, and, as in :func:`bound_rows`, not validated.
     """
     pa, pb, exact = paired_curves(p, q)
+    order = 0 if exact else _order(pa, pb)
+    if order:
+        return _padded(p if order == 1 else q, len(pa))
     values = _differences(list(map(min, pa, pb)))
     if exact:
         return make_distribution(values)
@@ -173,8 +217,12 @@ def join(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> ProbabilityDistribution:
     """Least upper bound: the repaired pointwise-max curve.  Exact when both
-    operands are."""
-    values = pre_join(p, q)
+    operands are.  In floats, an ordered pair's join is its upper operand
+    (:func:`_order`)."""
     if p.exact is not None and q.exact is not None:
-        return flatten(values)
-    return ProbabilityDistribution(tuple(_pool(values)))
+        return flatten(pre_join(p, q))
+    pa, pb, _ = paired_curves(p, q)
+    order = _order(pa, pb)
+    if order:
+        return _padded(q if order == 1 else p, len(pa))
+    return ProbabilityDistribution(tuple(_pool(pre_join(p, q))))

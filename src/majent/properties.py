@@ -153,14 +153,18 @@ def run_check(
 
     fp = p if p.exact is None else ProbabilityDistribution(p.weights)
     fq = q if q.exact is None else ProbabilityDistribution(q.weights)
+    # An ordered pair's meet and join are fp and fq themselves, whose
+    # values are taken once.
     meet = _lattice.meet(fp, fq)
     if _CHECKS[kind][0]:
         join = _lattice.join(fp, fq)
         sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
-        sm, sj = sharma_mittal(meet, params), sharma_mittal(join, params)
+        sm = sp if meet is fp else sq if meet is fq else sharma_mittal(meet, params)
+        sj = sp if join is fp else sq if join is fq else sharma_mittal(join, params)
     else:  # the meet-only kinds take the meet first
         join = sj = None
         sm = sharma_mittal(meet, params)
-        sp, sq = sharma_mittal(p, params), sharma_mittal(q, params)
+        sp = sm if meet is fp else sharma_mittal(p, params)
+        sq = sm if meet is fq else sharma_mittal(q, params)
     lhs, rhs, margin = oriented_sides(kind, params.alpha, params.beta, sp, sq, sm, sj)
     return PropertyCheckRecord(kind, p, q, params, lhs, rhs, margin, tolerance, meet, join)

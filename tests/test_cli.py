@@ -198,6 +198,28 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert json.loads(out)["join"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # p majorizes q, so the exact meet is q.
+            ["--property", "subadditive", "--p", "1,7.573002358449707e-68",
+             "--q", "0.9999999999999998,1.799752355955483e-16", "--alpha", "0.5", "--beta", "2"],
+            # p is majorized by q, so the exact meet is p and the join q.
+            ["--property", "supermodular",
+             "--p", "0.5385183815771871,0.4543293285776048,0.005582350786838133,0.0015699390583699601",
+             "--q", "0.9860050242704217,0.013994915408755198,6.032082311002572e-08,"
+             "7.304396446025996e-19", "--alpha", "0.25", "--beta", "0.25"],
+        ],
+        ids=["subadditive", "supermodular"],
+    )
+    def test_an_ordered_pair_holds_where_it_is_proven(self, argv):
+        # Both pairs are comparable inside a proven region, and a bound
+        # rebuilt from differences of curves read them as violations.
+        code, out, _ = run(["check", *argv, "--format", "json"])
+        data = json.loads(out)
+        assert (code, data["verdict"]) == (EXIT_OK, "holds (tight)")
+        assert data["margin"] >= 0.0
+
     def test_a_negative_order_in_exponent_form_attached_with_equals(self):
         # argparse may take a bare -1e-5 for an option; attached, it is a value.
         code, out, _ = run(

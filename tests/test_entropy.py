@@ -547,15 +547,30 @@ class TestScalarPathBits:
             assert shannon(d).hex() == shannon_sum[0].hex()
 
     @given(_any_dists, _any_dists)
+    @example(make_distribution([0.6, 0.4]), make_distribution([0.6, 0.4, 0.0]))
+    @example(make_distribution([0.9, 0.1]), make_distribution([0.25] * 4))
+    # Ordered at the tested point, while the sums, at the untested end, are
+    # ordered the other way.
+    @example(make_distribution([0.5, 0.5]), make_distribution([0.6, 0.3999999999999999]))
     def test_float_meet_and_join_equal_the_row_kernel(self, p, q):
+        # An ordered row is compared with its operands, zero-padded, and a
+        # crossing one with the kernel's meet and join.  The rows carry two
+        # zero columns past their dimension, as in a sweep's width class.
         n = max(p.dim, q.dim)
-        pairs = np.zeros((2, 2, n))
+        pairs = np.zeros((2, 2, n + 2))
         pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
         pairs[0, 1, : q.dim], pairs[1, 1, : p.dim] = q.weights, p.weights
-        meets, joins = bound_rows(pairs, [True, True])
+        order, meets, joins = bound_rows(pairs, [True, True], np.full(2, n))
+        assert order.tolist()[1] == (0, 2, 1)[order[0]]  # the swapped row
+        meets, joins = iter(meets.tolist()), iter(joins.tolist())
         for i, (a, b) in enumerate(((p, q), (q, p))):
-            assert _outcome(meet, a, b) == [w.hex() for w in meets[i].tolist()]
-            assert _outcome(join, a, b) == [w.hex() for w in joins[i].tolist()]
+            if order[i]:
+                bounds = [list(pairs[order[i] - 1, i]), list(pairs[2 - order[i], i])]
+            else:
+                bounds = [next(meets), next(joins)]
+            assert [bound[n:] for bound in bounds] == [[0.0, 0.0]] * 2
+            assert _outcome(meet, a, b) == [w.hex() for w in bounds[0][:n]]
+            assert _outcome(join, a, b) == [w.hex() for w in bounds[1][:n]]
 
     @given(_pairs_of_one_dimension(), _params(), st.sampled_from(PropertyKind))
     @example(
@@ -566,6 +581,11 @@ class TestScalarPathBits:
     @example(
         (make_distribution([0.5, 0.5, 0.0]), make_distribution([0.5, 0.4999999, 1e-7])),
         EntropyParams(-50.0, 2.0),
+        PropertyKind.SUBADDITIVE,
+    )
+    @example(  # q's curve is below: the meet takes S(q)
+        (make_distribution([0.9, 0.1]), make_distribution([0.6, 0.4])),
+        AT_2_3,
         PropertyKind.SUBADDITIVE,
     )
     def test_run_check_equals_the_engine_record(self, pair, params, kind):

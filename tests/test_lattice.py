@@ -5,9 +5,11 @@ is equality and no tolerance can paper over a wrong bound.  The float path
 is checked against hand-computed curves and against the exact path.
 """
 from fractions import Fraction
+from math import nextafter
+from operator import ge, le
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from majent.lattice import _pool, flatten, join, meet, pre_join
 from majent.simplex import (
@@ -15,6 +17,7 @@ from majent.simplex import (
     SumOutOfToleranceError,
     compare,
     make_distribution,
+    paired_curves,
 )
 
 
@@ -136,10 +139,16 @@ class TestJoin:
         assert join(make_distribution([0.9, 0.1]), uniform(5)).dim == 5
 
 
+def _normalized(weights, min_size, max_size):
+    """Float distributions of ``min_size`` to ``max_size`` entries drawn
+    from ``weights`` and normalized."""
+    return st.lists(weights, min_size=min_size, max_size=max_size).filter(
+        lambda ws: sum(ws) > 0
+    ).map(lambda ws: make_distribution([w / sum(ws) for w in ws]))
+
+
 # Float distributions of dimension 1 to 12, with zero weights now and then.
-float_dists = st.lists(
-    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=12
-).filter(lambda ws: sum(ws) > 0).map(lambda ws: make_distribution([w / sum(ws) for w in ws]))
+float_dists = _normalized(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), 1, 12)
 
 
 class TestFloatPadding:
@@ -159,6 +168,59 @@ class TestFloatPadding:
                 exact = op(*(make_distribution(map(Fraction, d.weights)) for d in (a, b)))
                 assert max(abs(x - y) for x, y in zip(got.weights, exact.exact)) <= 1e-15
 
+
+# Two-point distributions, and sparse ones with weights down to 1e-300.
+two_point_dists = _normalized(st.floats(0.0, 1.0), 2, 2)
+sparse_dists = _normalized(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-3)), 2, 12
+)
+
+
+@st.composite
+def tied_pairs(draw):
+    """(p, q) with equal weights but the last, which may be one step apart,
+    and q zero-padded now and then: curves equal at every point but the
+    last, unless a moved weight re-sorts or q's padding puts p's last point
+    under test."""
+    p = draw(sparse_dists)
+    w = p.weights[-1]
+    last = draw(st.sampled_from([w, nextafter(w, 0.0), nextafter(w, 1.0)]))
+    return p, make_distribution(p.weights[:-1] + (last,) + (0.0,) * draw(st.integers(0, 2)))
+
+
+def bits(d):
+    return [w.hex() for w in d.weights]
+
+
+class TestFloatSelection:
+    """In floats, a pair whose Lorenz curves are ordered at every point but
+    the last takes its operands as meet and join, zero-padded, bit for bit.
+    Curves that cross or tie take the differences of the curves."""
+
+    @given(st.one_of(st.tuples(two_point_dists, two_point_dists), st.tuples(sparse_dists, sparse_dists)))
+    @example((make_distribution([1.0, 7.573002358449707e-68]),
+              make_distribution([0.9999999999999998, 1.799752355955483e-16])))
+    @example((make_distribution([0.9, 0.1]), make_distribution([0.25] * 4)))
+    def test_an_ordered_pair_takes_its_operands(self, pair):
+        p, q = pair
+        pa, pb, _ = paired_curves(p, q)
+        below, above = all(map(le, pa[:-1], pb[:-1])), all(map(ge, pa[:-1], pb[:-1]))
+        if p.dim == q.dim == 2:  # one tested point: ordered unless it ties
+            assert below != above or p.weights[0] == q.weights[0]
+        assume(below != above)
+        lower, upper = (p, q) if below else (q, p)
+        n = len(pa)
+        for got, want in ((meet(p, q), lower), (join(p, q), upper)):
+            assert bits(got) == bits(want) + [(0.0).hex()] * (n - want.dim)
+            assert (got is want) == (want.dim == n)
+
+    @given(st.one_of(st.tuples(float_dists, float_dists), tied_pairs()))
+    @example((make_distribution([0.6, 0.4]), make_distribution([0.6, nextafter(0.4, 1.0)])))
+    @example((make_distribution([0.6, 0.4]), make_distribution([0.6, 0.4, 0.0])))
+    def test_float_meet_and_join_commute_bit_for_bit(self, pair):
+        p, q = pair
+        for op in (meet, join):
+            assert bits(op(p, q)) == bits(op(q, p))
 
 class TestLatticeLaws:
     """Algebraic laws, all in exact arithmetic."""

@@ -246,4 +246,4 @@ class TestFrozenChecks:
                         out.append(type(err).__name__)
         assert (len(out), sum(isinstance(x, str) for x in out)) == (400, 14)
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-        assert digest == "c7d7ad73ed05d73b352b03f4f026f4b4c28f2e8bb87f51a9f3afe63b237e4518"
+        assert digest == "f52a118af9ca7d168bf3dcedb468a3730922a68751573a5e4cc26fddd7cb57e0"

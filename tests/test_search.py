@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from majent.search import (
     trial_pair,
     trial_stream,
 )
-from majent.simplex import make_distribution
+from majent.simplex import MajorizationOrder, compare, make_distribution
 import majent.engine
 import majent.reference
 
@@ -644,6 +645,34 @@ class TestSweep:
             assert cell.verdict in (Verdict.NO_VIOLATION_FOUND, Verdict.VIOLATION_FOUND)
 
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig((0.9999999,), (0.9999999,), (2, 5, 33), 40, 8, (PropertyKind.SUPERMODULAR,)),
+            SweepConfig((0.999999,), (-1.0,), (16,), 15, 5, (PropertyKind.SUPERMODULAR,)),
+        ],
+    )
+    def test_ordered_pairs_keep_a_proven_region_clean(self, config):
+        # Trials 9 and 12 are comparable pairs.  Their bounds, rebuilt from
+        # differences of curves, gave margins of -2.2e-9 and -1.8e-8, which
+        # aborted these sweeps with a GuaranteeViolationError.
+        (cell,) = sweep(config).cells
+        assert (cell.verdict, cell.worst_margin) == (Verdict.THEOREM_GUARANTEED, 0.0)
+
+    def test_modular_counterexamples_at_negative_order_are_crossing_pairs(self):
+        # An ordered pair's modular margin is +0.0, so every counterexample
+        # is a pair whose curves cross, in exact arithmetic too.
+        config = SweepConfig(
+            (-2.0, -1.0), (-2.0, -1.0, -0.5, 0.0), (3, 4, 5, 6, 8), 300, 22,
+            (PropertyKind.SUPERMODULAR, PropertyKind.SUBMODULAR),
+        )
+        found = [cell.counterexample.check for cell in sweep(config).cells if cell.counterexample]
+        assert len(found) == 9
+        for check in found:
+            p, q = (list(map(Fraction, d.weights)) for d in (check.p, check.q))
+            p, q = (make_distribution([w / sum(d) for w in d]) for d in (p, q))
+            assert compare(p, q) == MajorizationOrder.INCOMPARABLE
+
 class TestFrozenReports:
     """Whole sweep reports against sha256 digests recorded from an earlier
     engine.  ``TestBatchedEngine`` compares the engine with a ``run_check``
@@ -661,14 +690,14 @@ class TestFrozenReports:
                     alpha_grid=(-2.0, -0.5, 1.0), beta_grid=(1.5, 3.0),
                     dims=(2, 7, 9, 17, 64), trials_per_cell=24, seed=91,
                 ),
-                "395a26d72c4f047c1197fcfe0c8f4292a1bfdceec42b3b760dbdccd4f7578539",
+                "798db9e5e13aeefa2129f2d9109d801abc8481885e2b47f373cf75e5fbd0a57f",
             ),
             (
                 SweepConfig(
                     alpha_grid=(0.0, 0.5, 1.0, 2.5), beta_grid=(-1.0, 1.0, 3.0),
                     dims=(2, 7, 9, 17, 64), trials_per_cell=24, seed=92,
                 ),
-                "a81f06c789984d31f80665023243fc966463235ce8fcb0e03a32c05476409cb5",
+                "871fa1d5b6e9f777cb0da312f123f69cd73ddbb7d7dbd4428b28e98aa350a8ee",
             ),
         ],
         ids=["negative-orders", "limit-branches"],
@@ -962,7 +991,7 @@ class TestBatchOrder:
             (
                 GuaranteeViolationError, type(None),
                 "violation in guaranteed region: superadditive at alpha=-1.0, beta=1.0, "
-                "trial 0, margin -5.038368785216635; "
+                "trial 0, margin -5.038368785216617; "
                 "either the implementation or the guarantee table is wrong",
             ),
         ),
