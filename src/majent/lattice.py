@@ -1,25 +1,21 @@
 """Meet and join of distributions under majorization.
 
-Both operations act on Lorenz curves, which :func:`~majent.simplex.paired_curves`
-builds on a common dimension.  The meet's curve is the pointwise minimum of
-the operands' curves; the minimum of two concave curves is still concave, so
-its first differences already form a sorted distribution and no repair is
-needed.  The join starts from the pointwise maximum, which can fail
-concavity: its first differences, the plain list :func:`pre_join` returns,
-may violate the non-increasing order.  :func:`flatten` repairs that by
-repeatedly averaging maximal violating blocks, which is the same thing as
-replacing the curve by its least concave majorant.  The repaired vector is
-the least upper bound.
+One body, :func:`_bound`, builds either bound from the one pair of Lorenz
+curves that :func:`~majent.simplex.paired_curves` gives on a common
+dimension.  The meet's curve is the pointwise minimum of the operands'
+curves; the minimum of two concave curves is still concave, so its first
+differences already form a sorted distribution.  The join's is the
+pointwise maximum, which can fail concavity: its differences may ascend,
+and :func:`_pool` averages maximal violating blocks, which replaces the
+curve by its least concave majorant, the least upper bound's curve.
 
-:func:`meet` and :func:`join` run one body on either number type.  When
-both operands carry exact rational weights it runs in exact arithmetic (the
-pre-join list holds Fractions) and only converts to float at the boundary;
-that path is the oracle the float path is tested against.  Otherwise it
-runs in Python floats, as :func:`~majent.properties.run_check` does, and an
-ordered pair skips the curves' differences: its meet is its lower operand
-and its join the upper one (:func:`_order`).  :func:`bound_rows` is the row
-kernel behind sweeps, with the same order test and, on crossing rows, the
-same differences bit for bit.  Only the row kernel imports numpy.
+With exact rational weights on both operands the body runs in exact
+arithmetic, the oracle the float path is tested against.  In floats, as
+:func:`~majent.properties.run_check` runs it, an ordered pair's meet is its
+lower operand and its join the upper one (:func:`_order`), and a pair whose
+zero-padded weights are equal bit for bit is its own meet and join.
+:func:`bound_rows`, the row kernel behind sweeps and the only importer of
+numpy, keeps the same rules and, on crossing rows, the same bits.
 """
 from __future__ import annotations
 
@@ -51,20 +47,21 @@ def _row_differences(curves: np.ndarray) -> np.ndarray:
 
 def _order(pa: list[float], pb: list[float]) -> int:
     """1 when the float curve ``pa`` lies at or below ``pb`` at every point
-    but the last, 2 when ``pb`` lies at or below ``pa``, and 0 when they
-    cross or are equal at all those points.
+    but the last, 2 when ``pb`` lies at or below ``pa``, 3 when they cross
+    and 0 when they tie, equal at all those points: the raw codes of
+    :func:`bound_rows`.
 
     The test is strict: the tie window of
     :func:`~majent.simplex.compare` would also pick an operand for curves
     that cross by less than its width.  The last point is left out, because
-    both curves end at 1 only up to rounding.  Equal curves take the
-    differences, which treat both operands alike, so the float meet and
-    join stay commutative bit for bit.
+    both curves end at 1 only up to rounding.  A tie takes the differences,
+    which treat both operands alike, so the float meet and join stay
+    commutative bit for bit, unless the weights are equal bit for bit too.
     """
     pa, pb = pa[:-1], pb[:-1]
     if all(map(le, pa, pb)):
         return 0 if pa == pb else 1
-    return 2 if all(map(ge, pa, pb)) else 0
+    return 2 if all(map(ge, pa, pb)) else 3
 
 
 def bound_rows(
@@ -75,11 +72,12 @@ def bound_rows(
     and zero-padded past it.
 
     ``order`` holds the :func:`_order` code of each row's two Lorenz curves,
-    tested at every point before the row's last real one: 1 when p's curve
-    is below, so the row's meet is p and its join q, 2 when q's is below,
-    and 0 when they cross or tie.  ``meets`` holds the meets of the
-    crossing rows and ``joins`` the joins of the crossing rows that the k
-    booleans ``join`` select, both in row order, from one pair of curves.
+    tested at every point before the row's last real one, mod 3: 1 when the
+    row's meet is p and its join q, 2 when q's curve is below, and 0 when
+    they cross or tie.  A tie whose two rows are equal bit for bit reads 1.
+    ``meets`` holds the meets of the rows that read 0 and ``joins`` the
+    joins of those that the k booleans ``join`` select, both in row order,
+    from one pair of curves.
 
     The padding is exact: the order test stops before each row's last real
     point, past which both curves stay at their last value, so every
@@ -89,20 +87,23 @@ def bound_rows(
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
     joins whose differences ascend somewhere go through the block averaging
-    of :func:`flatten`, from the first ascent the row's scan found and
-    without the check of the result, as the meets skip it too: the
-    differences of a max curve are >= 0 and sum to its end.
-    The others are already sorted.
+    of :func:`_pool`, from the first ascent the row's scan found.  Neither
+    is checked afterwards, as in the scalar path: the differences of a max
+    curve are >= 0 and sum to its end.  The other joins are already sorted.
     """
     import numpy as np
 
     ca, cb = np.add.accumulate(pairs, axis=2)
     pa, pb = ca[:, :-1], cb[:, :-1]
     # Per tested point, 1 when p's curve is below and 2 when q's is.  A
-    # row's OR of them is its order code, and 3, curves that cross, turns 0.
+    # row's OR of them is its raw order code.
     point = (pa < pb).view(np.uint8) | (pa > pb).view(np.uint8) << 1
     point[np.arange(1, pairs.shape[2]) >= n[:, None]] = 0
-    order = np.bitwise_or.reduce(point, axis=1) % 3
+    order = np.bitwise_or.reduce(point, axis=1)
+    if np.count_nonzero(order) < len(order):  # rows equal bit for bit read 1
+        tie = order == 0
+        order[tie] = (pairs[0, tie] == pairs[1, tie]).all(axis=1)
+    order %= 3
     cross = order == 0
     meets = _row_differences(np.minimum(ca, cb)[cross])
     meets.sort(axis=1)
@@ -127,40 +128,6 @@ def _padded(d: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
     if d.dim == n and d.exact is None:
         return d
     return ProbabilityDistribution(d.weights + (0.0,) * (n - d.dim))
-
-
-def meet(
-    p: ProbabilityDistribution, q: ProbabilityDistribution
-) -> ProbabilityDistribution:
-    """Greatest lower bound: differences of the pointwise-min curve.
-
-    The result is majorized by both operands, and any r majorized by both is
-    majorized by the result.  Exact when both operands are.  In floats, an
-    ordered pair's meet is its lower operand (:func:`_order`).  Rounding can
-    leave a float difference a hair above its left neighbour, so the
-    differences are sorted, and, as in :func:`bound_rows`, not validated.
-    """
-    pa, pb, exact = paired_curves(p, q)
-    order = 0 if exact else _order(pa, pb)
-    if order:
-        return _padded(p if order == 1 else q, len(pa))
-    values = _differences(list(map(min, pa, pb)))
-    if exact:
-        return make_distribution(values)
-    return ProbabilityDistribution(tuple(sorted(values, reverse=True)))
-
-
-def pre_join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> list[Weight]:
-    """Differences of the pointwise-max curve, before order repair.
-
-    Entries are non-negative and sum to 1, but the non-increasing order can
-    be violated, so this is deliberately a plain list and not a
-    ProbabilityDistribution.  Entries are Fractions when both operands are
-    exact, floats otherwise.  This is the first step of :func:`join`, and
-    :func:`bound_rows` takes the same differences of float rows.
-    """
-    pa, pb, _ = paired_curves(p, q)
-    return _differences(list(map(max, pa, pb)))
 
 
 def _pool(vals: list, a: int = 0) -> list:
@@ -201,28 +168,41 @@ def _pool(vals: list, a: int = 0) -> list:
         a = b + 1
 
 
-def flatten(values: Sequence[Weight]) -> ProbabilityDistribution:
-    """Repair a pre-join vector into a sorted distribution.
-
-    Averages the maximal violating blocks, left to right (see ``_pool``).
-    The repaired Lorenz curve is the least concave majorant of the input's
-    curve, so among sorted vectors whose curve dominates the input's this is
-    the minimal one in the majorization order.  Values that do not sum to 1
-    are rejected by :func:`~majent.simplex.make_distribution`.
-    """
-    return make_distribution(_pool(list(values)))
-
-
-def join(
-    p: ProbabilityDistribution, q: ProbabilityDistribution
+def _bound(
+    p: ProbabilityDistribution, q: ProbabilityDistribution, upper: bool
 ) -> ProbabilityDistribution:
-    """Least upper bound: the repaired pointwise-max curve.  Exact when both
-    operands are.  In floats, an ordered pair's join is its upper operand
-    (:func:`_order`)."""
-    if p.exact is not None and q.exact is not None:
-        return flatten(pre_join(p, q))
-    pa, pb, _ = paired_curves(p, q)
-    order = _order(pa, pb)
-    if order:
-        return _padded(q if order == 1 else p, len(pa))
-    return ProbabilityDistribution(tuple(_pool(pre_join(p, q))))
+    """The meet of ``p`` and ``q``, or their join when ``upper``: the
+    differences of the pointwise-min curve, or the pooled ones of the max
+    curve.  Exact when both operands are.  In floats an ordered pair gives
+    its lower (upper) operand and a bit-equal pair ``p``, zero-padded.
+    Rounding can leave a meet's difference a hair above its left neighbour,
+    so the differences are sorted, and, as in :func:`bound_rows`, no float
+    bound is validated.
+    """
+    pa, pb, exact = paired_curves(p, q)
+    n = len(pa)
+    order = 3 if exact else _order(pa, pb)
+    if order == 0:
+        padded = _padded(p, n)
+        if padded.weights == _padded(q, n).weights:
+            return padded
+    elif order < 3:
+        return _padded(p if (order == 1) != upper else q, n)
+    values = _differences(list(map(max if upper else min, pa, pb)))
+    if upper:
+        _pool(values)
+    else:
+        values.sort(reverse=True)
+    return make_distribution(values) if exact else ProbabilityDistribution(tuple(values))
+
+
+def meet(p: ProbabilityDistribution, q: ProbabilityDistribution) -> ProbabilityDistribution:
+    """Greatest lower bound: majorized by both operands, and majorizing any
+    r majorized by both (:func:`_bound`)."""
+    return _bound(p, q, False)
+
+
+def join(p: ProbabilityDistribution, q: ProbabilityDistribution) -> ProbabilityDistribution:
+    """Least upper bound: majorizing both operands, and majorized by any r
+    that majorizes both (:func:`_bound`)."""
+    return _bound(p, q, True)

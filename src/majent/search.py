@@ -295,7 +295,7 @@ class SweepConfig(FrozenValue):
         _set(self, "dims", tuple(map(int, dims)))
         _check_ascending("dims", self.dims)
         trials = trials_per_cell
-        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
+        if not (_is_int(trials) and trials >= 1):
             raise SweepConfigError(f"trials_per_cell must be an integer >= 1: {trials!r}")
         _check_word("seed", seed, 64, SweepConfigError)
         properties = _as_tuple("properties", properties)

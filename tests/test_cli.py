@@ -220,6 +220,19 @@ class TestCheckCommand:
         assert (code, data["verdict"]) == (EXIT_OK, "holds (tight)")
         assert data["margin"] >= 0.0
 
+    def test_a_pair_equal_bit_for_bit_is_its_own_meet_and_join(self):
+        # A proven region; differences of the curves moved the last weight
+        # and read the pair as a violation.
+        p = "0.499999999999975,0.499999999999975,4.99999999999975e-14"
+        code, out, _ = run(
+            ["check", "--property", "supermodular", "--p", p, "--q", p,
+             "--alpha", "0.25", "--beta", "0.25", "--format", "json"]
+        )
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert data["meet"] == data["join"] == data["p"] == [float(w) for w in p.split(",")]
+        assert data["margin"] == 0.0
+
     def test_a_negative_order_in_exponent_form_attached_with_equals(self):
         # argparse may take a bare -1e-5 for an option; attached, it is a value.
         code, out, _ = run(

@@ -8,13 +8,13 @@ from fractions import Fraction
 from math import nextafter
 from operator import ge, le
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from majent.lattice import _pool, flatten, join, meet, pre_join
+from majent.lattice import _differences, _pool, bound_rows, join, meet
 from majent.simplex import (
     MajorizationOrder,
-    SumOutOfToleranceError,
     compare,
     make_distribution,
     paired_curves,
@@ -64,38 +64,36 @@ class TestMeet:
         assert m.weights == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-15)
 
 
-class TestPreJoinAndFlatten:
-    def test_pre_join_can_break_order(self):
+class TestJoinRepair:
+    def test_max_curve_differences_can_break_order(self):
         p = make_distribution([0.5, 0.15, 0.15, 0.1, 0.1])
         q = make_distribution([0.3, 0.3, 0.3, 0.1, 0.0])
-        raw = pre_join(p, q)
+        pa, pb, _ = paired_curves(p, q)
+        raw = _differences(list(map(max, pa, pb)))
         assert raw == pytest.approx([0.5, 0.15, 0.25, 0.1, 0.0], abs=1e-12)
         assert raw[1] < raw[2]
 
-    def test_flatten_averages_the_block(self):
-        repaired = flatten([0.5, 0.15, 0.25, 0.1, 0.0])
-        assert repaired.weights == pytest.approx((0.5, 0.2, 0.2, 0.1, 0.0), abs=1e-12)
+    def test_pool_averages_the_block(self):
+        repaired = _pool([0.5, 0.15, 0.25, 0.1, 0.0])
+        assert repaired == pytest.approx([0.5, 0.2, 0.2, 0.1, 0.0], abs=1e-12)
 
-    def test_flatten_whole_vector(self):
-        assert flatten([0.2, 0.8]).weights == (0.5, 0.5)
+    def test_pool_whole_vector(self):
+        assert _pool([0.2, 0.8]) == [0.5, 0.5]
 
-    def test_flatten_propagates_left(self):
+    def test_pool_propagates_left(self):
         # Averaging (0.2, 0.45) gives 0.325, which overtakes the 0.25 on its
         # left; the block must absorb it and settle at 0.3.
-        repaired = flatten([0.25, 0.2, 0.45, 0.1])
-        assert repaired.weights == pytest.approx((0.3, 0.3, 0.3, 0.1), abs=1e-15)
+        repaired = _pool([0.25, 0.2, 0.45, 0.1])
+        assert repaired == pytest.approx([0.3, 0.3, 0.3, 0.1], abs=1e-15)
 
-    def test_flatten_keeps_sorted_input(self):
-        d = flatten([0.6, 0.3, 0.1])
-        assert d.weights == (0.6, 0.3, 0.1)
+    def test_pool_keeps_sorted_input(self):
+        assert _pool([0.6, 0.3, 0.1]) == [0.6, 0.3, 0.1]
 
-    def test_flatten_rejects_bad_mass(self):
-        with pytest.raises(SumOutOfToleranceError):
-            flatten([0.5, 0.2])
-
-    def test_exact_flatten(self):
-        raw = [Fraction(1, 5), Fraction(4, 5)]
-        assert flatten(raw).exact == (Fraction(1, 2), Fraction(1, 2))
+    def test_exact_pool_and_join_repair(self):
+        assert _pool([Fraction(1, 5), Fraction(4, 5)]) == [Fraction(1, 2)] * 2
+        p = make_distribution([Fraction(k, 20) for k in (10, 3, 3, 2, 2)])
+        q = make_distribution([Fraction(k, 10) for k in (3, 3, 3, 1, 0)])
+        assert join(p, q).exact == tuple(Fraction(k, 10) for k in (5, 2, 2, 1, 0))
 
     def test_block_sums_run_left_to_right_on_every_python(self):
         # One block of 11, grown both ways.  Python 3.12's compensated
@@ -107,7 +105,7 @@ class TestPreJoinAndFlatten:
             0.12232427819767044, 0.14012264868980276, 0.02535634858461899,
             0.0729555526108383, 0.20416154219153632,
         ]
-        assert flatten(raw).weights == (0.09090909090909091,) * 11
+        assert _pool(raw) == [0.09090909090909091] * 11
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
     def test_a_repair_from_its_first_ascent_is_the_repair(self, vals):
@@ -194,8 +192,9 @@ def bits(d):
 
 class TestFloatSelection:
     """In floats, a pair whose Lorenz curves are ordered at every point but
-    the last takes its operands as meet and join, zero-padded, bit for bit.
-    Curves that cross or tie take the differences of the curves."""
+    the last takes its operands as meet and join, zero-padded, bit for bit,
+    and so does a pair whose zero-padded weights are equal bit for bit.
+    Curves that cross, or tie with other weights, take the differences."""
 
     @given(st.one_of(st.tuples(two_point_dists, two_point_dists), st.tuples(sparse_dists, sparse_dists)))
     @example((make_distribution([1.0, 7.573002358449707e-68]),
@@ -213,6 +212,17 @@ class TestFloatSelection:
         for got, want in ((meet(p, q), lower), (join(p, q), upper)):
             assert bits(got) == bits(want) + [(0.0).hex()] * (n - want.dim)
             assert (got is want) == (want.dim == n)
+
+    @given(sparse_dists)
+    @example(make_distribution([0.499999999999975, 0.499999999999975, 4.99999999999975e-14]))
+    def test_a_pair_equal_bit_for_bit_is_its_own_meet_and_join(self, p):
+        for q in (p, make_distribution(p.weights + (0.0,))):  # q is the padded p
+            for a, b in ((p, q), (q, p)):
+                assert bits(meet(a, b)) == bits(join(a, b)) == bits(q)
+        rows = np.zeros((2, 1, p.dim + 1))
+        rows[:, 0, : p.dim] = p.weights
+        order, meets, joins = bound_rows(rows, [True], np.array([p.dim]))
+        assert order.tolist() == [1] and meets.size == joins.size == 0
 
     @given(st.one_of(st.tuples(float_dists, float_dists), tied_pairs()))
     @example((make_distribution([0.6, 0.4]), make_distribution([0.6, nextafter(0.4, 1.0)])))
