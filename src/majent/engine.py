@@ -193,11 +193,11 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
     and as in a trial-by-trial loop, the first failing trial of a cell
     raises before the cell is yielded.
 
-    The cells of a batch are tallied in one scan, a reversed
-    ``np.minimum.accumulate`` of row indices under three masks: each cell's
-    first row of least margin (nan ranked as inf; of equal margins the
-    first, as a strict ``<`` loop keeps), failed row and violating row (a
-    nan margin violates).  A cell that runs over several batches keeps its
+    The cells of a batch are tallied by ``np.minimum.reduceat`` over each
+    cell's rows, of row indices under three masks: each cell's first row of
+    least margin (nan ranked as inf; of equal margins the first, as a strict
+    ``<`` loop keeps), failed row and violating row (a nan margin violates),
+    or the batch's row count.  A cell that runs over several batches keeps its
     worst margin and first violation from the earliest batch that set
     them, and replays at most one row for its counterexample.
     """
@@ -217,8 +217,8 @@ def run_cells(config: SweepConfig) -> Iterator[CellReport]:
         # Each cell's first least (nan as inf), failed and violating row, or len(cell).
         ranked = np.where(np.isnan(margin), math.inf, margin)
         marks = [ranked == np.minimum.reduceat(ranked, lo)[cell - c0], failed, ~(margin >= -CHECK_TOL)]
-        rows = np.where(marks, np.arange(len(cell)), len(cell))[:, ::-1]
-        least, fails, hits = np.minimum.accumulate(rows, axis=1)[:, ::-1][:, lo].tolist()
+        rows = np.where(marks, np.arange(len(cell)), len(cell))
+        least, fails, hits = np.minimum.reduceat(rows, lo, axis=1).tolist()
         for c, w, f, r, end in zip(range(c0, c0 + len(lo)), least, fails, hits, hi):
             if f < end:  # the replay raises: the row failed
                 _replay(gen, grid, c, int(trial[f]), margin.item(f), True)

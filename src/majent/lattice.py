@@ -11,11 +11,11 @@ curve by its least concave majorant, the least upper bound's curve.
 
 With exact rational weights on both operands the body runs in exact
 arithmetic, the oracle the float path is tested against.  In floats, as
-:func:`~majent.properties.run_check` runs it, an ordered pair's meet is its
-lower operand and its join the upper one (:func:`_order`), and a pair whose
-zero-padded weights are equal bit for bit is its own meet and join.
-:func:`bound_rows`, the row kernel behind sweeps and the only importer of
-numpy, keeps the same rules and, on crossing rows, the same bits.
+:func:`~majent.properties.run_check` runs it, a pair whose curves do not
+cross is ordered by one rule, :func:`_order`, and its meet is its lower
+operand and its join the upper one.  :func:`bound_rows`, the row kernel
+behind sweeps and the only importer of numpy, hands its ties to the same
+rule and keeps, on crossing rows, the same bits.
 """
 from __future__ import annotations
 
@@ -45,23 +45,25 @@ def _row_differences(curves: np.ndarray) -> np.ndarray:
     return out
 
 
-def _order(pa: list[float], pb: list[float]) -> int:
-    """1 when the float curve ``pa`` lies at or below ``pb`` at every point
-    but the last, 2 when ``pb`` lies at or below ``pa``, 3 when they cross
-    and 0 when they tie, equal at all those points: the raw codes of
-    :func:`bound_rows`.
+def _order(pa: list[float], pb: list[float], wa: Sequence[float], wb: Sequence[float]) -> int:
+    """1 when p is the meet of the float pair with curves ``pa`` and ``pb``
+    and zero-padded weights ``wa`` and ``wb``, 2 when q is, and 0 when the
+    curves cross: the codes of :func:`bound_rows`.
 
-    The test is strict: the tie window of
+    The meet's curve lies at or below the other at every point but the
+    last, which is left out because both curves end at 1 only up to
+    rounding.  The test is strict: the tie window of
     :func:`~majent.simplex.compare` would also pick an operand for curves
-    that cross by less than its width.  The last point is left out, because
-    both curves end at 1 only up to rounding.  A tie takes the differences,
-    which treat both operands alike, so the float meet and join stay
-    commutative bit for bit, unless the weights are equal bit for bit too.
+    that cross by less than its width.  A tie, curves equal at all those
+    points, is ordered by the weights read from the last entry, where
+    rounding left them apart: the larger are the meet, and equal weights
+    read 1.  The order is total, so the float meet and join commute bit for
+    bit, and p meet p is p.
     """
     pa, pb = pa[:-1], pb[:-1]
     if all(map(le, pa, pb)):
-        return 0 if pa == pb else 1
-    return 2 if all(map(ge, pa, pb)) else 3
+        return 1 if pa != pb or wa[::-1] >= wb[::-1] else 2
+    return 2 if all(map(ge, pa, pb)) else 0
 
 
 def bound_rows(
@@ -72,12 +74,12 @@ def bound_rows(
     and zero-padded past it.
 
     ``order`` holds the :func:`_order` code of each row's two Lorenz curves,
-    tested at every point before the row's last real one, mod 3: 1 when the
-    row's meet is p and its join q, 2 when q's curve is below, and 0 when
-    they cross or tie.  A tie whose two rows are equal bit for bit reads 1.
-    ``meets`` holds the meets of the rows that read 0 and ``joins`` the
-    joins of those that the k booleans ``join`` select, both in row order,
-    from one pair of curves.
+    tested at every point before the row's last real one: 1 when the row's
+    meet is p and its join q, 2 the other way round, and 0 when they cross.
+    Only the rows that tie go through :func:`_order` itself, on their first
+    ``n[i]`` entries.  ``meets`` holds the meets of the rows that read 0 and
+    ``joins`` the joins of those that the k booleans ``join`` select, both
+    in row order, from one pair of curves.
 
     The padding is exact: the order test stops before each row's last real
     point, past which both curves stay at their last value, so every
@@ -96,13 +98,13 @@ def bound_rows(
     ca, cb = np.add.accumulate(pairs, axis=2)
     pa, pb = ca[:, :-1], cb[:, :-1]
     # Per tested point, 1 when p's curve is below and 2 when q's is.  A
-    # row's OR of them is its raw order code.
+    # row's OR of them is its order code, 3 when they cross and 0 on a tie.
     point = (pa < pb).view(np.uint8) | (pa > pb).view(np.uint8) << 1
     point[np.arange(1, pairs.shape[2]) >= n[:, None]] = 0
     order = np.bitwise_or.reduce(point, axis=1)
-    if np.count_nonzero(order) < len(order):  # rows equal bit for bit read 1
-        tie = order == 0
-        order[tie] = (pairs[0, tie] == pairs[1, tie]).all(axis=1)
+    for i in np.flatnonzero(order == 0).tolist():
+        m = n.item(i)
+        order[i] = _order(*(x[i, :m].tolist() for x in (ca, cb, *pairs)))
     order %= 3
     cross = order == 0
     meets = _row_differences(np.minimum(ca, cb)[cross])
@@ -125,7 +127,7 @@ def bound_rows(
 def _padded(d: ProbabilityDistribution, n: int) -> ProbabilityDistribution:
     """The float operand ``d`` zero-padded to dimension ``n``: ``d`` itself
     when it needs no padding and carries no exact weights."""
-    if d.dim == n and d.exact is None:
+    if d.exact is None and len(d.weights) == n:
         return d
     return ProbabilityDistribution(d.weights + (0.0,) * (n - d.dim))
 
@@ -173,21 +175,18 @@ def _bound(
 ) -> ProbabilityDistribution:
     """The meet of ``p`` and ``q``, or their join when ``upper``: the
     differences of the pointwise-min curve, or the pooled ones of the max
-    curve.  Exact when both operands are.  In floats an ordered pair gives
-    its lower (upper) operand and a bit-equal pair ``p``, zero-padded.
+    curve.  Exact when both operands are.  In floats a pair whose curves do
+    not cross gives the operand :func:`_order` names, zero-padded.
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the differences are sorted, and, as in :func:`bound_rows`, no float
     bound is validated.
     """
     pa, pb, exact = paired_curves(p, q)
     n = len(pa)
-    order = 3 if exact else _order(pa, pb)
-    if order == 0:
-        padded = _padded(p, n)
-        if padded.weights == _padded(q, n).weights:
-            return padded
-    elif order < 3:
-        return _padded(p if (order == 1) != upper else q, n)
+    fp, fq = _padded(p, n), _padded(q, n)
+    order = 0 if exact else _order(pa, pb, fp.weights, fq.weights)
+    if order:
+        return fp if (order == 1) != upper else fq
     values = _differences(list(map(max if upper else min, pa, pb)))
     if upper:
         _pool(values)

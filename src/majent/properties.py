@@ -153,8 +153,8 @@ def run_check(
 
     fp = p if p.exact is None else ProbabilityDistribution(p.weights)
     fq = q if q.exact is None else ProbabilityDistribution(q.weights)
-    # An ordered pair's meet and join are fp and fq themselves, whose
-    # values are taken once.
+    # A pair whose curves do not cross, ties too, has fp and fq themselves
+    # as its meet and join, whose values are taken once.
     meet = _lattice.meet(fp, fq)
     if _CHECKS[kind][0]:
         join = _lattice.join(fp, fq)

@@ -360,6 +360,12 @@ class CellReport(NamedTuple):
             ),
         }
 
+    def to_csv_row(self) -> str:
+        return (
+            f"{self.alpha!r},{self.beta!r},{self.kind.value},{self.verdict.value},"
+            f"{self.worst_margin!r},{self.trials},{self.seed}\n"
+        )
+
 
 class RegionSweepReport(NamedTuple):
     """All cell outcomes of one sweep, plus the reproduction header."""
@@ -387,16 +393,11 @@ class RegionSweepReport(NamedTuple):
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        lines = [
+        return "".join([
             f"# generator: {self.algorithm}; seed: {self.seed}\n",
             "alpha,beta,property,verdict,worst_margin,trials,seed\n",
-        ]
-        for c in self.cells:
-            lines.append(
-                f"{c.alpha!r},{c.beta!r},{c.kind.value},{c.verdict.value},"
-                f"{c.worst_margin!r},{c.trials},{c.seed}\n"
-            )
-        return "".join(lines)
+            *(c.to_csv_row() for c in self.cells),
+        ])
 
 
 def sweep(config: SweepConfig) -> RegionSweepReport:

@@ -142,6 +142,14 @@ class TestLatticeCommands:
         )
         assert out == "0.4,0.3,0.2,0.1\n"
 
+    def test_a_tie_takes_its_operands(self):
+        # The float curves read 1.0 at every point; exactly, p is majorized
+        # by q.  The differences of the curves gave 1,0,0 for both bounds.
+        tie = ["--p", "1,1e-16,1e-16", "--q", "1,1e-16,1e-17"]
+        for op, want in (("meet", [1.0, 1e-16, 1e-16]), ("join", [1.0, 1e-16, 1e-17])):
+            code, out, _ = run([op, *tie])
+            assert (code, [float(w) for w in out.split(",")]) == (EXIT_OK, want)
+
     def test_compare_all_verdicts(self):
         assert run(["compare", "--p", "0.5,0.5", "--q", "0.75,0.25"])[1] == "majorized-by\n"
         assert run(["compare", "--p", "0.75,0.25", "--q", "0.5,0.5"])[1] == "majorizes\n"
@@ -232,6 +240,25 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert data["meet"] == data["join"] == data["p"] == [float(w) for w in p.split(",")]
         assert data["margin"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--property", "supermodular", "--alpha", "0.25", "--beta", "0.25"],
+            ["--property", "submodular", "--alpha=-1", "--beta", "2"],
+        ],
+        ids=["supermodular", "submodular"],
+    )
+    def test_a_tie_takes_its_operands(self, argv):
+        # Bounds rebuilt from differences of the tied curves read a
+        # violation in a proven region at (0.25, 0.25), and a zero weight
+        # outside the domain at alpha = -1 on operands of full support.
+        code, out, _ = run(
+            ["check", *argv, "--p", "1,1e-16,1e-16", "--q", "1,1e-16,1e-17", "--format", "json"]
+        )
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["meet"], data["join"], data["margin"]) == (data["p"], data["q"], 0.0)
 
     def test_a_negative_order_in_exponent_form_attached_with_equals(self):
         # argparse may take a bare -1e-5 for an option; attached, it is a value.

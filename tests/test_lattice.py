@@ -186,6 +186,19 @@ def tied_pairs(draw):
     return p, make_distribution(p.weights[:-1] + (last,) + (0.0,) * draw(st.integers(0, 2)))
 
 
+@st.composite
+def tail_ties(draw):
+    """(p, q) of one dimension, 3 to 8, with a shared normalized head and
+    tails of 10^x, x in [-40, -16], drawn apart: the tails sit below the
+    rounding of the curves, which mostly tie at every tested point."""
+    n = draw(st.integers(3, 8))
+    head = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=n - 1))
+    head = [w / sum(head) for w in head]
+    size = n - len(head)
+    tails = st.lists(st.floats(-40.0, -16.0).map(lambda x: 10.0**x), min_size=size, max_size=size)
+    return make_distribution(head + draw(tails)), make_distribution(head + draw(tails))
+
+
 def bits(d):
     return [w.hex() for w in d.weights]
 
@@ -193,8 +206,8 @@ def bits(d):
 class TestFloatSelection:
     """In floats, a pair whose Lorenz curves are ordered at every point but
     the last takes its operands as meet and join, zero-padded, bit for bit,
-    and so does a pair whose zero-padded weights are equal bit for bit.
-    Curves that cross, or tie with other weights, take the differences."""
+    and so does a tie, curves equal at all those points, ordered by its
+    weights.  Only curves that cross take the differences."""
 
     @given(st.one_of(st.tuples(two_point_dists, two_point_dists), st.tuples(sparse_dists, sparse_dists)))
     @example((make_distribution([1.0, 7.573002358449707e-68]),
@@ -231,6 +244,35 @@ class TestFloatSelection:
         p, q = pair
         for op in (meet, join):
             assert bits(op(p, q)) == bits(op(q, p))
+
+    @given(tail_ties())
+    # Exactly, p is majorized by q; the differences of the curves gave
+    # (1, 0, 0) for both bounds.
+    @example((make_distribution([1.0, 1e-16, 1e-16]), make_distribution([1.0, 1e-16, 1e-17])))
+    def test_a_tie_takes_its_operands(self, pair):
+        p, q = pair
+        pa, pb, _ = paired_curves(p, q)
+        assume(pa[:-1] == pb[:-1])
+        lower, upper = meet(p, q), join(p, q)
+        assert sorted([bits(lower), bits(upper)]) == sorted([bits(p), bits(q)])
+        assert (bits(meet(q, p)), bits(join(q, p))) == (bits(lower), bits(upper))
+        # Both rows of the kernel name the same operands.
+        pairs = np.array([[p.weights, q.weights], [q.weights, p.weights]])
+        order, meets, joins = bound_rows(pairs, [True, True], np.full(2, p.dim))
+        assert meets.size == joins.size == 0
+        for i, code in enumerate(order.tolist()):
+            assert pairs[code - 1, i].tolist() == list(lower.weights)
+            assert pairs[2 - code, i].tolist() == list(upper.weights)
+        # Where the exact normalized copies are comparable, the float meet is
+        # the operand whose copy is the exact meet.
+        exact = [make_distribution([Fraction(w) / sum(map(Fraction, d.weights)) for w in d.weights])
+                 for d in (p, q)]
+        below = compare(*exact)
+        if below is MajorizationOrder.MAJORIZED_BY:
+            assert bits(lower) == bits(p)
+        elif below is MajorizationOrder.MAJORIZES:
+            assert bits(lower) == bits(q)
+
 
 class TestLatticeLaws:
     """Algebraic laws, all in exact arithmetic."""
