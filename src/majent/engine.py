@@ -67,9 +67,9 @@ def evaluate(pairs, dims, alpha, beta, joined) -> tuple[np.ndarray, np.ndarray]:
     alpha and beta, as a (4, k) array; and which rows ``family_rows`` flags.
     An ordered row's meet and join are its operands (``bound_rows``), so
     their values are copies of S(p) and S(q); only a crossing row's bounds
-    go through ``family_rows``."""
+    go through ``family_rows``, whose zero-weight rule alone reads ``dims``."""
     k = len(dims)
-    order, meets, joins = bound_rows(pairs, joined, dims)
+    order, meets, joins = bound_rows(pairs, joined)
     at = np.arange(k)
     cross = order == 0
     cross_joined = cross & joined

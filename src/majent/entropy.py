@@ -17,9 +17,9 @@ because the general formula is the Tsallis form there.  All evaluations
 near a removable singularity go through ``expm1`` so that the limits are
 approached smoothly in float arithmetic.
 
-Conventions: 0^alpha = 0 for alpha >= 0 inside power sums (so the alpha = 0
-sum counts the support), and a zero weight combined with alpha < 0 is a hard
-error rather than an infinity.
+Conventions: 0^alpha = 0 for alpha >= 0 in power sums (the alpha = 0 sum
+counts the support), a zero weight at alpha < 0 is a hard error, not an
+infinity, and each value has 0.0 added, so a zero reads +0.0, not -0.0.
 
 Float values come from two paths with the same operations in the same
 order.  The scalar functions here evaluate one distribution term by term in
@@ -153,16 +153,16 @@ def _outer(x: float, alpha: float, beta: float) -> float:
     """The family value from its argument: the Shannon entropy in bits at
     alpha = 1, else the power sum.  Python floats, which raise where the C
     library signals an error.  The branches are ln(2) times Shannon,
-    phi_beta of Shannon, ln(2) times Renyi and h_alpha_beta."""
+    phi_beta of Shannon, ln(2) times Renyi and h_alpha_beta, each + 0.0."""
     if alpha == 1.0:
         if not x >= 0.0:
             raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
-        return LN2 * x if beta == 1.0 else math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)
+        return (LN2 * x if beta == 1.0 else math.expm1((1.0 - beta) * x * LN2) / (1.0 - beta)) + 0.0
     if beta == 1.0:
-        return math.log(x) / (1.0 - alpha)
+        return math.log(x) / (1.0 - alpha) + 0.0
     if not x > 0.0:
         raise ValueError(f"h_alpha_beta needs x > 0, got {x!r}")
-    return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(x)) / (1.0 - beta)
+    return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(x)) / (1.0 - beta) + 0.0
 
 
 #: Largest ``expm1`` argument the bulk pass settles.  ``math.expm1``
@@ -195,7 +195,7 @@ def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     values = np.where(a1, LN2 * x, logs / one_a)
     at = ~(b1 | replay)
     values[at] = _mapped(math.expm1, arg[at]) / one_b[at]
-    return values, np.flatnonzero(replay).tolist()
+    return values + 0.0, np.flatnonzero(replay).tolist()
 
 
 def family_rows(
@@ -274,7 +274,7 @@ def renyi(p: ProbabilityDistribution, alpha: float) -> float:
     """Renyi entropy of order ``alpha >= 0``, in bits.
 
     Order 1 is Shannon, order 0 counts the support, order +inf is the
-    min-entropy -log2(max weight).
+    min-entropy -log2(max weight).  A point mass reads +0.0 at every order.
     """
     alpha = float(alpha)
     if not alpha >= 0.0:
@@ -282,8 +282,8 @@ def renyi(p: ProbabilityDistribution, alpha: float) -> float:
     if alpha == 1.0:
         return shannon(p)
     if math.isinf(alpha):
-        return -math.log2(p.weights[0])
-    return math.log2(g_alpha(p, alpha)) / (1.0 - alpha)
+        return 0.0 - math.log2(p.weights[0])
+    return math.log2(g_alpha(p, alpha)) / (1.0 - alpha) + 0.0
 
 
 def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
@@ -291,14 +291,14 @@ def tsallis(p: ProbabilityDistribution, alpha: float) -> float:
 
     The boundary alpha = 0 is left undefined here on purpose: the formula
     degenerates to support size minus 1 and is no longer an entropy in any
-    useful sense.  Order 1 is ln(2) times Shannon.
+    useful sense.  Order 1 is ln(2) times Shannon, and a point mass reads +0.0.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"Tsallis order must be > 0, got {alpha!r}")
     if alpha == 1.0:
         return LN2 * shannon(p)
-    return (1.0 - g_alpha(p, alpha)) / (alpha - 1.0)
+    return (1.0 - g_alpha(p, alpha)) / (alpha - 1.0) + 0.0
 
 
 def phi_beta(x: float, beta: float) -> float:

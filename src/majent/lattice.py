@@ -12,10 +12,11 @@ curve by its least concave majorant, the least upper bound's curve.
 With exact rational weights on both operands the body runs in exact
 arithmetic, the oracle the float path is tested against.  In floats, as
 :func:`~majent.properties.run_check` runs it, a pair whose curves do not
-cross is ordered by one rule, :func:`_order`, and its meet is its lower
-operand and its join the upper one.  :func:`bound_rows`, the row kernel
-behind sweeps and the only importer of numpy, hands its ties to the same
-rule and keeps, on crossing rows, the same bits.
+cross is ordered by one rule, :func:`_order`, which reads the points it
+tests off the weights, and its meet is its lower operand and its join the
+upper one.  :func:`bound_rows`, the row kernel behind sweeps and the only
+importer of numpy, tests the same points, hands its ties to the same rule
+and keeps, on crossing rows, the same bits.
 """
 from __future__ import annotations
 
@@ -50,41 +51,41 @@ def _order(pa: list[float], pb: list[float], wa: Sequence[float], wb: Sequence[f
     and zero-padded weights ``wa`` and ``wb``, 2 when q is, and 0 when the
     curves cross: the codes of :func:`bound_rows`.
 
-    The meet's curve lies at or below the other at every point but the
-    last, which is left out because both curves end at 1 only up to
-    rounding.  The test is strict: the tie window of
-    :func:`~majent.simplex.compare` would also pick an operand for curves
-    that cross by less than its width.  A tie, curves equal at all those
-    points, is ordered by the weights read from the last entry, where
-    rounding left them apart: the larger are the meet, and equal weights
-    read 1.  The order is total, so the float meet and join commute bit for
-    bit, and p meet p is p.
+    The meet's curve lies at or below the other at every tested point, each
+    one after which either operand still has weight: the weights are
+    non-increasing, so the test leaves out the last point and one more per
+    trailing zero, padding included, that the operands share.  Past them
+    both curves sit at their ends, which agree only up to rounding.  The
+    test is strict: the tie window of :func:`~majent.simplex.compare` would
+    also pick an operand for curves that cross by less than its width.  A
+    tie, curves equal at every tested point, is ordered by the weights read
+    from the last entry, where rounding left them apart: the larger are the
+    meet, and equal weights read 1.  The order is total, so the float meet
+    and join commute bit for bit, and p meet p is p.
     """
-    pa, pb = pa[:-1], pb[:-1]
+    k = len(wa) - 1 - min(wa.count(0.0), wb.count(0.0))
+    pa, pb = pa[:k], pb[:k]
     if all(map(le, pa, pb)):
         return 1 if pa != pb or wa[::-1] >= wb[::-1] else 2
     return 2 if all(map(ge, pa, pb)) else 0
 
 
-def bound_rows(
-    pairs: np.ndarray, join: Sequence[bool], n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]``
-    of a (2, k, m) array of sorted distributions, each of dimension ``n[i]``
-    and zero-padded past it.
+    of a (2, k, m) array of sorted distributions, zero-padded to width m.
 
     ``order`` holds the :func:`_order` code of each row's two Lorenz curves,
-    tested at every point before the row's last real one: 1 when the row's
-    meet is p and its join q, 2 the other way round, and 0 when they cross.
-    Only the rows that tie go through :func:`_order` itself, on their first
-    ``n[i]`` entries.  ``meets`` holds the meets of the rows that read 0 and
-    ``joins`` the joins of those that the k booleans ``join`` select, both
-    in row order, from one pair of curves.
+    tested at the points :func:`_order` tests, those after which either
+    operand still has weight: 1 when the row's meet is p and its join q, 2
+    the other way round, and 0 when they cross.  Only the rows that tie go
+    through :func:`_order` itself, whole.  ``meets`` holds the meets of the
+    rows that read 0 and ``joins`` the joins of those that the k booleans
+    ``join`` select, both in row order, from one pair of curves.
 
-    The padding is exact: the order test stops before each row's last real
-    point, past which both curves stay at their last value, so every
-    difference there is 0, the sort keeps those zeros at the end and the
-    block averaging never grows a block into them.
+    The padding is exact: it is trailing zeros, past which both curves stay
+    at their last value, so no point there is tested, every difference
+    there is 0, the sort keeps those zeros at the end and the block
+    averaging never grows a block into them.
 
     Rounding can leave a meet's difference a hair above its left neighbour,
     so the meets are sorted, as a scalar meet would sort them.  Only the
@@ -100,11 +101,10 @@ def bound_rows(
     # Per tested point, 1 when p's curve is below and 2 when q's is.  A
     # row's OR of them is its order code, 3 when they cross and 0 on a tie.
     point = (pa < pb).view(np.uint8) | (pa > pb).view(np.uint8) << 1
-    point[np.arange(1, pairs.shape[2]) >= n[:, None]] = 0
+    point[(pairs[:, :, 1:] == 0.0).all(axis=0)] = 0
     order = np.bitwise_or.reduce(point, axis=1)
     for i in np.flatnonzero(order == 0).tolist():
-        m = n.item(i)
-        order[i] = _order(*(x[i, :m].tolist() for x in (ca, cb, *pairs)))
+        order[i] = _order(*(x[i].tolist() for x in (ca, cb, *pairs)))
     order %= 3
     cross = order == 0
     meets = _row_differences(np.minimum(ca, cb)[cross])

@@ -78,6 +78,15 @@ def run_fresh(argv, script=FRESH_MAIN):
     return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
+#: Exactly p is majorized by q; both end in four zeros.  Tested at the
+#: points past both supports, the float curves cross where they agree with
+#: 1 only up to rounding.
+SHARED_ZEROS = [
+    "--p", "0.6532252317251787,0.18145328665562568,0.16532148161917495,2.0871098872707664e-14,0,0,0,0",
+    "--q", "0.6632371425170408,0.2202769735041269,0.11648588397881306,1.9139014145403264e-14,0,0,0,0",
+]
+
+
 class TestEntropyCommand:
     def test_shannon_of_point_mass_is_zero(self):
         assert run(["entropy", "--dist", "1,0,0", "--family", "shannon"]) == (0, "0\n", "")
@@ -103,6 +112,21 @@ class TestEntropyCommand:
     def test_renyi_and_tsallis(self):
         assert run(["entropy", "--dist", "0.5,0.5", "--family", "renyi", "--alpha", "2"])[1] == "1\n"
         assert run(["entropy", "--dist", "0.5,0.5", "--family", "tsallis", "--alpha", "2"])[1] == "0.5\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "2", "--beta", "3"],
+            ["--alpha", "2", "--beta", "1"],
+            ["--family", "renyi", "--alpha", "2"],
+            ["--family", "renyi", "--alpha", "inf"],
+            ["--family", "tsallis", "--alpha", "0.5"],
+        ],
+    )
+    def test_a_point_mass_reads_plus_zero(self, argv):
+        # A zero numerator over a negative 1 - alpha, 1 - beta or alpha - 1
+        # printed -0.
+        assert run(["entropy", "--dist", "1", *argv]) == (EXIT_OK, "0\n", "")
 
     def test_missing_family_parameters_are_usage_errors(self):
         for argv in (
@@ -149,6 +173,12 @@ class TestLatticeCommands:
         for op, want in (("meet", [1.0, 1e-16, 1e-16]), ("join", [1.0, 1e-16, 1e-17])):
             code, out, _ = run([op, *tie])
             assert (code, [float(w) for w in out.split(",")]) == (EXIT_OK, want)
+
+    def test_a_shared_trailing_zero_is_not_tested(self):
+        p, q = (SHARED_ZEROS[i].split(",") for i in (1, 3))
+        for op, want in (("meet", p), ("join", q)):
+            code, out, _ = run([op, *SHARED_ZEROS])
+            assert (code, [float(w) for w in out.split(",")]) == (EXIT_OK, [float(w) for w in want])
 
     def test_compare_all_verdicts(self):
         assert run(["compare", "--p", "0.5,0.5", "--q", "0.75,0.25"])[1] == "majorized-by\n"
@@ -259,6 +289,23 @@ class TestCheckCommand:
         data = json.loads(out)
         assert code == EXIT_OK
         assert (data["meet"], data["join"], data["margin"]) == (data["p"], data["q"], 0.0)
+
+    def test_a_shared_trailing_zero_is_not_tested(self):
+        # A proven region; the points past both supports read the pair as
+        # crossing, and the differences of its curves as a violation.
+        code, out, _ = run(
+            ["check", "--property", "supermodular", *SHARED_ZEROS,
+             "--alpha", "0.25", "--beta", "0.25", "--format", "json"]
+        )
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["meet"], data["join"], data["margin"]) == (data["p"], data["q"], 0.0)
+
+    def test_a_point_mass_reads_plus_zero(self):
+        _, out, _ = run(
+            ["check", "--property", "subadditive", "--p", "1", "--q", "1", "--alpha", "2", "--beta", "3"]
+        )
+        assert "lhs: 0\n" in out and "rhs: 0\n" in out
 
     def test_a_negative_order_in_exponent_form_attached_with_equals(self):
         # argparse may take a bare -1e-5 for an option; attached, it is a value.

@@ -40,6 +40,13 @@ from majent.simplex import make_distribution, tensor_product
 P1 = make_distribution([0.5, 0.3, 0.1, 0.1])
 Q1 = make_distribution([0.4, 0.4, 0.2, 0.0])
 AT_2_3 = EntropyParams.make(2.0, 3.0)
+# Exactly p is majorized by q, and both end in the same four zeros.
+SHARED_ZEROS = (
+    make_distribution([0.6532252317251787, 0.18145328665562568, 0.16532148161917495,
+                       2.0871098872707664e-14, 0, 0, 0, 0]),
+    make_distribution([0.6632371425170408, 0.2202769735041269, 0.11648588397881306,
+                       1.9139014145403264e-14, 0, 0, 0, 0]),
+)
 
 
 def uniform(n):
@@ -409,6 +416,21 @@ class TestRowKernelBits:
             assert failed.tolist() == [False] * len(rows)  # no sharma_mittal raised
             assert values.tolist() == expected
 
+    def test_a_point_mass_reads_plus_zero_on_both_paths(self):
+        # A zero numerator over a negative 1 - alpha, 1 - beta or alpha - 1
+        # gave -0.0.
+        p = make_distribution([1.0])
+        params = [EntropyParams(alpha, beta) for alpha in self.ALPHAS for beta in self.BETAS]
+        values, _ = family_rows(
+            np.ones((len(params), 1)),
+            np.array([pr.alpha for pr in params]),
+            np.array([pr.beta for pr in params]),
+            np.ones(len(params), dtype=int),
+        )
+        scalars = [sharma_mittal(p, pr) for pr in params]
+        for value in (*values.tolist(), *scalars, renyi(p, 2.0), renyi(p, math.inf), tsallis(p, 0.5)):
+            assert math.copysign(1.0, value) == 1.0
+
     def test_failing_rows_report_their_own_errors(self):
         # The kernel flags the rows; the scalar path raises their errors.
         rows = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
@@ -553,6 +575,7 @@ class TestScalarPathBits:
     # Ordered at the tested point, while the sums, at the untested end, are
     # ordered the other way.
     @example(make_distribution([0.5, 0.5]), make_distribution([0.6, 0.3999999999999999]))
+    @example(*SHARED_ZEROS)
     def test_float_meet_and_join_equal_the_row_kernel(self, p, q):
         # An ordered row is compared with its operands, zero-padded, and a
         # crossing one with the kernel's meet and join.  The rows carry two
@@ -561,7 +584,7 @@ class TestScalarPathBits:
         pairs = np.zeros((2, 2, n + 2))
         pairs[0, 0, : p.dim], pairs[1, 0, : q.dim] = p.weights, q.weights
         pairs[0, 1, : q.dim], pairs[1, 1, : p.dim] = q.weights, p.weights
-        order, meets, joins = bound_rows(pairs, [True, True], np.full(2, n))
+        order, meets, joins = bound_rows(pairs, [True, True])
         # The swapped row reads the swapped code, except that rows equal
         # bit for bit are their own meet and join and read 1 both ways.
         if pairs[0, 0].tolist() == pairs[1, 0].tolist():
@@ -589,6 +612,7 @@ class TestScalarPathBits:
         EntropyParams(-50.0, 2.0),
         PropertyKind.SUBADDITIVE,
     )
+    @example(SHARED_ZEROS, EntropyParams(0.25, 0.25), PropertyKind.SUPERMODULAR)
     @example(  # q's curve is below: the meet takes S(q)
         (make_distribution([0.9, 0.1]), make_distribution([0.6, 0.4])),
         AT_2_3,
