@@ -2,22 +2,22 @@
 
 Exit status: 0 on success, 1 when an expected property fails (a violated
 check, a reference pair that does not reproduce, a sweep aborted by a
-guarantee inconsistency), 2 on usage errors, 3 on numeric domain errors
-such as negative weights, parameters outside the family's domain or a power
-sum that overflows.
+guarantee inconsistency), 2 on usage errors and on output that cannot be
+written (an unwritable ``sweep --out``, a closed standard output), 3 on
+numeric domain errors such as negative weights, parameters outside the
+family's domain or a power sum that overflows.
 
 Each command loads only the modules it runs.  ``meet --exact`` and
-``join --exact`` run on exact rationals; ``compare``, float ``meet`` and
-``join``, ``entropy``, ``check`` and ``verify-paper`` evaluate their one
-pair or distribution in Python floats.  None of these, nor ``--help`` or a
-usage error found while parsing, imports numpy: only ``sweep`` loads it,
-with the batched engine and :mod:`majent.search`.  :mod:`majent.lattice`
-loads where a meet or a join is taken, :mod:`fractions` only for rational
-input, :mod:`json` only where JSON is written, and ``verify-paper`` loads
-:mod:`majent.reference`.  The records are NamedTuples or slotted classes,
-so no command pays for :mod:`inspect` and the class generation of the
-standard record decorator (numpy itself loads :mod:`inspect` for
-``sweep``).
+``join --exact`` run on exact rationals, and ``compare``, float ``meet``
+and ``join``, ``entropy``, ``check`` and ``verify-paper`` on one pair or
+distribution in Python floats.  None of these, nor ``--help`` or a usage
+error, imports numpy: only ``sweep`` loads it, with the batched engine and
+:mod:`majent.search`.  :mod:`majent.lattice` loads where a meet or a join
+is taken, :mod:`fractions` only for rational input, :mod:`json` only where
+JSON is written, and ``verify-paper`` loads :mod:`majent.reference`.  The
+records are NamedTuples or slotted classes, so no command pays for
+:mod:`inspect` and the standard record decorator's class generation
+(numpy itself loads :mod:`inspect` for ``sweep``).
 """
 from __future__ import annotations
 
@@ -264,11 +264,19 @@ def main(argv: list[str] | None = None) -> int:
     # No float's exact decimal expansion has more significant digits.
     args.digits = min(args.digits, 767)
     try:
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; that write goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except VectorParseError as err:
         return _error(err, EXIT_USAGE)
     except (ValueError, OverflowError) as err:
         return _error(err, EXIT_DOMAIN)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,13 @@
 """Batched evaluation of check cells: the engine behind sweeps and searches.
 
 A run is a validated :class:`~majent.search.SweepConfig`, and a cell one
-(kind, alpha, beta) check of its grid on ``trials_per_cell`` pairs.  Cells
-are found by index in the order of :class:`_Grid`; a run holds no list of
-them, and yields each finished :class:`~majent.search.CellReport`.  The
-engine takes the (cell, trial) rows of the grid in order, at most
-``BATCH_ROWS`` at a time, and sends each width class of a batch through
-the row kernels of ``lattice`` and ``entropy`` once
-(:func:`_evaluate_batch`).  A batch keeps only its margins, in row order,
-and which rows failed, so each cell's worst margin, first violation and
-first failure are those of a trial-by-trial loop over
-:func:`~majent.properties.run_check`, and a cell's first violation or
-failed row is replayed from its key (:func:`_replay`).  Pairs are drawn
-on one Philox generator per :func:`run_cells` call, so runs share none.
+(kind, alpha, beta) check of its grid (:class:`_Grid`) on
+``trials_per_cell`` pairs.  :func:`run_cells` takes the (cell, trial) rows
+of the grid in order, at most ``BATCH_ROWS`` at a time, and sends each
+width class of a batch through the row kernels of ``lattice`` and
+``entropy`` once (:func:`_evaluate_batch`).  A batch keeps only its
+margins, in row order, and which rows failed, so each cell's report is
+that of a trial-by-trial loop over :func:`~majent.properties.run_check`.
 """
 from __future__ import annotations
 
@@ -65,9 +60,9 @@ def evaluate(pairs, dims, alpha, beta, joined) -> tuple[np.ndarray, np.ndarray]:
     """S(p), S(q), S(p meet q) and, where ``joined``, S(p join q) (else nan)
     for each row of (2, k, m) pairs zero-padded past ``dims``, at the row's
     alpha and beta, as a (4, k) array; and which rows ``family_rows`` flags.
-    An ordered row's meet and join are its operands (``bound_rows``), so
-    their values are copies of S(p) and S(q); only a crossing row's bounds
-    go through ``family_rows``, whose zero-weight rule alone reads ``dims``."""
+    An ordered row's bounds are its operands, so their values are copies of
+    S(p) and S(q); only a crossing row's bounds go through ``family_rows``,
+    whose zero-weight rule alone reads ``dims``."""
     k = len(dims)
     order, meets, joins = bound_rows(pairs, joined)
     at = np.arange(k)
@@ -103,9 +98,9 @@ def _evaluate_batch(gen, grid: _Grid, cell, trial) -> tuple[np.ndarray, np.ndarr
     are sorted by the source of their pair alone, reference pairs first:
     none is wider than ``CLASS_WIDTH``, so the widths never descend, each
     class is one slice of the sorted rows and each source one slice of its
-    class.  Each kind's margin is taken of every
-    row, and each row keeps its own kind's: a few operations on whole
-    arrays cost less than selecting each kind's rows."""
+    class.  Each kind's margin is taken of every row, and each row keeps its
+    own kind's: a few operations on whole arrays cost less than selecting
+    each kind's rows."""
     kind_index, alpha_at, beta_at = grid.columns(cell)
     alpha = grid.alphas[alpha_at]
     ref = _is_reference(alpha, trial)
@@ -179,26 +174,23 @@ def _replay(gen, grid: _Grid, c: int, t: int, margin: float, failed: bool) -> Co
 
 def run_cells(config: SweepConfig) -> Iterator[CellReport]:
     """Yield the :class:`~majent.search.CellReport` of each cell of the grid
-    of ``config``, alpha x beta x properties, in that order.
+    of ``config``, in the order of :class:`_Grid`.
 
-    Cell ``i`` of that order has cell index ``i``, and its report reads its
-    alpha, beta and kind off ``i`` (:class:`_Grid`).  The pairs of
-    ``reference.REFERENCE_PAIRS`` are its leading trials whenever the order is
-    non-negative (they may contain a zero weight, so negative orders skip
-    them); the rest are fresh samples with the dimension cycling through
-    ``dims``.  A cell without a violation has None for its counterexample.
-    A flagged row, a cell's first violation or a trial whose evaluation
-    fails, is replayed from its key (:func:`_replay`); the error a failing
-    trial raises comes out as :class:`~majent.search.TrialEvaluationError`,
-    and as in a trial-by-trial loop, the first failing trial of a cell
-    raises before the cell is yielded.
+    The pairs of ``reference.REFERENCE_PAIRS`` are each cell's leading
+    trials whenever its order is non-negative (one carries a zero weight,
+    so negative orders skip them), so their known violations at (2, 3) are
+    found whatever the seed; the rest are fresh samples with the dimension
+    cycling through ``dims``.  A cell without a violation has None for its
+    counterexample.  Its first violation and its first failing trial are
+    replayed (:func:`_replay`), and as in a trial-by-trial loop, the first
+    failing trial of a cell raises before the cell is yielded.
 
     The cells of a batch are tallied by ``np.minimum.reduceat`` over each
     cell's rows, of row indices under three masks: each cell's first row of
     least margin (nan ranked as inf; of equal margins the first, as a strict
     ``<`` loop keeps), failed row and violating row (a nan margin violates),
-    or the batch's row count.  A cell that runs over several batches keeps its
-    worst margin and first violation from the earliest batch that set
+    or the batch's row count.  A cell that runs over several batches keeps
+    its worst margin and first violation from the earliest batch that set
     them, and replays at most one row for its counterexample.
     """
     # Every trial sets its own key; a fixed one here draws no OS entropy.

@@ -21,16 +21,18 @@ Conventions: 0^alpha = 0 for alpha >= 0 in power sums (the alpha = 0 sum
 counts the support), a zero weight at alpha < 0 is a hard error, not an
 infinity, and each value has 0.0 added, so a zero reads +0.0, not -0.0.
 
-Float values come from two paths with the same operations in the same
-order.  The scalar functions here evaluate one distribution term by term in
-Python floats, and :func:`family_rows`, the row kernel behind sweeps,
-evaluates many rows at once, each at its own (alpha, beta).  Powers,
-logarithms and ``expm1`` come from the C library on both paths (Python's
-``**`` and ``np.float_power`` both call its ``pow``), numpy does only
-correctly rounded arithmetic, and sums run one term at a time, smallest
-weight first, so a value has the same bits on either path, whatever the
-number of rows and the host's vector unit are.  Only the row kernel
-imports numpy.
+Last-bit policy: float values come from two paths with the same
+operations in the same order.  The scalar functions here evaluate one
+distribution term by term in Python floats, and :func:`family_rows`, the
+row kernel behind sweeps, evaluates many rows at once, each at its own
+(alpha, beta).  Powers, logarithms and ``expm1`` come from the C library on
+both paths: numpy's vector loops for them round some results differently,
+so the row kernel maps :mod:`math`'s over its rows and takes powers from
+``np.float_power``, which calls ``pow`` element by element as Python's
+``**`` does.  numpy does only correctly rounded arithmetic, and sums run
+one term at a time, smallest weight first, so a value has the same bits on
+either path, whatever the number of rows and the host's vector unit are.
+Only the row kernel imports numpy.
 """
 from __future__ import annotations
 
@@ -123,15 +125,8 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
     """(x, terms): per row of ``w``, the Shannon entropy in bits where
     ``logged``, else the power sum at the row's ``alpha``, and the terms
     summed.  No power or logarithm is taken of a zero weight, so zero
-    weights add nothing and call no C library function.
-
-    numpy's vector loops for ``log2`` and ``power`` round some results
-    differently from the C library, so the logarithms come from
-    :mod:`math` and the powers from ``np.float_power``, which calls the C
-    library's ``pow`` element by element, as Python's ``**`` does.  The rows
-    are summed a column at a time, from the last column to the first, so
-    each row's sum makes the additions of the scalar loop in its order and
-    is the same float whatever the number of rows.
+    weights add nothing and call no C library function.  The rows are
+    summed a column at a time, last column first: the scalar loop's order.
     """
     import numpy as np
 
@@ -150,10 +145,9 @@ def _argument(w: np.ndarray, alpha: np.ndarray, logged: np.ndarray):
 
 
 def _outer(x: float, alpha: float, beta: float) -> float:
-    """The family value from its argument: the Shannon entropy in bits at
-    alpha = 1, else the power sum.  Python floats, which raise where the C
-    library signals an error.  The branches are ln(2) times Shannon,
-    phi_beta of Shannon, ln(2) times Renyi and h_alpha_beta, each + 0.0."""
+    """The family value, + 0.0, from its argument (Shannon in bits at
+    alpha = 1, else the power sum) by :func:`sharma_mittal`'s branches, in
+    Python floats, which raise where the C library signals an error."""
     if alpha == 1.0:
         if not x >= 0.0:
             raise ValueError(f"phi_beta is defined for x >= 0, got {x!r}")
@@ -165,37 +159,11 @@ def _outer(x: float, alpha: float, beta: float) -> float:
     return math.expm1((1.0 - beta) / (1.0 - alpha) * math.log(x)) / (1.0 - beta) + 0.0
 
 
-#: Largest ``expm1`` argument the bulk pass settles.  ``math.expm1``
-#: overflows just past log(DBL_MAX) = 709.78, so the rows beyond this bound
-#: go through :func:`_outer`, which gives math's value or its OverflowError.
+#: Largest ``expm1`` argument that :func:`family_rows`' bulk pass settles.
+#: ``math.expm1`` overflows just past log(DBL_MAX) = 709.78, so the rows
+#: beyond this bound go through :func:`_outer`, which gives math's value or
+#: its OverflowError.
 _EXPM1_BOUND = 709.0
-
-
-def _bulk_outer(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(values, replay): the outer map of every row, with numpy doing the
-    arithmetic of :func:`_outer`'s expressions in their own order (elementwise
-    IEEE operations give Python's float bits) and ``map`` calling
-    ``math.log`` and ``math.expm1``; and the rows whose value this pass
-    cannot settle, which go through :func:`_outer`: an argument outside the
-    domain of the log or of the Shannon forms, and an ``expm1`` argument
-    above ``_EXPM1_BOUND``.
-    """
-    import numpy as np
-
-    a1, b1 = alpha == 1.0, beta == 1.0
-    one_a, one_b = 1.0 - alpha, 1.0 - beta
-    replay = ~np.where(a1, x >= 0.0, x > 0.0)
-    logs = np.zeros(len(x))
-    at = ~(a1 | replay)
-    logs[at] = _mapped(math.log, x[at])
-    arg = np.where(a1, one_b * x * LN2, one_b / one_a * logs)
-    replay |= ~b1 & (arg > _EXPM1_BOUND)
-    # The beta = 1 values everywhere, then the others where settled; a
-    # replayed row's value is replaced.
-    values = np.where(a1, LN2 * x, logs / one_a)
-    at = ~(b1 | replay)
-    values[at] = _mapped(math.expm1, arg[at]) / one_b[at]
-    return values + 0.0, np.flatnonzero(replay).tolist()
 
 
 def family_rows(
@@ -206,31 +174,40 @@ def family_rows(
 
     ``w`` is (k, m) and row i holds a non-increasing distribution in its
     first ``n[i]`` entries, zero-padded past them, evaluated at
-    ``(alpha[i], beta[i])``.  The branches are those of
-    :func:`sharma_mittal`, chosen per row.  The kernel builds no error:
-    every error comes from the scalar path, which a sweep runs on a flagged
-    row to raise it.
+    ``(alpha[i], beta[i])`` with :func:`sharma_mittal`'s branches and bits
+    (the module's last-bit policy).  No error is built here: a sweep replays
+    a flagged row to raise it (:func:`majent.engine._replay`).
 
     The padding cannot move a bit: no power or logarithm is taken of it,
     the smallest-first sums add its zero terms before any real term, and
     the zero-weight rule reads each row's last real entry, which is what
     ``n`` is for.
-
-    The outer map from a row's power sum or Shannon entropy to its value
-    runs in bulk (:func:`_bulk_outer`), with the bits and failures of
-    :func:`_outer`.  The scalar functions are the same evaluation at k = 1, in
-    Python floats.
     """
     import numpy as np
 
+    a1, b1 = alpha == 1.0, beta == 1.0
     with np.errstate(all="ignore"):
-        x, terms = _argument(w, alpha, alpha == 1.0)
-        values, replay = _bulk_outer(x, alpha, beta)
+        x, terms = _argument(w, alpha, a1)
+        # _outer on every row at once: numpy does its arithmetic in its
+        # order, which gives Python's float bits, and math's log and expm1
+        # are mapped.  A row outside the log's or the Shannon forms' domain,
+        # or with an expm1 argument above _EXPM1_BOUND, goes through _outer.
+        one_a, one_b = 1.0 - alpha, 1.0 - beta
+        replay = ~np.where(a1, x >= 0.0, x > 0.0)
+        logs = np.zeros(len(x))
+        at = ~(a1 | replay)
+        logs[at] = _mapped(math.log, x[at])
+        arg = np.where(a1, one_b * x * LN2, one_b / one_a * logs)
+        replay |= ~b1 & (arg > _EXPM1_BOUND)
+        values = np.where(a1, LN2 * x, logs / one_a)
+        at = ~(b1 | replay)
+        values[at] = _mapped(math.expm1, arg[at]) / one_b[at]
+        values += 0.0
     # A zero weight at a negative order, and a power beyond the float range.
     failed = (w[np.arange(len(w)), n - 1] == 0.0) & (alpha < 0.0)
     if np.isinf(x).any():
         failed |= np.isinf(terms).any(axis=1)
-    for i in replay:
+    for i in np.flatnonzero(replay).tolist():
         try:
             values[i] = _outer(x.item(i), alpha.item(i), beta.item(i))
         except (ValueError, OverflowError):
@@ -243,10 +220,9 @@ def g_alpha(p: ProbabilityDistribution, alpha: float) -> float:
     """The power sum sum_i p_i^alpha over the support, smallest weights first.
 
     This is the argument fed to ``h_alpha_beta`` and equals
-    (1 - alpha) T_alpha(p) + 1 where T is the Tsallis entropy.  Zero weights
-    contribute nothing for alpha >= 0 (in particular the alpha = 0 sum is
-    the support size) and are rejected for alpha < 0, before any power is
-    taken.  The terms are added as :func:`family_rows` adds a row's.
+    (1 - alpha) T_alpha(p) + 1 where T is the Tsallis entropy.  Zero
+    weights follow the module's conventions, and one at alpha < 0 raises
+    before any power is taken.
     """
     alpha = float(alpha)
     if alpha < 0.0 and p.weights[-1] == 0.0:
@@ -333,9 +309,8 @@ def sharma_mittal(p: ProbabilityDistribution, params: EntropyParams) -> float:
     * otherwise: ``h_alpha_beta(g_alpha(p))``, which at beta = alpha is the
       Tsallis form (1 - g_alpha) / (alpha - 1) up to rounding
 
-    Negative alpha with a zero weight raises.  Rows of many distributions,
-    each at its own (alpha, beta), go through :func:`family_rows`, which
-    gives this function's value bits and flags the rows where it raises.
+    Negative alpha with a zero weight raises.  :func:`family_rows` is its
+    row kernel.
     """
     alpha, beta = params.alpha, params.beta
     x = shannon(p) if alpha == 1.0 else g_alpha(p, alpha)

@@ -10,13 +10,10 @@ and :func:`_pool` averages maximal violating blocks, which replaces the
 curve by its least concave majorant, the least upper bound's curve.
 
 With exact rational weights on both operands the body runs in exact
-arithmetic, the oracle the float path is tested against.  In floats, as
-:func:`~majent.properties.run_check` runs it, a pair whose curves do not
-cross is ordered by one rule, :func:`_order`, which reads the points it
-tests off the weights, and its meet is its lower operand and its join the
-upper one.  :func:`bound_rows`, the row kernel behind sweeps and the only
-importer of numpy, tests the same points, hands its ties to the same rule
-and keeps, on crossing rows, the same bits.
+arithmetic, the oracle the float path is tested against.  In floats a pair
+whose curves do not cross takes its operands as its bounds (:func:`_order`),
+and :func:`bound_rows`, the row kernel behind sweeps and the only importer
+of numpy, gives the same bits.
 """
 from __future__ import annotations
 
@@ -74,13 +71,11 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     """(order, meets, joins) of the paired rows ``pairs[0]`` and ``pairs[1]``
     of a (2, k, m) array of sorted distributions, zero-padded to width m.
 
-    ``order`` holds the :func:`_order` code of each row's two Lorenz curves,
-    tested at the points :func:`_order` tests, those after which either
-    operand still has weight: 1 when the row's meet is p and its join q, 2
-    the other way round, and 0 when they cross.  Only the rows that tie go
-    through :func:`_order` itself, whole.  ``meets`` holds the meets of the
-    rows that read 0 and ``joins`` the joins of those that the k booleans
-    ``join`` select, both in row order, from one pair of curves.
+    ``order`` holds each row's :func:`_order` code, read at its points for
+    all rows at once; only the rows that tie go through :func:`_order`
+    itself.  ``meets`` holds the meets of the rows that read 0 and
+    ``joins`` the joins of those that the k booleans ``join`` select, both
+    in row order, from one pair of curves.
 
     The padding is exact: it is trailing zeros, past which both curves stay
     at their last value, so no point there is tested, every difference
@@ -88,11 +83,10 @@ def bound_rows(pairs: np.ndarray, join: Sequence[bool]) -> tuple[np.ndarray, np.
     averaging never grows a block into them.
 
     Rounding can leave a meet's difference a hair above its left neighbour,
-    so the meets are sorted, as a scalar meet would sort them.  Only the
-    joins whose differences ascend somewhere go through the block averaging
-    of :func:`_pool`, from the first ascent the row's scan found.  Neither
-    is checked afterwards, as in the scalar path: the differences of a max
-    curve are >= 0 and sum to its end.  The other joins are already sorted.
+    so the meets are sorted.  Only the joins whose differences ascend go
+    through the block averaging of :func:`_pool`, from the row's first
+    ascent.  No bound is checked afterwards: the differences of a max curve
+    are >= 0 and sum to its end.
     """
     import numpy as np
 
@@ -176,10 +170,9 @@ def _bound(
     """The meet of ``p`` and ``q``, or their join when ``upper``: the
     differences of the pointwise-min curve, or the pooled ones of the max
     curve.  Exact when both operands are.  In floats a pair whose curves do
-    not cross gives the operand :func:`_order` names, zero-padded.
-    Rounding can leave a meet's difference a hair above its left neighbour,
-    so the differences are sorted, and, as in :func:`bound_rows`, no float
-    bound is validated.
+    not cross gives the operand :func:`_order` names, zero-padded, and, as
+    in :func:`bound_rows`, a meet's differences are sorted and no bound is
+    validated.
     """
     pa, pb, exact = paired_curves(p, q)
     n = len(pa)

@@ -8,9 +8,8 @@ margin drops below ``-CHECK_TOL``; margins inside the window count as a
 tight hold, so rounding noise cannot masquerade as a counterexample.  The
 checks never refuse a parameter region: outside the guaranteed regions they
 simply report whatever the numbers say.  A check runs in Python floats;
-:mod:`majent.lattice` and :mod:`majent.entropy` are imported where it
-evaluates, so the kinds and the tolerance read without them, and only the
-sweep engine's array branch of :func:`oriented_sides` imports numpy.
+:mod:`majent.lattice` and :mod:`majent.entropy` load at the first one, so
+the kinds and the tolerance read without them, and numpy never loads here.
 """
 from __future__ import annotations
 
@@ -93,9 +92,9 @@ class PropertyCheckRecord(NamedTuple):
 
 
 #: kind -> (needs the join, orientation).  Orientation +1 asserts
-#: lhs <= rhs (margin rhs - lhs), -1 asserts lhs >= rhs (margin lhs - rhs)
-#: and 0 follows the sign of alpha: the generalized bound caps the meet
-#: entropy at alpha >= 0 and floors it below zero.
+#: lhs <= rhs and -1 asserts lhs >= rhs; 0 follows the sign of alpha: the
+#: generalized bound caps the meet entropy at alpha >= 0 and floors it at
+#: alpha < 0.
 _CHECKS = {
     PropertyKind.SUBADDITIVE: (False, 1),
     PropertyKind.SUPERADDITIVE: (False, -1),
@@ -110,22 +109,19 @@ def oriented_sides(kind: PropertyKind, alpha, beta, sp, sq, sm, sj):
 
     Works on single floats, as :func:`run_check` gives them, and elementwise
     on the sweep engine's arrays of rows (``sj`` is unused by the meet-only
-    kinds).  A margin is ``rhs - lhs`` or ``lhs - rhs``, never a negation,
-    so equal sides give +0.0 in either orientation.
+    kinds).  The margin is ``(rhs - lhs) * orientation + 0.0``: times -1 is
+    ``lhs - rhs`` bit for bit, and the ``+ 0.0`` makes equal sides +0.0 in
+    either orientation.
     """
     needs_join, orientation = _CHECKS[kind]
     if needs_join:
         lhs, rhs = sp + sq, sm + sj
-    elif orientation == 0:
-        lhs, rhs = sm, sp + sq + (1.0 - beta) * sp * sq
-        if isinstance(alpha, float):
-            return lhs, rhs, rhs - lhs if alpha >= 0.0 else lhs - rhs
-        import numpy as np
-
-        return lhs, rhs, np.where(alpha >= 0.0, rhs - lhs, lhs - rhs)
     else:
         lhs, rhs = sm, sp + sq
-    return lhs, rhs, rhs - lhs if orientation > 0 else lhs - rhs
+        if not orientation:
+            rhs = rhs + (1.0 - beta) * sp * sq
+            orientation = (alpha >= 0.0) * 2 - 1
+    return lhs, rhs, (rhs - lhs) * orientation + 0.0
 
 
 def run_check(

@@ -2,8 +2,8 @@
 
 The first pair breaks supermodularity, the second submodularity.
 :func:`verify_paper_counterexamples` replays both through
-:func:`~majent.properties.run_check` in Python floats, without numpy or the
-search, and sweeps inject them as the leading trials of a cell.
+:func:`~majent.properties.run_check` in Python floats, and sweeps lead each
+cell with them (:func:`majent.engine.run_cells`).
 """
 from __future__ import annotations
 

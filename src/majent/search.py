@@ -6,14 +6,8 @@ isolation: the stream for a trial is keyed by (seed, cell index, trial
 index) and nothing else.  Reports are therefore byte-identical across runs
 and platforms that agree on the generator, whose identifier is stamped into
 every report header.  One trial's pair is two :func:`sample_simplex`
-draws from its :func:`trial_stream`; :func:`trial_pair` draws that pair,
-and :func:`draw_pairs` many trials' pairs, bit for bit, on one reused
-Philox generator set to each trial's key.
-
-The two reference pairs of :mod:`majent.reference` are injected as the
-leading trials of every cell whose order parameter admits them (one pair
-carries a zero weight, so negative orders skip the injection), so their
-known violations at (2, 3) are found regardless of seed.
+draws from its :func:`trial_stream`, which :func:`trial_pair` and
+:func:`draw_pairs` repeat bit for bit.
 
 Sweeps and searches run on the batched engine of :mod:`majent.engine`.
 numpy is imported where a stream is made and the engine where it runs, so
@@ -122,8 +116,7 @@ def _fresh_state(key: list) -> dict:
 
 def trial_stream(seed: int, cell_index: int, trial_index: int) -> np.random.Generator:
     """The counter-based stream for one trial, independent of all others;
-    ValueError unless the seed fits 64 bits and each index 32.  numpy is
-    imported here, so that only what samples loads it."""
+    ValueError unless the seed fits 64 bits and each index 32."""
     import numpy as np
 
     key = np.array(_checked_key(seed, cell_index, trial_index), dtype=np.uint64)
@@ -226,13 +219,11 @@ def find_counterexample(
     trials: int,
     seed: int = DEFAULT_SEED,
 ) -> CounterexampleRecord | None:
-    """Search ``trials`` random n-dimensional pairs for a violation.
+    """The first violation among ``trials`` pairs of dimension ``n``, the
+    reference pairs first (:func:`majent.engine.run_cells`), or None.
 
-    Returns the first violating pair found, or None.  The reference pairs
-    lead the trial order, so the known breakdowns at (2, 3) are found
-    independent of seed.  It runs ``SweepConfig((alpha,), (beta,), (n,),
-    trials, seed, (kind,))``, which validates the arguments, and returns the
-    counterexample of that run's one cell.
+    It runs ``SweepConfig((alpha,), (beta,), (n,), trials, seed, (kind,))``,
+    which validates the arguments, and returns that run's one counterexample.
     """
     from .engine import run_cells
 
@@ -401,14 +392,12 @@ class RegionSweepReport(NamedTuple):
 
 
 def sweep(config: SweepConfig) -> RegionSweepReport:
-    """Run every (alpha, beta, property) cell of the grid.
+    """Run every cell of the grid, in the order of :class:`majent.engine._Grid`.
 
-    The engine yields the cells in grid order, each a finished
-    :class:`CellReport` with a stable cell index, and each trial's
-    randomness is keyed by (seed, cell, trial), so the report is
-    deterministic no matter how the work would be scheduled.  This function
-    only guards the guarantee table over that stream: a violation inside a
-    guaranteed region aborts with :class:`GuaranteeViolationError`.
+    Each trial's randomness is keyed by (seed, cell, trial), so the report
+    is deterministic however the work would be scheduled.  This function
+    only guards the guarantee table over the engine's cells: a violation
+    inside a guaranteed region aborts with :class:`GuaranteeViolationError`.
     """
     from .engine import run_cells
 
@@ -493,7 +482,6 @@ def parse_sweep_config(text: str, *, default_seed: int | None = None) -> SweepCo
     the SweepConfig fields; grids and dims accept ``start:step:end`` or
     comma lists, properties are a comma list of kind names.  A seed in the
     file wins over ``default_seed``, which wins over the built-in default.
-    Values are only converted here; :class:`SweepConfig` validates them.
     """
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

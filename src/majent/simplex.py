@@ -159,7 +159,8 @@ def make_distribution(raw: Sequence[Weight]) -> ProbabilityDistribution:
     if abs(float(total) - 1.0) > SUM_TOL:
         raise SumOutOfToleranceError(total)
     if not exact:
-        return ProbabilityDistribution(tuple(vals))
+        # Zeros sort last, and each is stored as +0.0, even one written -0.
+        return ProbabilityDistribution(tuple(w + 0.0 for w in vals) if vals[-1] == 0.0 else tuple(vals))
     return ProbabilityDistribution(tuple(map(float, vals)), tuple(vals))
 
 

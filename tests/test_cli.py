@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -180,6 +181,9 @@ class TestLatticeCommands:
             code, out, _ = run([op, *SHARED_ZEROS])
             assert (code, [float(w) for w in out.split(",")]) == (EXIT_OK, [float(w) for w in want])
 
+    def test_a_zero_written_negative_reads_plus_zero(self):
+        assert run(["join", "--p", "1,-0", "--q", "0.5,0.5"])[:2] == (EXIT_OK, "1,0\n")
+
     def test_compare_all_verdicts(self):
         assert run(["compare", "--p", "0.5,0.5", "--q", "0.75,0.25"])[1] == "majorized-by\n"
         assert run(["compare", "--p", "0.75,0.25", "--q", "0.5,0.5"])[1] == "majorizes\n"
@@ -306,6 +310,14 @@ class TestCheckCommand:
             ["check", "--property", "subadditive", "--p", "1", "--q", "1", "--alpha", "2", "--beta", "3"]
         )
         assert "lhs: 0\n" in out and "rhs: 0\n" in out
+
+    def test_a_zero_written_negative_reads_plus_zero(self):
+        code, out, _ = run(
+            ["check", "--property", "subadditive", "--p", "1,-0", "--q", "0.5,0.5",
+             "--alpha", "2", "--beta", "3", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert [math.copysign(1.0, w) for w in json.loads(out)["p"]] == [1.0, 1.0]
 
     def test_a_negative_order_in_exponent_form_attached_with_equals(self):
         # argparse may take a bare -1e-5 for an option; attached, it is a value.
@@ -531,6 +543,27 @@ class TestSweepCommand:
 
 
 class TestErrorMapping:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--property", "supermodular", "--p", "0.5,0.3,0.1,0.1", "--q", "0.4,0.4,0.2,0",
+         "--alpha", "2", "--beta", "3", "--format", "json"],
+        ["sweep", "--config", "sweep.cfg"],
+    ])
+    def test_a_closed_stdout_is_usage_error_without_a_traceback(self, tmp_path, argv):
+        # The pipe's read end is closed before the command runs, so its
+        # first write to stdout fails, whatever the timing.
+        (tmp_path / "sweep.cfg").write_text("alpha_grid = 2\nbeta_grid = 3\ndims = 3\ntrials_per_cell = 4\n")
+        env = {k: v for k, v in os.environ.items() if k != "MAJENT_SEED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "majent.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                cwd=tmp_path, env=dict(env, PYTHONPATH=str(SRC)), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")
+
     def test_sum_out_of_tolerance_is_domain_error(self):
         code, _, err = run(["entropy", "--dist", "0.5,0.4"])
         assert code == EXIT_DOMAIN

@@ -233,6 +233,14 @@ class TestTargetedProvenRegions:
         target(-margin)
         assert margin >= -CHECK_TOL
 
+    @settings(max_examples=500)
+    @given(log_uniform_pairs())
+    @pytest.mark.parametrize("alpha, beta", [(0.25, 1.0), (0.5, 2.0)])
+    def test_subadditive(self, alpha, beta, pair):
+        margin = run_check(PropertyKind.SUBADDITIVE, *pair, EntropyParams(alpha, beta)).margin
+        target(-margin)
+        assert margin >= -CHECK_TOL
+
 
 class TestExactInputs:
     @pytest.mark.parametrize("kind", list(PropertyKind))

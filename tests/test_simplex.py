@@ -72,6 +72,10 @@ class TestMakeDistribution:
         d = make_distribution([Fraction(1, 2), 0.25, Fraction(1, 4)])
         assert d.exact is None
 
+    def test_a_zero_written_negative_is_stored_as_plus_zero(self):
+        for d in (make_distribution([-0.0, 1.0, 0.0]), parse_distribution("0.5,-0,0.5")):
+            assert [math.copysign(1.0, w) for w in d.weights] == [1.0] * 3
+
     def test_support(self):
         d = make_distribution([0.5, 0.5, 0.0, 0.0])
         assert tuple(w for w in d.weights if w > 0) == (0.5, 0.5)
